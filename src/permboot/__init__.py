@@ -59,6 +59,7 @@ from .limits import (
     assemble_kernel_matrix,
     bb_cov,
     boot_coeff,
+    coeff_matrix,
     exponential_survival_population,
     indicator_kernel,
     km_kernel,

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import ContractError, DataError
+from .jsonio import write_atomic
 from .stepfn import LEFT, RIGHT, StepFn, affine_combine
 
 __all__ = [
@@ -274,15 +276,18 @@ def read_csv(path, mode: Mode) -> MultiSampleData:
 
 
 def write_csv(path, data: MultiSampleData):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if data.mode is Mode.PLAIN:
-            writer.writerow(["group", "value"])
-            for j, g in enumerate(data.groups, start=1):
-                for x in g:
-                    writer.writerow([j, format(x, ".17g")])
-        else:
-            writer.writerow(["group", "time", "status"])
-            for j, g in enumerate(data.groups, start=1):
-                for z, d in g:
-                    writer.writerow([j, format(z, ".17g"), d])
+    """Write ``data`` as CSV through ``write_atomic``: a failed write
+    leaves any previous file at ``path`` untouched."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if data.mode is Mode.PLAIN:
+        writer.writerow(["group", "value"])
+        for j, g in enumerate(data.groups, start=1):
+            for x in g:
+                writer.writerow([j, format(x, ".17g")])
+    else:
+        writer.writerow(["group", "time", "status"])
+        for j, g in enumerate(data.groups, start=1):
+            for z, d in g:
+                writer.writerow([j, format(z, ".17g"), d])
+    write_atomic(path, buf.getvalue())

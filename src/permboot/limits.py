@@ -12,6 +12,12 @@ plug-in (built from pooled empirical step functions, what the
 conditional statements compare against at finite N) and analytic
 (closed forms or adaptive quadrature with a 1e-10 absolute target).
 
+The scalar kernels give one covariance entry each and are the reference
+for ``assemble_kernel_matrix``.  A full matrix costs one population
+evaluation (a quadrature for analytic populations) per grid point and
+function, plus O(m^2 G^2) array arithmetic that reproduces the scalar
+kernels bit for bit.
+
 The pooled-bootstrap covariance block for the joint (at-risk,
 uncensored) pair is not displayed in closed form anywhere; it is taken
 as the i = j permutation block with coefficient 1/lambda_i, consistent
@@ -37,12 +43,12 @@ __all__ = [
     "KernelKind",
     "perm_coeff",
     "boot_coeff",
+    "coeff_matrix",
     "PlainPopulation",
     "EmpiricalSurvivalPopulation",
     "AnalyticSurvivalPopulation",
     "exponential_survival_population",
     "bb_cov",
-    "c_function",
     "indicator_kernel",
     "na_kernel",
     "km_kernel",
@@ -85,6 +91,12 @@ def boot_coeff(lambdas: LambdaVector, i: int, j: int) -> float:
 
 def _coeff(kind: KernelKind, lambdas, i, j):
     return perm_coeff(lambdas, i, j) if kind in _PERM_KINDS else boot_coeff(lambdas, i, j)
+
+
+def coeff_matrix(kind: KernelKind, lambdas) -> np.ndarray:
+    """The m x m matrix of the kind's group coefficients."""
+    m = len(lambdas)
+    return np.array([[_coeff(kind, lambdas, i, j) for j in range(m)] for i in range(m)])
 
 
 # -- populations -------------------------------------------------------
@@ -233,10 +245,6 @@ def bb_cov(pop: PlainPopulation, s, t) -> float:
     return pop.H(min(s, t)) - pop.H(s) * pop.H(t)
 
 
-def c_function(pop, t) -> float:
-    return pop.C(t)
-
-
 def indicator_kernel(kind: KernelKind, pop: PlainPopulation, lambdas, i, j, s, t):
     if kind not in (KernelKind.PERM_INDICATOR, KernelKind.BOOT_INDICATOR):
         raise ContractError(f"{kind} is not an indicator kernel")
@@ -255,7 +263,8 @@ def km_kernel(kind: KernelKind, pop, lambdas, i, j, s, t):
     c = _coeff(kind, lambdas, i, j)
     if c == 0.0:
         return 0.0
-    return c * pop.S(s) * pop.S(t) * pop.km_integral(min(s, t))
+    # S(s) * S(t) first, so that the (s, t) and (t, s) entries are equal
+    return c * (pop.S(s) * pop.S(t)) * pop.km_integral(min(s, t))
 
 
 def _cross_entry(pop, s, t):
@@ -280,35 +289,55 @@ def survival_cross_kernel(kind: KernelKind, pop, lambdas, i, j, s, t) -> np.ndar
     )
 
 
+def _at_min(values, s, t):
+    """values at min(s, t) over the grid pairs, with Python's tie rule."""
+    return np.where(t < s, values[None, :], values[:, None])
+
+
+def _at_max(values, s, t):
+    """values at max(s, t) over the grid pairs, with Python's tie rule."""
+    return np.where(s < t, values[None, :], values[:, None])
+
+
 def assemble_kernel_matrix(kind: KernelKind, pop, lambdas, grid) -> np.ndarray:
     """Full grid covariance matrix over groups x grid (and, for the
-    cross kernels, the two survival processes)."""
-    m = len(lambdas)
-    grid = list(grid)
-    G = len(grid)
+    cross kernels, the two survival processes).
+
+    Each population function is evaluated once per grid point; entry
+    (i*G + a, j*G + b) equals the scalar kernel at (i, j, grid[a],
+    grid[b]) bit for bit, in the scalar kernels' order of operations.
+    The grid may be unsorted and may repeat points.
+    """
+    coeffs = coeff_matrix(kind, lambdas)
+    m = len(coeffs)
+    points = list(grid)
+    G = len(points)
+    g = np.array(points)
+    s, t = g[:, None], g[None, :]
+
+    def values(fn):
+        return np.array([fn(u) for u in points])
+
     if kind in (KernelKind.PERM_SURVIVAL_CROSS, KernelKind.BOOT_SURVIVAL_CROSS):
-        dim = 2 * m * G
-        out = np.empty((dim, dim))
-        for i in range(m):
-            for j in range(m):
-                for a, s in enumerate(grid):
-                    for b, t in enumerate(grid):
-                        block = survival_cross_kernel(kind, pop, lambdas, i, j, s, t)
-                        for p in range(2):
-                            for q in range(2):
-                                out[(i * 2 + p) * G + a, (j * 2 + q) * G + b] = block[p, q]
-        return out
-    if kind in (KernelKind.PERM_INDICATOR, KernelKind.BOOT_INDICATOR):
-        cell = lambda i, j, s, t: indicator_kernel(kind, pop, lambdas, i, j, s, t)
+        hbar, huc, huc_left = values(pop.Hbar), values(pop.Huc), values(pop.Huc_left)
+        bar_bar = _at_max(hbar, s, t) - hbar[:, None] * hbar[None, :]
+        uc_uc = _at_min(huc, s, t) - huc[:, None] * huc[None, :]
+        # E[G_uc(s) G_bar(t)]: the indicator part lives on t <= s
+        uc_bar = (
+            np.where(t <= s, huc[:, None] - huc_left[None, :], 0.0)
+            - huc[:, None] * hbar[None, :]
+        )
+        cell = np.block([[bar_bar, uc_bar.T], [uc_bar, uc_uc]])
+    elif kind in (KernelKind.PERM_INDICATOR, KernelKind.BOOT_INDICATOR):
+        h = values(pop.H)
+        cell = _at_min(h, s, t) - h[:, None] * h[None, :]
     elif kind in (KernelKind.PERM_SURVIVAL_NA, KernelKind.BOOT_SURVIVAL_NA):
-        cell = lambda i, j, s, t: na_kernel(kind, pop, lambdas, i, j, s, t)
+        cell = _at_min(values(pop.C), s, t)
     else:
-        cell = lambda i, j, s, t: km_kernel(kind, pop, lambdas, i, j, s, t)
-    dim = m * G
-    out = np.empty((dim, dim))
-    for i in range(m):
-        for j in range(m):
-            for a, s in enumerate(grid):
-                for b, t in enumerate(grid):
-                    out[i * G + a, j * G + b] = cell(i, j, s, t)
-    return out
+        surv, km_int = values(pop.S), values(pop.km_integral)
+        scaled = np.kron(coeffs, surv[:, None] * surv[None, :])
+        out = scaled * np.tile(_at_min(km_int, s, t), (m, m))
+        # zero-coefficient cells are an exact +0.0, as in km_kernel
+        zero = np.kron(coeffs == 0.0, np.ones((G, G), dtype=bool))
+        return np.where(zero, 0.0, out).astype(float)
+    return np.kron(coeffs, cell).astype(float)

@@ -47,12 +47,7 @@ from .functionals import (
     wilcoxon_derivative,
 )
 from .jsonio import canonical_json
-from .limits import (
-    KernelKind,
-    boot_coeff,
-    exponential_survival_population,
-    perm_coeff,
-)
+from .limits import KernelKind, coeff_matrix, exponential_survival_population
 from .resampling import (
     ResampleKind,
     SeedSpec,
@@ -331,23 +326,6 @@ def _resolve_plain_grid(config: ExperimentConfig, pooled: np.ndarray) -> np.ndar
     return np.quantile(pooled, probs)
 
 
-def _coeff_matrix(kind: KernelKind, lambdas: LambdaVector) -> np.ndarray:
-    m = len(lambdas)
-    perm = kind in (
-        KernelKind.PERM_INDICATOR,
-        KernelKind.PERM_SURVIVAL_NA,
-        KernelKind.PERM_KM,
-    )
-    fn = perm_coeff if perm else boot_coeff
-    return np.array([[fn(lambdas, i, j) for j in range(m)] for i in range(m)])
-
-
-def _expand_cell_kernel(coeffs: np.ndarray, cell: np.ndarray) -> np.ndarray:
-    """Kronecker-expand a per-group coefficient matrix with a per-grid
-    cell matrix into the (m*G, m*G) kernel matrix."""
-    return np.kron(coeffs, cell)
-
-
 def _plain_dataset(config: ExperimentConfig, r: int):
     seed_r = config.seed.child(r)
     rng = seed_r.child(0).rng()
@@ -373,7 +351,7 @@ def _plain_dataset(config: ExperimentConfig, r: int):
     cov = (Xc.T @ Xc) / B
 
     lambdas = LambdaVector.from_sizes(sizes)
-    coeffs = _coeff_matrix(config.kernel_kind(), lambdas)
+    coeffs = coeff_matrix(config.kernel_kind(), lambdas)
     if config.target == "plugin":
         hvals = pooled_vals
     else:
@@ -383,7 +361,7 @@ def _plain_dataset(config: ExperimentConfig, r: int):
         hvals = np.array([sum(w * law.cdf(t) for w, law in mix) for t in grid])
     hmin = np.minimum(hvals[:, None], hvals[None, :])
     cell = hmin - hvals[:, None] * hvals[None, :]
-    kernel = _expand_cell_kernel(coeffs, cell)
+    kernel = np.kron(coeffs, cell)
     return cov, kernel, cond_mean, 0
 
 
@@ -473,7 +451,7 @@ def _survival_dataset(config: ExperimentConfig, r: int):
     cov = (Xc.T @ Xc) / B
 
     lambdas = LambdaVector.from_sizes(sizes)
-    coeffs = _coeff_matrix(config.kernel_kind(), lambdas)
+    coeffs = coeff_matrix(config.kernel_kind(), lambdas)
     if config.target == "plugin":
         dl = h0
         hbar = r0 / N
@@ -503,7 +481,7 @@ def _survival_dataset(config: ExperimentConfig, r: int):
             cell = s_vals[:, None] * s_vals[None, :] * cmin
         else:
             cell = cmin
-    kernel = _expand_cell_kernel(coeffs, cell)
+    kernel = np.kron(coeffs, cell)
     return cov, kernel, cond_mean, retries
 
 

@@ -1,5 +1,7 @@
 import csv
+import errno
 import json
+import os
 
 import pytest
 
@@ -92,6 +94,41 @@ def test_simulate_then_analyze(tmp_path):
                 "--output-curves", tmp_path / "c.csv",
                 "--output-summary", tmp_path / "s.json"])
     assert code == EXIT_OK
+
+
+class _DiskFullFile:
+    """File wrapper whose write stores half the text, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_simulate_write_failure_keeps_previous_file(tmp_path, monkeypatch):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({
+        "mode": "plain",
+        "group_laws": [{"kind": "exponential", "rate": 1.0}] * 2,
+        "sizes": [50, 50],
+    }))
+    data = tmp_path / "d.csv"
+    data.write_text("previous contents\n")
+    real_fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda *a, **k: _DiskFullFile(real_fdopen(*a, **k)))
+    with pytest.raises(OSError):
+        run(["simulate", "--config", cfg, "--output", data, "--seed", "1"])
+    assert data.read_text() == "previous contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "sim.json"]
 
 
 def test_kernel_subcommand(tmp_path):

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from permboot.empirical import LambdaVector, at_risk_process, uncensored_subdist
+from permboot import limits
+from permboot.empirical import LambdaVector, at_risk_process, ecdf, uncensored_subdist
 from permboot.errors import ContractError, SingularityError
 from permboot.functionals import HazardBundle
 from permboot.limits import (
@@ -21,6 +23,7 @@ from permboot.limits import (
     perm_coeff,
     survival_cross_kernel,
 )
+from permboot.stepfn import StepFn
 
 LAM = LambdaVector((0.25, 0.75))
 
@@ -150,3 +153,103 @@ def test_plugin_tracks_analytic_at_scale():
     pop = EmpiricalSurvivalPopulation(bundle)
     for t in (0.3, 0.7, 1.0):
         assert pop.C(t) == pytest.approx(math.exp(t) - 1, rel=0.1)
+
+
+# -- array assembly against the scalar kernels ---------------------------
+
+LAM3 = LambdaVector((0.2, 0.3, 0.5))
+# unsorted, with a repeated point and 0.0
+ODD_GRID = [1.2, 0.0, 2.0, 0.5, 1.2, 2.6]
+CROSS_KINDS = (KernelKind.PERM_SURVIVAL_CROSS, KernelKind.BOOT_SURVIVAL_CROSS)
+KM_KINDS = (KernelKind.PERM_KM, KernelKind.BOOT_KM)
+_SCALAR = {
+    KernelKind.PERM_INDICATOR: indicator_kernel,
+    KernelKind.BOOT_INDICATOR: indicator_kernel,
+    KernelKind.PERM_SURVIVAL_NA: na_kernel,
+    KernelKind.BOOT_SURVIVAL_NA: na_kernel,
+    KernelKind.PERM_KM: km_kernel,
+    KernelKind.BOOT_KM: km_kernel,
+}
+
+
+def _per_cell_matrix(kind, pop, lambdas, grid):
+    """Reference: one scalar kernel call per matrix cell."""
+    m, G = len(lambdas), len(grid)
+    width = 2 if kind in CROSS_KINDS else 1
+    out = np.empty((width * m * G, width * m * G))
+    for i in range(m):
+        for j in range(m):
+            for a, s in enumerate(grid):
+                for b, t in enumerate(grid):
+                    if kind in CROSS_KINDS:
+                        block = survival_cross_kernel(kind, pop, lambdas, i, j, s, t)
+                        for p in range(2):
+                            for q in range(2):
+                                out[(i * 2 + p) * G + a, (j * 2 + q) * G + b] = block[p, q]
+                    else:
+                        out[i * G + a, j * G + b] = _SCALAR[kind](kind, pop, lambdas, i, j, s, t)
+    return out
+
+
+def _tied_plugin_population():
+    obs = [(0.5, 1), (0.5, 1), (1.0, 0), (1.2, 1), (1.2, 0), (1.5, 1),
+           (2.0, 1), (2.0, 0), (2.0, 1), (2.5, 1), (2.7, 0), (3.0, 0)]
+    bundle = HazardBundle(at_risk_process(obs), uncensored_subdist(obs), tau=3.0)
+    return EmpiricalSurvivalPopulation(bundle)
+
+
+def _populations(kind):
+    if kind in (KernelKind.PERM_INDICATOR, KernelKind.BOOT_INDICATOR):
+        return [
+            PlainPopulation(lambda t: 1 - math.exp(-t) if t > 0 else 0.0),
+            PlainPopulation(ecdf([0.5, 0.5, 1.2, 2.0, 2.0, 3.1])),
+            # exact rational values: the float rounding happens at the coefficient
+            PlainPopulation(StepFn(Fraction(0), (0.5, 1.2, 2.0),
+                                   (Fraction(1, 3), Fraction(1, 6), Fraction(1, 3)))),
+        ]
+    return [
+        # unequal rates: S goes through the cumulative-hazard quadrature
+        exponential_survival_population([1.0, 1.4, 0.7], [0.5, 0.2, 0.0], LAM3, tau=3.0),
+        _tied_plugin_population(),
+    ]
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_assemble_matches_per_cell_bitwise(kind):
+    for pop in _populations(kind):
+        got = assemble_kernel_matrix(kind, pop, LAM3, ODD_GRID)
+        ref = _per_cell_matrix(kind, pop, LAM3, ODD_GRID)
+        assert got.dtype == float and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("kind", KM_KINDS)
+def test_km_matrix_exactly_symmetric(kind):
+    for pop in _populations(kind):
+        mat = assemble_kernel_matrix(kind, pop, LAM3, ODD_GRID)
+        assert np.array_equal(mat, mat.T)
+
+
+@pytest.mark.parametrize("kind", [k for k in KernelKind if "indicator" not in k.value])
+def test_assemble_quadratures_per_grid_point(kind, monkeypatch):
+    calls = []
+    real_quad = limits.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args)
+        return real_quad(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "quad", counting_quad)
+    pop = exponential_survival_population([1.0, 1.4, 0.7], [0.5, 0.2, 0.0], LAM3, tau=3.0)
+    assemble_kernel_matrix(kind, pop, LAM3, ODD_GRID)
+    assert 0 < len(calls) <= 2 * len(ODD_GRID)
+
+
+@pytest.mark.parametrize("kind", KM_KINDS)
+def test_assemble_km_singular_plugin_raises(kind):
+    obs = [(1, 1), (2, 0), (3, 1)]
+    bundle = HazardBundle(at_risk_process(obs), uncensored_subdist(obs), tau=3)
+    pop = EmpiricalSurvivalPopulation(bundle)
+    with pytest.raises(SingularityError):
+        assemble_kernel_matrix(kind, pop, LAM, [0.5, 3.0])

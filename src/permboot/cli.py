@@ -6,9 +6,10 @@ from CSV), kernel (grid covariance matrix), verify (run the harness),
 counterexample (inverse-map difference-quotient table), dump-fn (step
 functions in text form).
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 verification
-failure.  Outputs are written atomically; progress goes to stderr and
-stdout stays silent unless --stdout is given.
+Exit codes: 0 success, 2 usage error, 3 data error (including an
+output that cannot be written), 4 verification failure.  Outputs are
+written atomically; progress goes to stderr and stdout stays silent
+unless --stdout is given.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .verify import (
     conditional_cov_experiment,
     increment_condition_probe,
     inverse_counterexample,
+    simulate_survival_groups,
 )
 
 EXIT_OK = 0
@@ -100,22 +102,14 @@ def _cmd_simulate(args) -> int:
     sizes = config["sizes"]
     if len(laws) != len(sizes):
         raise DataError("need one law per group")
-    seed = _seed_from(args, config)
-    rng = seed.rng()
-    groups = []
+    rng = _seed_from(args, config).rng()
     if mode is Mode.PLAIN:
-        for law, n in zip(laws, sizes):
-            groups.append(tuple(float(x) for x in law.sample(rng, n)))
+        groups = [tuple(float(x) for x in law.sample(rng, n)) for law, n in zip(laws, sizes)]
+        data = MultiSampleData(tuple(groups))
     else:
         cens_cfg = config.get("censoring_laws") or [{"kind": "none"}] * len(laws)
         cens = [Law.from_dict(d) for d in cens_cfg]
-        for law, cl, n in zip(laws, cens, sizes):
-            x = law.sample(rng, n)
-            c = cl.sample(rng, n)
-            groups.append(
-                tuple((float(min(a, b)), int(a <= b)) for a, b in zip(x, c))
-            )
-    data = MultiSampleData(tuple(groups))
+        data = simulate_survival_groups(laws, cens, sizes, rng)
     write_csv(args.output, data)
     _progress(f"wrote {sum(sizes)} observations to {args.output}")
     return EXIT_OK
@@ -375,6 +369,9 @@ def main(argv=None) -> int:
     except (ContractError, DomainError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # e.g. an output that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -11,6 +11,9 @@ Population objects come in two flavours sharing one evaluation path:
 plug-in (built from pooled empirical step functions, what the
 conditional statements compare against at finite N) and analytic
 (closed forms or adaptive quadrature with a 1e-10 absolute target).
+``permboot.verify`` builds its targets here too: ``PlainPopulation``
+for indicator classes and ``EmpiricalSurvivalPopulation`` (plug-in) or
+``exponential_survival_population`` (analytic) for survival classes.
 
 The scalar kernels give one covariance entry each and are the reference
 for ``assemble_kernel_matrix``.  A full matrix costs one population
@@ -264,7 +267,7 @@ def km_kernel(kind: KernelKind, pop, lambdas, i, j, s, t):
     if c == 0.0:
         return 0.0
     # S(s) * S(t) first, so that the (s, t) and (t, s) entries are equal
-    return c * (pop.S(s) * pop.S(t)) * pop.km_integral(min(s, t))
+    return c * ((pop.S(s) * pop.S(t)) * pop.km_integral(min(s, t)))
 
 
 def _cross_entry(pop, s, t):
@@ -309,9 +312,7 @@ def assemble_kernel_matrix(kind: KernelKind, pop, lambdas, grid) -> np.ndarray:
     The grid may be unsorted and may repeat points.
     """
     coeffs = coeff_matrix(kind, lambdas)
-    m = len(coeffs)
     points = list(grid)
-    G = len(points)
     g = np.array(points)
     s, t = g[:, None], g[None, :]
 
@@ -334,10 +335,6 @@ def assemble_kernel_matrix(kind: KernelKind, pop, lambdas, grid) -> np.ndarray:
     elif kind in (KernelKind.PERM_SURVIVAL_NA, KernelKind.BOOT_SURVIVAL_NA):
         cell = _at_min(values(pop.C), s, t)
     else:
-        surv, km_int = values(pop.S), values(pop.km_integral)
-        scaled = np.kron(coeffs, surv[:, None] * surv[None, :])
-        out = scaled * np.tile(_at_min(km_int, s, t), (m, m))
-        # zero-coefficient cells are an exact +0.0, as in km_kernel
-        zero = np.kron(coeffs == 0.0, np.ones((G, G), dtype=bool))
-        return np.where(zero, 0.0, out).astype(float)
+        surv = values(pop.S)
+        cell = (surv[:, None] * surv[None, :]) * _at_min(values(pop.km_integral), s, t)
     return np.kron(coeffs, cell).astype(float)

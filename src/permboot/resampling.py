@@ -32,6 +32,7 @@ __all__ = [
     "all_permutations",
     "permutation_matrix",
     "bootstrap_matrix",
+    "draw_matrix",
     "resampled_group_fns",
     "centered_process",
 ]
@@ -101,6 +102,13 @@ def permutation_matrix(N: int, B: int, rng: np.random.Generator) -> np.ndarray:
 
 def bootstrap_matrix(N: int, B: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, N, size=(B, N), dtype=np.intp)
+
+
+def draw_matrix(kind: ResampleKind, N: int, B: int, rng: np.random.Generator) -> np.ndarray:
+    """B draws of the given kind, one assignment per row."""
+    if kind is ResampleKind.PERMUTATION:
+        return permutation_matrix(N, B, rng)
+    return bootstrap_matrix(N, B, rng)
 
 
 def resampled_group_fns(data: PooledData, draw: ResampleDraw, mode: Mode | None = None):

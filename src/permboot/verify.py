@@ -47,13 +47,19 @@ from .functionals import (
     wilcoxon_derivative,
 )
 from .jsonio import canonical_json
-from .limits import KernelKind, coeff_matrix, exponential_survival_population
+from .limits import (
+    EmpiricalSurvivalPopulation,
+    KernelKind,
+    PlainPopulation,
+    assemble_kernel_matrix,
+    exponential_survival_population,
+)
 from .resampling import (
+    ResampleDraw,
     ResampleKind,
     SeedSpec,
     all_permutations,
-    bootstrap_matrix,
-    permutation_matrix,
+    draw_matrix,
     resampled_group_fns,
 )
 from .stepfn import StepFn, affine_combine
@@ -73,6 +79,7 @@ __all__ = [
     "inverse_counterexample",
     "increment_condition_probe",
     "simulate_grid_gaussian",
+    "simulate_survival_groups",
     "load_config_schema",
 ]
 
@@ -310,20 +317,21 @@ def _draw_matrix(config: ExperimentConfig, N: int, seed: SeedSpec) -> np.ndarray
         if config.resample_kind is not ResampleKind.PERMUTATION:
             raise ContractError("exhaustive mode applies to permutations only")
         return all_permutations(N)
-    rng = seed.rng()
-    if config.resample_kind is ResampleKind.PERMUTATION:
-        return permutation_matrix(N, config.draws, rng)
-    return bootstrap_matrix(N, config.draws, rng)
+    return draw_matrix(config.resample_kind, N, config.draws, seed.rng())
 
 
-def _resolve_plain_grid(config: ExperimentConfig, pooled: np.ndarray) -> np.ndarray:
+def _resolve_grid(config: ExperimentConfig, z: np.ndarray, default_probs, tau=None):
+    """The configured grid: explicit points, or quantiles of the pooled
+    sample z (``default_probs`` for "pooled-deciles"); survival grids
+    must lie within tau."""
     if isinstance(config.grid, tuple):
-        return np.asarray(config.grid, dtype=float)
-    if config.grid == "pooled-deciles":
-        probs = np.linspace(0.1, 0.9, 9)
+        grid = np.asarray(config.grid, dtype=float)
     else:
-        probs = np.asarray(config.grid["pooled_quantiles"], dtype=float)
-    return np.quantile(pooled, probs)
+        probs = default_probs if config.grid == "pooled-deciles" else config.grid["pooled_quantiles"]
+        grid = np.quantile(z, np.asarray(probs, dtype=float))
+    if tau is not None and grid.max() > tau:
+        raise ContractError(f"grid point {grid.max()} beyond tau={tau}")
+    return grid
 
 
 def _plain_dataset(config: ExperimentConfig, r: int):
@@ -334,7 +342,7 @@ def _plain_dataset(config: ExperimentConfig, r: int):
     )
     N = pooled.size
     sizes = config.sizes
-    grid = _resolve_plain_grid(config, pooled)
+    grid = _resolve_grid(config, pooled, np.linspace(0.1, 0.9, 9))
     ind = (pooled[:, None] <= grid[None, :]).astype(float)
     pooled_vals = ind.mean(axis=0)
 
@@ -350,83 +358,75 @@ def _plain_dataset(config: ExperimentConfig, r: int):
     Xc = X - cond_mean[None, :]
     cov = (Xc.T @ Xc) / B
 
-    lambdas = LambdaVector.from_sizes(sizes)
-    coeffs = coeff_matrix(config.kernel_kind(), lambdas)
     if config.target == "plugin":
-        hvals = pooled_vals
+        pop = PlainPopulation(lambda t: np.mean(pooled <= t))
     else:
-        mix = [
-            (n / N, law) for law, n in zip(config.group_laws, sizes)
-        ]
-        hvals = np.array([sum(w * law.cdf(t) for w, law in mix) for t in grid])
-    hmin = np.minimum(hvals[:, None], hvals[None, :])
-    cell = hmin - hvals[:, None] * hvals[None, :]
-    kernel = np.kron(coeffs, cell)
+        mix = [(n / N, law) for law, n in zip(config.group_laws, sizes)]
+        pop = PlainPopulation(lambda t: sum(w * law.cdf(t) for w, law in mix))
+    kernel = assemble_kernel_matrix(
+        config.kernel_kind(), pop, LambdaVector.from_sizes(sizes), grid
+    )
     return cov, kernel, cond_mean, 0
 
 
-def _simulate_survival_groups(config: ExperimentConfig, rng):
-    zs, ds = [], []
-    for law, cens, n in zip(config.group_laws, config.censoring_laws, config.sizes):
+def simulate_survival_groups(group_laws, censoring_laws, sizes, rng) -> MultiSampleData:
+    """Right-censored groups of (min(X, C), 1{X <= C}) pairs; each group
+    draws its failure times X, then its censoring times C, from rng."""
+    groups = []
+    for law, cens, n in zip(group_laws, censoring_laws, sizes):
         x = law.sample(rng, n)
         c = cens.sample(rng, n)
-        zs.append(np.minimum(x, c))
-        ds.append((x <= c).astype(np.intp))
-    return np.concatenate(zs), np.concatenate(ds)
+        groups.append(
+            tuple(zip(np.minimum(x, c).tolist(), (x <= c).astype(int).tolist()))
+        )
+    return MultiSampleData(tuple(groups))
+
+
+def _at_risk_dataset(config, sizes, seed: SeedSpec, tau=None):
+    """Survival data drawn from seed.child(0, retries), redrawn until
+    every group is still at risk at tau (by default the pooled
+    ``config.tau_quantile`` quantile).
+
+    Returns (pooled data, pooled times, tau, retries).
+    """
+    for retries in range(_MAX_DATASET_RETRIES + 1):
+        rng = seed.child(0, retries).rng()
+        data = simulate_survival_groups(
+            config.group_laws, config.censoring_laws, sizes, rng
+        ).pooled()
+        z = np.array([zi for zi, _d in data.pooled])
+        t = tau if tau is not None else float(np.quantile(z, config.tau_quantile))
+        if all(z[data.group_slice(j)].max() >= t for j in range(data.m)):
+            return data, z, t, retries
+    raise DataError("could not simulate a dataset with all groups at risk at tau")
 
 
 def _survival_dataset(config: ExperimentConfig, r: int):
     seed_r = config.seed.child(r)
     sizes = config.sizes
-    N = sum(sizes)
-    cum = np.concatenate([[0], np.cumsum(sizes)])
-    retries = 0
-    while True:
-        rng = seed_r.child(0, retries).rng()
-        z, delta = _simulate_survival_groups(config, rng)
-        tau = config.tau if config.tau is not None else float(
-            np.quantile(z, config.tau_quantile)
-        )
-        # realized at-risk condition: every group still at risk at tau
-        ok = all(z[cum[j]:cum[j + 1]].max() >= tau for j in range(len(sizes)))
-        if ok:
-            break
-        retries += 1
-        if retries > _MAX_DATASET_RETRIES:
-            raise DataError("could not simulate a dataset with all groups at risk at tau")
+    data, z, tau, retries = _at_risk_dataset(config, sizes, seed_r, config.tau)
+    obs = data.pooled
+    N = data.N
+    cum = data.cumulative
+    delta = np.array([d for _z, d in obs])
+    grid = _resolve_grid(config, z, np.linspace(0.1, 0.7, 5), tau)
 
-    if isinstance(config.grid, tuple):
-        grid = np.asarray(config.grid, dtype=float)
-        if grid.max() > tau:
-            raise ContractError(f"grid point {grid.max()} beyond tau={tau}")
-    else:
-        if config.grid == "pooled-deciles":
-            probs = np.linspace(0.1, 0.7, 5)
-        else:
-            probs = np.asarray(config.grid["pooled_quantiles"], dtype=float)
-        grid = np.quantile(z, probs)
-
-    gmax = grid.max()
-    events = np.unique(z[(delta == 1) & (z <= gmax)])
-    K = events.size
+    events = np.unique(z[(delta == 1) & (z <= grid.max())])
     death = ((z[:, None] == events[None, :]) & (delta[:, None] == 1)).astype(float)
     at_risk = (z[:, None] >= events[None, :]).astype(float)
-    d0 = death.sum(axis=0)
-    r0 = at_risk.sum(axis=0)
     pos = np.searchsorted(events, grid, side="right")
 
     draws = _draw_matrix(config, N, seed_r.child(1))
     B = draws.shape[0]
     km_mode = config.scenario is Scenario.SURVIVAL_KM
 
-    h0 = d0 / r0
+    h0 = death.sum(axis=0) / at_risk.sum(axis=0)
     if km_mode:
         pooled_stat = np.concatenate([[1.0], np.cumprod(1.0 - h0)])[pos]
     else:
         pooled_stat = np.concatenate([[0.0], np.cumsum(h0)])[pos]
 
     rows = []
-    cond_mean_parts = []
     for j in range(len(sizes)):
         counts = _group_count_matrix(draws, slice(cum[j], cum[j + 1]), N)
         dj = counts @ death
@@ -451,37 +451,13 @@ def _survival_dataset(config: ExperimentConfig, r: int):
     cov = (Xc.T @ Xc) / B
 
     lambdas = LambdaVector.from_sizes(sizes)
-    coeffs = coeff_matrix(config.kernel_kind(), lambdas)
     if config.target == "plugin":
-        dl = h0
-        hbar = r0 / N
-        c_grid = np.concatenate([[0.0], np.cumsum((1.0 - dl) * dl / hbar)])[pos]
-        if km_mode:
-            if np.any(dl[: pos.max()] >= 1.0 - 1e-12):
-                raise SingularityError("hazard jump of 1 inside the kernel range")
-            km_int = np.concatenate(
-                [[0.0], np.cumsum(dl / ((1.0 - dl) * hbar))]
-            )[pos]
-            s_grid = np.concatenate([[1.0], np.cumprod(1.0 - dl)])[pos]
-            cell = (
-                s_grid[:, None]
-                * s_grid[None, :]
-                * np.minimum(km_int[:, None], km_int[None, :])
-            )
-        else:
-            cell = np.minimum(c_grid[:, None], c_grid[None, :])
+        pop = EmpiricalSurvivalPopulation(
+            HazardBundle(at_risk_process(obs), uncensored_subdist(obs), tau)
+        )
     else:
         pop = _analytic_survival_population(config, lambdas, tau)
-        c_vals = np.array(
-            [pop.km_integral(t) if km_mode else pop.C(t) for t in grid]
-        )
-        cmin = np.minimum(c_vals[:, None], c_vals[None, :])
-        if km_mode:
-            s_vals = np.array([pop.S(t) for t in grid])
-            cell = s_vals[:, None] * s_vals[None, :] * cmin
-        else:
-            cell = cmin
-    kernel = np.kron(coeffs, cell)
+    kernel = assemble_kernel_matrix(config.kernel_kind(), pop, lambdas, grid)
     return cov, kernel, cond_mean, retries
 
 
@@ -539,17 +515,16 @@ def conditional_cov_experiment(config: ExperimentConfig, threads: int = 1) -> Ve
     G = dim // m
     group_of = np.repeat(np.arange(m), G)
     offdiag = group_of[:, None] != group_of[None, :]
+    # a cell with no deviation has ratio 0 even where its SE is 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        se_ratio = np.where(se > 0, np.abs(dev_mean) / np.maximum(se, 1e-300), np.inf)
+        se_ratio = np.where(dev_mean == 0, 0.0, np.abs(dev_mean) / se)
     aggregates = {
         "n_cells": int(dev_mean.size),
         "frac_pass": float(cell_pass.mean()),
         "max_abs_dev": float(np.abs(dev_mean).max()),
-        "max_se_ratio": float(se_ratio.max()) if R > 1 else None,
+        "max_se_ratio": _finite_max(se_ratio) if R > 1 else None,
         "offdiag_max_abs_dev": float(np.abs(dev_mean[offdiag]).max()),
-        "offdiag_max_se_ratio": (
-            float(se_ratio[offdiag].max()) if R > 1 else None
-        ),
+        "offdiag_max_se_ratio": _finite_max(se_ratio[offdiag]) if R > 1 else None,
         "cond_mean_max_abs": float(np.abs(cond_means).max()),
         "dataset_retries": int(retries),
         "outer_reps": int(R),
@@ -568,6 +543,12 @@ def conditional_cov_experiment(config: ExperimentConfig, threads: int = 1) -> Ve
         runtime_seconds=time.perf_counter() - t0,
     )
     return report
+
+
+def _finite_max(values: np.ndarray) -> float | None:
+    """The largest value, or None (JSON null) when it is infinite."""
+    top = float(values.max())
+    return top if math.isfinite(top) else None
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -642,42 +623,12 @@ def _wilcoxon_residuals(config: LinearizationConfig, sizes, seed: SeedSpec):
 
 
 def _linearization_draws(config: LinearizationConfig, data: PooledData, seed: SeedSpec):
-    from .resampling import ResampleDraw
-
-    rng = seed.child(1).rng()
-    if config.resample_kind is ResampleKind.PERMUTATION:
-        mat = permutation_matrix(data.N, config.draws, rng)
-        kind = ResampleKind.PERMUTATION
-    else:
-        mat = bootstrap_matrix(data.N, config.draws, rng)
-        kind = ResampleKind.POOLED_BOOTSTRAP
-    return [ResampleDraw(kind, tuple(row)) for row in mat]
+    mat = draw_matrix(config.resample_kind, data.N, config.draws, seed.child(1).rng())
+    return [ResampleDraw(config.resample_kind, tuple(row)) for row in mat]
 
 
 def _survival_residuals(config: LinearizationConfig, sizes, seed: SeedSpec):
-    retries = 0
-    while True:
-        rng = seed.child(0, retries).rng()
-        groups = []
-        for law, cens, n in zip(config.group_laws, config.censoring_laws, sizes):
-            x = law.sample(rng, n)
-            c = cens.sample(rng, n)
-            z = np.minimum(x, c)
-            d = (x <= c).astype(int)
-            groups.append(tuple(zip(z.tolist(), d.tolist())))
-        data = MultiSampleData(tuple(groups)).pooled()
-        zs = np.array([z for z, _d in data.pooled])
-        tau = float(np.quantile(zs, config.tau_quantile))
-        cum = data.cumulative
-        if all(
-            max(z for z, _d in data.pooled[cum[j]:cum[j + 1]]) >= tau
-            for j in range(data.m)
-        ):
-            break
-        retries += 1
-        if retries > _MAX_DATASET_RETRIES:
-            raise DataError("could not simulate a dataset at risk at tau")
-
+    data, zs, tau, _retries = _at_risk_dataset(config, sizes, seed)
     N = data.N
     root = math.sqrt(N)
     pooled_obs = list(data.pooled)

@@ -125,8 +125,7 @@ def test_simulate_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     data.write_text("previous contents\n")
     real_fdopen = os.fdopen
     monkeypatch.setattr(os, "fdopen", lambda *a, **k: _DiskFullFile(real_fdopen(*a, **k)))
-    with pytest.raises(OSError):
-        run(["simulate", "--config", cfg, "--output", data, "--seed", "1"])
+    assert run(["simulate", "--config", cfg, "--output", data, "--seed", "1"]) == EXIT_DATA
     assert data.read_text() == "previous contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "sim.json"]
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 from permboot.empirical import LambdaVector
 from permboot.errors import ContractError, DataError
-from permboot.limits import KernelKind, perm_coeff
+from permboot.limits import KernelKind, coeff_matrix, perm_coeff
 from permboot.resampling import (
     ResampleDraw,
     ResampleKind,
@@ -219,6 +220,80 @@ def test_explicit_grid_beyond_tau_rejected():
     )
     with pytest.raises(ContractError, match="beyond tau"):
         conditional_cov_experiment(cfg)
+
+
+def test_quantile_grid_beyond_tau_rejected():
+    # the default survival grid reaches the pooled 0.7 quantile, far past 0.3
+    cfg = ExperimentConfig.from_dict(_base_config(scenario="survival-na", tau=0.3))
+    with pytest.raises(ContractError, match="beyond tau"):
+        conditional_cov_experiment(cfg)
+
+
+@pytest.mark.parametrize("over, finite", [
+    # every replicate has the same ranks: SE 0 and dev != 0 in each cell
+    (dict(sizes=[2, 2], draws=24, outer_reps=2, exhaustive=True), False),
+    # grid point 1.0 sits on an atom shared by every draw: dev == se == 0
+    (dict(sizes=[20, 20], outer_reps=3, grid=[1.0, 1.5, 3.0],
+          group_laws=[{"kind": "point-masses", "points": [[1, 0.5], [2, 0.5]]}] * 2),
+     True),
+])
+def test_zero_se_cells_serialize(over, finite):
+    report = conditional_cov_experiment(ExperimentConfig.from_dict(_base_config(**over)))
+    assert (report.se == 0).any()
+    aggregates = json.loads(report.to_json())["aggregates"]
+    for key in ("max_se_ratio", "offdiag_max_se_ratio"):
+        assert (aggregates[key] is not None) == finite
+
+
+def test_plain_plugin_kernel_is_the_bridge_kernel():
+    cfg = ExperimentConfig.from_dict(_base_config(outer_reps=1))
+    report = conditional_cov_experiment(cfg)
+    rng = cfg.seed.child(0).child(0).rng()
+    pooled = np.concatenate(
+        [law.sample(rng, n) for law, n in zip(cfg.group_laws, cfg.sizes)]
+    )
+    grid = np.quantile(pooled, np.linspace(0.1, 0.9, 9))
+    H = (pooled[:, None] <= grid[None, :]).mean(axis=0)
+    cell = np.minimum(H[:, None], H[None, :]) - H[:, None] * H[None, :]
+    coeffs = coeff_matrix(cfg.kernel_kind(), LambdaVector.from_sizes(cfg.sizes))
+    assert np.array_equal(report.kernel_mean, np.kron(coeffs, cell))
+
+
+@pytest.mark.parametrize("scenario", ["survival-na", "survival-km"])
+@pytest.mark.parametrize("resample_kind", ["permutation", "bootstrap"])
+def test_survival_plugin_kernel_matches_count_formula(scenario, resample_kind):
+    cfg = ExperimentConfig.from_dict(_base_config(
+        scenario=scenario, resample_kind=resample_kind, outer_reps=1,
+        censoring_laws=[{"kind": "exponential", "rate": 0.5}] * 2,
+    ))
+    report = conditional_cov_experiment(cfg)
+    assert report.aggregates["dataset_retries"] == 0
+
+    # independent oracle: same dataset seed path, kernels from the pooled
+    # death and at-risk counts at the event times up to the last grid point
+    rng = cfg.seed.child(0).child(0, 0).rng()
+    zs, ds = [], []
+    for law, cens, n in zip(cfg.group_laws, cfg.censoring_laws, cfg.sizes):
+        x, c = law.sample(rng, n), cens.sample(rng, n)
+        zs.append(np.minimum(x, c))
+        ds.append(x <= c)
+    z, delta = np.concatenate(zs), np.concatenate(ds)
+    grid = np.quantile(z, np.linspace(0.1, 0.7, 5))
+    events = np.unique(z[delta & (z <= grid.max())])
+    deaths = np.array([np.sum(delta & (z == u)) for u in events])
+    at_risk = np.array([np.sum(z >= u) for u in events])
+    dl = deaths / at_risk
+    hbar = at_risk / z.size
+    pos = np.searchsorted(events, grid, side="right")
+    if scenario == "survival-km":
+        km_int = np.concatenate([[0.0], np.cumsum(dl / ((1.0 - dl) * hbar))])[pos]
+        surv = np.concatenate([[1.0], np.cumprod(1.0 - dl)])[pos]
+        cell = surv[:, None] * surv[None, :] * np.minimum(km_int[:, None], km_int[None, :])
+    else:
+        c_grid = np.concatenate([[0.0], np.cumsum((1.0 - dl) * dl / hbar)])[pos]
+        cell = np.minimum(c_grid[:, None], c_grid[None, :])
+    coeffs = coeff_matrix(cfg.kernel_kind(), LambdaVector.from_sizes(cfg.sizes))
+    assert np.abs(report.kernel_mean - np.kron(coeffs, cell)).max() <= 1e-12
 
 
 # -- linearization -----------------------------------------------------

@@ -19,8 +19,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .empirical import Mode, MultiSampleData, read_csv, write_csv
 from .errors import ContractError, DataError, DomainError, SingularityError
 from .functionals import HazardBundle, kaplan_meier, nelson_aalen, rmst

@@ -12,12 +12,12 @@ import enum
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ContractError, DataError
 from .jsonio import write_atomic
-from .stepfn import LEFT, RIGHT, StepFn, affine_combine
+from .stepfn import LEFT, RIGHT, StepFn
 
 __all__ = [
     "Mode",

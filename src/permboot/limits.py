@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -40,7 +38,6 @@ from scipy.integrate import quad
 from .empirical import LambdaVector
 from .errors import ContractError, SingularityError
 from .functionals import HazardBundle, kaplan_meier, nelson_aalen
-from .stepfn import StepFn
 
 __all__ = [
     "KernelKind",

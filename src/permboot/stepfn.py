@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Callable, Sequence
 

@@ -302,14 +302,48 @@ class VerifyReport:
 
 # -- conditional covariance experiment ---------------------------------
 
-def _group_count_matrix(draws: np.ndarray, sl: slice, N: int) -> np.ndarray:
-    """Per-draw multiplicity of each pooled index within one group's
-    assignment positions; shape (B, N)."""
-    B = draws.shape[0]
-    idx = draws[:, sl]
-    flat = idx + (np.arange(B, dtype=np.intp)[:, None] * N)
-    counts = np.bincount(flat.ravel(), minlength=B * N)
-    return counts.reshape(B, N).astype(float)
+def _binned_counts(idx: np.ndarray, bins: np.ndarray, nbins: int) -> np.ndarray:
+    """Per-draw count of the assigned pooled indices idx (B, n) whose
+    label ``bins[i]`` is each of 0..nbins-1; exact integers, (B, nbins)."""
+    B = idx.shape[0]
+    flat = bins[idx] + nbins * np.arange(B, dtype=np.intp)[:, None]
+    return np.bincount(flat.ravel(), minlength=B * nbins).reshape(B, nbins)
+
+
+def _indicator_counter(pooled: np.ndarray, grid: np.ndarray):
+    """counts(idx): per-draw number of assigned values <= each grid
+    point, in grid order (unsorted and repeated points allowed); (B, K)."""
+    order = np.argsort(grid, kind="stable")
+    # values <= sorted grid point k are those in bins 0..k
+    bins = np.searchsorted(grid[order], pooled, side="left")
+    K = grid.size
+
+    def counts(idx):
+        out = np.empty((idx.shape[0], K), dtype=np.intp)
+        out[:, order] = np.cumsum(_binned_counts(idx, bins, K + 1)[:, :K], axis=1)
+        return out
+
+    return counts
+
+
+def _survival_counter(z: np.ndarray, delta: np.ndarray, t_max: float):
+    """The event times (distinct uncensored times <= t_max) and
+    counts(idx): per-draw (deaths, at risk) at each event time, (B, K) each."""
+    death = (delta == 1) & (z <= t_max)
+    events = np.unique(z[death])
+    K = events.size
+    # a time is at risk at events[k] for every k below its risk bin; a
+    # death's risk bin is one past its event index, so one label
+    # 2 * risk bin + death carries both counts
+    labels = 2 * np.searchsorted(events, z, side="right") + death
+
+    def counts(idx):
+        per_bin = _binned_counts(idx, labels, 2 * (K + 1)).reshape(-1, K + 1, 2)
+        # times per risk bin, from bin K down to bin 1
+        down = per_bin[:, :0:-1, 0] + per_bin[:, :0:-1, 1]
+        return per_bin[:, 1:, 1], np.cumsum(down, axis=1)[:, ::-1]
+
+    return events, counts
 
 
 def _draw_matrix(config: ExperimentConfig, N: int, seed: SeedSpec) -> np.ndarray:
@@ -343,16 +377,15 @@ def _plain_dataset(config: ExperimentConfig, r: int):
     N = pooled.size
     sizes = config.sizes
     grid = _resolve_grid(config, pooled, np.linspace(0.1, 0.9, 9))
-    ind = (pooled[:, None] <= grid[None, :]).astype(float)
-    pooled_vals = ind.mean(axis=0)
+    counts = _indicator_counter(pooled, grid)
+    pooled_vals = counts(np.arange(N)[None, :])[0] / N
 
     draws = _draw_matrix(config, N, seed_r.child(1))
     B = draws.shape[0]
     cum = np.concatenate([[0], np.cumsum(sizes)])
     rows = []
     for j in range(len(sizes)):
-        counts = _group_count_matrix(draws, slice(cum[j], cum[j + 1]), N)
-        rows.append((counts @ ind) / sizes[j] - pooled_vals[None, :])
+        rows.append(counts(draws[:, cum[j]:cum[j + 1]]) / sizes[j] - pooled_vals[None, :])
     X = math.sqrt(N) * np.concatenate(rows, axis=1)
     cond_mean = X.mean(axis=0)
     Xc = X - cond_mean[None, :]
@@ -411,16 +444,15 @@ def _survival_dataset(config: ExperimentConfig, r: int):
     delta = np.array([d for _z, d in obs])
     grid = _resolve_grid(config, z, np.linspace(0.1, 0.7, 5), tau)
 
-    events = np.unique(z[(delta == 1) & (z <= grid.max())])
-    death = ((z[:, None] == events[None, :]) & (delta[:, None] == 1)).astype(float)
-    at_risk = (z[:, None] >= events[None, :]).astype(float)
+    events, counts = _survival_counter(z, delta, grid.max())
     pos = np.searchsorted(events, grid, side="right")
 
     draws = _draw_matrix(config, N, seed_r.child(1))
     B = draws.shape[0]
     km_mode = config.scenario is Scenario.SURVIVAL_KM
 
-    h0 = death.sum(axis=0) / at_risk.sum(axis=0)
+    d0, r0 = counts(np.arange(N)[None, :])
+    h0 = d0[0] / r0[0]
     if km_mode:
         pooled_stat = np.concatenate([[1.0], np.cumprod(1.0 - h0)])[pos]
     else:
@@ -428,14 +460,12 @@ def _survival_dataset(config: ExperimentConfig, r: int):
 
     rows = []
     for j in range(len(sizes)):
-        counts = _group_count_matrix(draws, slice(cum[j], cum[j + 1]), N)
-        dj = counts @ death
-        rj = counts @ at_risk
+        dj, rj = counts(draws[:, cum[j]:cum[j + 1]])
         if np.any((rj == 0) & (dj > 0)):
             raise SingularityError(
                 f"empty risk set in resampled group {j + 1} (dataset {r})"
             )
-        hj = np.divide(dj, rj, out=np.zeros_like(dj), where=rj > 0)
+        hj = np.divide(dj, rj, out=np.zeros(dj.shape), where=rj > 0)
         if km_mode:
             stat = np.concatenate(
                 [np.ones((B, 1)), np.cumprod(1.0 - hj, axis=1)], axis=1

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permboot.empirical import LambdaVector
 from permboot.errors import ContractError, DataError
@@ -14,6 +15,7 @@ from permboot.resampling import (
     SeedSpec,
     all_permutations,
     centered_process,
+    draw_matrix,
     resampled_group_fns,
 )
 from permboot.empirical import MultiSampleData, pooled_ecdf
@@ -34,6 +36,8 @@ from permboot.verify import (
     prodint_ratio_sequences,
     simulate_grid_gaussian,
     wilcoxon_ratio_sequences,
+    _indicator_counter,
+    _survival_counter,
 )
 
 
@@ -294,6 +298,93 @@ def test_survival_plugin_kernel_matches_count_formula(scenario, resample_kind):
         cell = np.minimum(c_grid[:, None], c_grid[None, :])
     coeffs = coeff_matrix(cfg.kernel_kind(), LambdaVector.from_sizes(cfg.sizes))
     assert np.abs(report.kernel_mean - np.kron(coeffs, cell)).max() <= 1e-12
+
+
+# -- resampled counts against the dense products -----------------------
+
+_COUNT_CASES = [
+    (kind, sizes)
+    for kind in ("permutation", "bootstrap", "exhaustive")
+    for sizes in ((3, 3), (2, 3, 2))
+]
+
+
+def _count_draws(kind, N):
+    if kind == "exhaustive":
+        return all_permutations(N)
+    return draw_matrix(ResampleKind(kind), N, 300, SeedSpec(17).rng())
+
+
+def _dense_group_counts(draws, sizes):
+    """Per group, its assigned pooled indices and their (B, N) float
+    multiplicity matrix ``counts``, the dense reference for
+    ``counts @ ind``, ``counts @ death`` and ``counts @ at_risk``."""
+    B, N = draws.shape
+    cum = np.cumsum((0,) + sizes)
+    for j in range(len(sizes)):
+        idx = draws[:, cum[j]:cum[j + 1]]
+        flat = idx + N * np.arange(B)[:, None]
+        counts = np.bincount(flat.ravel(), minlength=B * N).reshape(B, N)
+        yield idx, counts.astype(float)
+
+
+@pytest.mark.parametrize("kind, sizes", _COUNT_CASES)
+def test_indicator_counts_match_dense_products(kind, sizes):
+    N = sum(sizes)
+    # tied values; the grid is unsorted, repeats 0.5, has a point below
+    # all data and one at the largest value
+    pooled = Law.point_masses([(0.2, 0.3), (0.5, 0.4), (0.9, 0.3)]).sample(
+        SeedSpec(5).rng(), N
+    )
+    grid = np.array([0.5, -1.0, pooled.max(), 0.2, 0.5, 0.7])
+    ind = (pooled[:, None] <= grid[None, :]).astype(float)
+    counts = _indicator_counter(pooled, grid)
+    assert np.array_equal(counts(np.arange(N)[None, :])[0], ind.sum(axis=0))
+    for idx, dense in _dense_group_counts(_count_draws(kind, N), sizes):
+        assert np.array_equal(counts(idx), dense @ ind)
+
+
+@pytest.mark.parametrize("kind, sizes", _COUNT_CASES)
+@pytest.mark.parametrize("last", ["largest-event", "middle"])
+def test_survival_counts_match_dense_products(kind, sizes, last):
+    N = sum(sizes)
+    rng = SeedSpec(6).rng()
+    law = Law.point_masses([(0.2, 0.3), (0.5, 0.4), (0.9, 0.3)])
+    x, c = law.sample(rng, N), law.sample(rng, N)
+    z, delta = np.minimum(x, c), (x <= c).astype(int)
+    # a grid point below all data, and the last one at the largest event
+    # or between the event times
+    top = z[delta == 1].max() if last == "largest-event" else 0.6
+    grid = np.array([-1.0, top])
+    events, counts = _survival_counter(z, delta, grid.max())
+    assert np.array_equal(events, np.unique(z[(delta == 1) & (z <= grid.max())]))
+    death = ((z[:, None] == events[None, :]) & (delta[:, None] == 1)).astype(float)
+    at_risk = (z[:, None] >= events[None, :]).astype(float)
+    d0, r0 = counts(np.arange(N)[None, :])
+    assert np.array_equal(d0[0], death.sum(axis=0))
+    assert np.array_equal(r0[0], at_risk.sum(axis=0))
+    for idx, dense in _dense_group_counts(_count_draws(kind, N), sizes):
+        dj, rj = counts(idx)
+        assert np.array_equal(dj, dense @ death)
+        assert np.array_equal(rj, dense @ at_risk)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_survival_counts_deaths_within_risk_sets(data):
+    # why the empty-risk-set guard in the covariance experiment cannot
+    # fire: a death at an event time is also at risk there
+    N = data.draw(st.integers(1, 10))
+    z = np.array(data.draw(st.lists(st.integers(0, 4), min_size=N, max_size=N)), float)
+    delta = np.array(data.draw(st.lists(st.integers(0, 1), min_size=N, max_size=N)))
+    B = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 8))
+    flat = data.draw(st.lists(st.integers(0, N - 1), min_size=B * n, max_size=B * n))
+    t_max = data.draw(st.integers(-1, 5))
+    _events, counts = _survival_counter(z, delta, t_max)
+    dj, rj = counts(np.array(flat).reshape(B, n))
+    assert np.all(dj >= 0) and np.all(dj <= rj)
+    assert np.all(np.diff(rj, axis=1) <= 0)
 
 
 # -- linearization -----------------------------------------------------

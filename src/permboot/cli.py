@@ -53,23 +53,34 @@ def _progress(msg: str):
 def _load_json(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return doc
+
+
+def _seed_override(args) -> int | None:
+    """The master seed from --seed, else from PERMBOOT_SEED, else None."""
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("PERMBOOT_SEED")
+    if env is None:
+        return None
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise DataError(f"PERMBOOT_SEED must be an integer, got {env!r}") from exc
 
 
 def _seed_from(args, config: dict | None = None) -> SeedSpec:
     """Seed resolution: flag > environment > config > default 0."""
-    if args.seed is not None:
-        return SeedSpec(args.seed)
-    env = os.environ.get("PERMBOOT_SEED")
-    if env is not None:
-        try:
-            return SeedSpec(int(env))
-        except ValueError as exc:
-            raise DataError(f"PERMBOOT_SEED must be an integer, got {env!r}") from exc
+    master = _seed_override(args)
+    if master is not None:
+        return SeedSpec(master)
     if config and "seed" in config:
         s = config["seed"]
         return SeedSpec(s["master_seed"], s.get("stream_id", 0))
@@ -166,8 +177,12 @@ def _kernel_population(config: dict):
     if "survival_exponential" in pop_cfg:
         sc = pop_cfg["survival_exponential"]
         lam = LambdaVector(tuple(config["lambdas"]))
+        try:
+            fail_rates, tau = sc["fail_rates"], config["tau"]
+        except KeyError as exc:
+            raise DataError(f"kernel config missing {exc.args[0]!r}") from exc
         return exponential_survival_population(
-            sc["fail_rates"], sc.get("cens_rates", [0.0] * len(lam)), lam, config["tau"]
+            fail_rates, sc.get("cens_rates", [0.0] * len(lam)), lam, tau
         )
     raise DataError("population must be 'plain' or 'survival_exponential'")
 
@@ -206,10 +221,9 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_verify(args) -> int:
     raw = _load_json(args.config)
-    if args.seed is not None:
-        raw.setdefault("seed", {})["master_seed"] = args.seed
-    elif os.environ.get("PERMBOOT_SEED") is not None:
-        raw.setdefault("seed", {})["master_seed"] = int(os.environ["PERMBOOT_SEED"])
+    master = _seed_override(args)
+    if master is not None:  # the config's stream_id stays
+        raw.setdefault("seed", {})["master_seed"] = master
     if args.draws is not None:
         raw["draws"] = args.draws
     if args.exhaustive:

@@ -7,6 +7,11 @@ size ladders, evaluates difference-quotient convergence for the
 functionals, and reproduces the inverse-map counterexample where
 uniform differentiability fails.
 
+A Monte Carlo scenario is data fed to one replicate: a grid, a
+statistic of the resampled groups' per-draw counts, and the population
+whose limit kernel the covariance is compared with.  A linearization
+scenario is a functional and its derivative fed to one ladder loop.
+
 Everything is deterministic given (config, seed): datasets and draws
 use counter-based child seeds, and reductions are order-independent, so
 reports are byte-identical regardless of thread count.
@@ -27,7 +32,6 @@ import numpy as np
 from .empirical import (
     LambdaVector,
     MultiSampleData,
-    PooledData,
     at_risk_process,
     ecdf,
     pooled_ecdf,
@@ -122,13 +126,16 @@ class Law:
 
     @classmethod
     def from_dict(cls, d):
-        kind = d["kind"]
-        if kind == "exponential":
-            return cls.exponential(d["rate"])
-        if kind == "uniform":
-            return cls.uniform(d["lo"], d["hi"])
-        if kind == "point-masses":
-            return cls.point_masses(d["points"])
+        try:
+            kind = d["kind"]
+            if kind == "exponential":
+                return cls.exponential(d["rate"])
+            if kind == "uniform":
+                return cls.uniform(d["lo"], d["hi"])
+            if kind == "point-masses":
+                return cls.point_masses(d["points"])
+        except KeyError as exc:
+            raise DataError(f"law missing {exc.args[0]!r}") from exc
         if kind == "none":
             return cls.none()
         raise DataError(f"unknown law kind {kind!r}")
@@ -226,6 +233,8 @@ class ExperimentConfig:
             )
         if self.target not in ("plugin", "analytic"):
             raise ContractError("target must be 'plugin' or 'analytic'")
+        if self.exhaustive and self.resample_kind is not ResampleKind.PERMUTATION:
+            raise ContractError("exhaustive mode applies to permutations only")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -283,7 +292,7 @@ class VerifyReport:
     passed: bool
     runtime_seconds: float | None = None
 
-    def to_json(self, include_runtime: bool = False) -> str:
+    def to_json(self) -> str:
         doc = {
             "config": self.config,
             "kernel_kind": self.kernel_kind,
@@ -295,8 +304,6 @@ class VerifyReport:
             "aggregates": self.aggregates,
             "passed": bool(self.passed),
         }
-        if include_runtime and self.runtime_seconds is not None:
-            doc["runtime_seconds"] = self.runtime_seconds
         return canonical_json(doc) + "\n"
 
 
@@ -346,14 +353,6 @@ def _survival_counter(z: np.ndarray, delta: np.ndarray, t_max: float):
     return events, counts
 
 
-def _draw_matrix(config: ExperimentConfig, N: int, seed: SeedSpec) -> np.ndarray:
-    if config.exhaustive:
-        if config.resample_kind is not ResampleKind.PERMUTATION:
-            raise ContractError("exhaustive mode applies to permutations only")
-        return all_permutations(N)
-    return draw_matrix(config.resample_kind, N, config.draws, seed.rng())
-
-
 def _resolve_grid(config: ExperimentConfig, z: np.ndarray, default_probs, tau=None):
     """The configured grid: explicit points, or quantiles of the pooled
     sample z (``default_probs`` for "pooled-deciles"); survival grids
@@ -368,38 +367,21 @@ def _resolve_grid(config: ExperimentConfig, z: np.ndarray, default_probs, tau=No
     return grid
 
 
-def _plain_dataset(config: ExperimentConfig, r: int):
-    seed_r = config.seed.child(r)
-    rng = seed_r.child(0).rng()
+def _plain_scenario(config: ExperimentConfig, seed: SeedSpec):
+    """Indicator scenario: the grid, the ECDF at it of the assigned values
+    (a (B, K) statistic of the (B, n) pooled indices), the population."""
+    rng = seed.child(0).rng()
     pooled = np.concatenate(
         [law.sample(rng, n) for law, n in zip(config.group_laws, config.sizes)]
     )
-    N = pooled.size
-    sizes = config.sizes
     grid = _resolve_grid(config, pooled, np.linspace(0.1, 0.9, 9))
     counts = _indicator_counter(pooled, grid)
-    pooled_vals = counts(np.arange(N)[None, :])[0] / N
-
-    draws = _draw_matrix(config, N, seed_r.child(1))
-    B = draws.shape[0]
-    cum = np.concatenate([[0], np.cumsum(sizes)])
-    rows = []
-    for j in range(len(sizes)):
-        rows.append(counts(draws[:, cum[j]:cum[j + 1]]) / sizes[j] - pooled_vals[None, :])
-    X = math.sqrt(N) * np.concatenate(rows, axis=1)
-    cond_mean = X.mean(axis=0)
-    Xc = X - cond_mean[None, :]
-    cov = (Xc.T @ Xc) / B
-
     if config.target == "plugin":
         pop = PlainPopulation(lambda t: np.mean(pooled <= t))
     else:
-        mix = [(n / N, law) for law, n in zip(config.group_laws, sizes)]
+        mix = [(n / pooled.size, law) for law, n in zip(config.group_laws, config.sizes)]
         pop = PlainPopulation(lambda t: sum(w * law.cdf(t) for w, law in mix))
-    kernel = assemble_kernel_matrix(
-        config.kernel_kind(), pop, LambdaVector.from_sizes(sizes), grid
-    )
-    return cov, kernel, cond_mean, 0
+    return grid, lambda idx: counts(idx) / idx.shape[1], pop, 0
 
 
 def simulate_survival_groups(group_laws, censoring_laws, sizes, rng) -> MultiSampleData:
@@ -434,64 +416,37 @@ def _at_risk_dataset(config, sizes, seed: SeedSpec, tau=None):
     raise DataError("could not simulate a dataset with all groups at risk at tau")
 
 
-def _survival_dataset(config: ExperimentConfig, r: int):
-    seed_r = config.seed.child(r)
-    sizes = config.sizes
-    data, z, tau, retries = _at_risk_dataset(config, sizes, seed_r, config.tau)
+def _survival_scenario(config: ExperimentConfig, seed: SeedSpec):
+    """Nelson-Aalen or Kaplan-Meier scenario: the grid, the curve at it
+    of the assigned observations (the cumsum or cumprod of deaths / at
+    risk over the pooled event times), the population, the retries."""
+    data, z, tau, retries = _at_risk_dataset(config, config.sizes, seed, config.tau)
     obs = data.pooled
-    N = data.N
-    cum = data.cumulative
     delta = np.array([d for _z, d in obs])
     grid = _resolve_grid(config, z, np.linspace(0.1, 0.7, 5), tau)
-
     events, counts = _survival_counter(z, delta, grid.max())
     pos = np.searchsorted(events, grid, side="right")
-
-    draws = _draw_matrix(config, N, seed_r.child(1))
-    B = draws.shape[0]
     km_mode = config.scenario is Scenario.SURVIVAL_KM
 
-    d0, r0 = counts(np.arange(N)[None, :])
-    h0 = d0[0] / r0[0]
-    if km_mode:
-        pooled_stat = np.concatenate([[1.0], np.cumprod(1.0 - h0)])[pos]
-    else:
-        pooled_stat = np.concatenate([[0.0], np.cumsum(h0)])[pos]
-
-    rows = []
-    for j in range(len(sizes)):
-        dj, rj = counts(draws[:, cum[j]:cum[j + 1]])
-        if np.any((rj == 0) & (dj > 0)):
-            raise SingularityError(
-                f"empty risk set in resampled group {j + 1} (dataset {r})"
-            )
-        hj = np.divide(dj, rj, out=np.zeros(dj.shape), where=rj > 0)
+    def curve(idx):
+        deaths, at_risk = counts(idx)
+        if np.any((at_risk == 0) & (deaths > 0)):
+            raise SingularityError("empty risk set in a resampled group")
+        h = np.divide(deaths, at_risk, out=np.zeros(deaths.shape), where=at_risk > 0)
         if km_mode:
-            stat = np.concatenate(
-                [np.ones((B, 1)), np.cumprod(1.0 - hj, axis=1)], axis=1
-            )[:, pos]
-        else:
-            stat = np.concatenate(
-                [np.zeros((B, 1)), np.cumsum(hj, axis=1)], axis=1
-            )[:, pos]
-        rows.append(stat - pooled_stat[None, :])
-    X = math.sqrt(N) * np.concatenate(rows, axis=1)
-    cond_mean = X.mean(axis=0)
-    Xc = X - cond_mean[None, :]
-    cov = (Xc.T @ Xc) / B
+            return np.insert(np.cumprod(1.0 - h, axis=1), 0, 1.0, axis=1)[:, pos]
+        return np.insert(np.cumsum(h, axis=1), 0, 0.0, axis=1)[:, pos]
 
-    lambdas = LambdaVector.from_sizes(sizes)
     if config.target == "plugin":
         pop = EmpiricalSurvivalPopulation(
             HazardBundle(at_risk_process(obs), uncensored_subdist(obs), tau)
         )
     else:
-        pop = _analytic_survival_population(config, lambdas, tau)
-    kernel = assemble_kernel_matrix(config.kernel_kind(), pop, lambdas, grid)
-    return cov, kernel, cond_mean, retries
+        pop = _analytic_survival_population(config, tau)
+    return grid, curve, pop, retries
 
 
-def _analytic_survival_population(config: ExperimentConfig, lambdas, tau):
+def _analytic_survival_population(config: ExperimentConfig, tau):
     if any(law.kind != "exponential" for law in config.group_laws) or any(
         law.kind not in ("exponential", "none") for law in config.censoring_laws
     ):
@@ -504,7 +459,36 @@ def _analytic_survival_population(config: ExperimentConfig, lambdas, tau):
         law.params[0] if law.kind == "exponential" else 0.0
         for law in config.censoring_laws
     ]
-    return exponential_survival_population(fail, cens, lambdas, tau)
+    return exponential_survival_population(
+        fail, cens, LambdaVector.from_sizes(config.sizes), tau
+    )
+
+
+def _replicate(config: ExperimentConfig, r: int):
+    """Dataset r: the covariance over draws of sqrt(N) (group statistic -
+    pooled statistic), the limit kernel, the conditional mean, the
+    dataset retries."""
+    seed = config.seed.child(r)
+    plain = config.scenario is Scenario.PLAIN_INDICATOR
+    grid, stat, pop, retries = (_plain_scenario if plain else _survival_scenario)(config, seed)
+    sizes = config.sizes
+    N = sum(sizes)
+    draws = (
+        all_permutations(N) if config.exhaustive
+        else draw_matrix(config.resample_kind, N, config.draws, seed.child(1).rng())
+    )
+    pooled = stat(np.arange(N)[None, :])[0]
+    cum = np.cumsum([0, *sizes])
+    X = math.sqrt(N) * np.concatenate(
+        [stat(draws[:, a:b]) - pooled[None, :] for a, b in zip(cum, cum[1:])], axis=1
+    )
+    cond_mean = X.mean(axis=0)
+    Xc = X - cond_mean[None, :]
+    cov = (Xc.T @ Xc) / draws.shape[0]
+    kernel = assemble_kernel_matrix(
+        config.kernel_kind(), pop, LambdaVector.from_sizes(sizes), grid
+    )
+    return cov, kernel, cond_mean, retries
 
 
 def conditional_cov_experiment(config: ExperimentConfig, threads: int = 1) -> VerifyReport:
@@ -513,17 +497,12 @@ def conditional_cov_experiment(config: ExperimentConfig, threads: int = 1) -> Ve
     import time
 
     t0 = time.perf_counter()
-    worker = (
-        _plain_dataset
-        if config.scenario is Scenario.PLAIN_INDICATOR
-        else _survival_dataset
-    )
     R = config.outer_reps
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda r: worker(config, r), range(R)))
+            results = list(pool.map(lambda r: _replicate(config, r), range(R)))
     else:
-        results = [worker(config, r) for r in range(R)]
+        results = [_replicate(config, r) for r in range(R)]
 
     covs = np.stack([res[0] for res in results])
     kernels = np.stack([res[1] for res in results])
@@ -560,7 +539,7 @@ def conditional_cov_experiment(config: ExperimentConfig, threads: int = 1) -> Ve
         "outer_reps": int(R),
         "draws": int(config.draws),
     }
-    report = VerifyReport(
+    return VerifyReport(
         config=config.raw if config.raw is not None else _config_echo(config),
         kernel_kind=config.kernel_kind().value,
         kernel_mean=kernels.mean(axis=0),
@@ -572,7 +551,6 @@ def conditional_cov_experiment(config: ExperimentConfig, threads: int = 1) -> Ve
         passed=bool(cell_pass.all()),
         runtime_seconds=time.perf_counter() - t0,
     )
-    return report
 
 
 def _finite_max(values: np.ndarray) -> float | None:
@@ -620,84 +598,68 @@ class LinearizationConfig:
             )
 
 
-def _sqrtn_diff(f: StepFn, g: StepFn, root: float) -> StepFn:
-    return affine_combine([root, -root], [f, g])
+def _ladder_residuals(config: LinearizationConfig, sizes, seed: SeedSpec):
+    """Per draw, the largest linearization residual over its units.
 
+    A unit is a pair of resampled step functions theta with pooled
+    counterpart theta_n: the two group ECDFs for Wilcoxon, each group's
+    (at-risk, uncensored) pair for the hazard scenarios.  Its residual
+    compares sqrt(N) (phi(theta) - phi(theta_n)) with the derivative at
+    theta_n in the direction sqrt(N) (theta - theta_n).
+    """
+    if config.scenario == "wilcoxon":
+        if len(sizes) != 2:
+            raise ContractError("the Wilcoxon scenario needs exactly two groups")
+        rng = seed.child(0).rng()
+        groups = [
+            tuple(law.sample(rng, n)) for law, n in zip(config.group_laws, sizes)
+        ]
+        data = MultiSampleData(tuple(groups)).pooled()
+        z, top = np.asarray(data.pooled), 0.9
+        hn = pooled_ecdf(data)
+        theta_n = (hn, hn)
+        phi = wilcoxon_curve
+        dphi = lambda alpha, beta: wilcoxon_derivative(hn, hn, alpha, beta)
+        units = lambda fns: [fns]
+    else:
+        data, z, tau, _retries = _at_risk_dataset(config, sizes, seed)
+        top = config.tau_quantile - 0.1
+        obs = list(data.pooled)
+        pooled = HazardBundle(at_risk_process(obs), uncensored_subdist(obs), tau)
+        theta_n = (pooled.at_risk, pooled.uncensored)
+        # built per call, so rebinding a module name (as the benchmark
+        # tracer does) reaches these calls too
+        functional, derivative = {
+            "survival-na": (nelson_aalen, na_derivative),
+            "survival-km": (kaplan_meier, km_derivative),
+            "rmst": (
+                lambda bundle: rmst(kaplan_meier(bundle), bundle.tau),
+                lambda bundle, a, b: rmst(km_derivative(bundle, a, b), bundle.tau),
+            ),
+        }[config.scenario]
+        phi = lambda at_risk, uc: functional(HazardBundle(at_risk, uc, tau))
+        dphi = lambda alpha, beta: derivative(pooled, alpha, beta)
+        units = lambda fns: fns
+    grid = np.quantile(z, np.linspace(0.1, top, config.grid_points))
+    root = math.sqrt(data.N)
+    base = phi(*theta_n)
 
-def _wilcoxon_residuals(config: LinearizationConfig, sizes, seed: SeedSpec):
-    if len(sizes) != 2:
-        raise ContractError("the Wilcoxon scenario needs exactly two groups")
-    rng = seed.child(0).rng()
-    groups = [
-        tuple(law.sample(rng, n)) for law, n in zip(config.group_laws, sizes)
+    def residual(theta):
+        """|sqrt(N) (phi(theta) - base) - derivative|: the sup over the
+        grid for curves, the absolute value for scalars."""
+        directions = [affine_combine([root, -root], [f, g]) for f, g in zip(theta, theta_n)]
+        value, linear = phi(*theta), dphi(*directions)
+        if isinstance(value, StepFn):
+            return max(abs(root * (value(t) - base(t)) - linear(t)) for t in grid)
+        return abs(root * (value - base) - linear)
+
+    kind = config.resample_kind
+    return [
+        max(residual(theta) for theta in units(
+            resampled_group_fns(data, ResampleDraw(kind, tuple(row)))
+        ))
+        for row in draw_matrix(kind, data.N, config.draws, seed.child(1).rng())
     ]
-    data = MultiSampleData(tuple(groups)).pooled()
-    N = data.N
-    root = math.sqrt(N)
-    hn = pooled_ecdf(data)
-    base = wilcoxon_curve(hn, hn)
-    grid = np.quantile(np.asarray(data.pooled), np.linspace(0.1, 0.9, config.grid_points))
-    draws = _linearization_draws(config, data, seed)
-    out = []
-    for draw in draws:
-        fpi, gpi = resampled_group_fns(data, draw)
-        alpha = _sqrtn_diff(fpi, hn, root)
-        beta = _sqrtn_diff(gpi, hn, root)
-        lhs = wilcoxon_curve(fpi, gpi)
-        deriv = wilcoxon_derivative(hn, hn, alpha, beta)
-        res = max(
-            abs(root * (lhs(t) - base(t)) - deriv(t)) for t in grid
-        )
-        out.append(res)
-    return out
-
-
-def _linearization_draws(config: LinearizationConfig, data: PooledData, seed: SeedSpec):
-    mat = draw_matrix(config.resample_kind, data.N, config.draws, seed.child(1).rng())
-    return [ResampleDraw(config.resample_kind, tuple(row)) for row in mat]
-
-
-def _survival_residuals(config: LinearizationConfig, sizes, seed: SeedSpec):
-    data, zs, tau, _retries = _at_risk_dataset(config, sizes, seed)
-    N = data.N
-    root = math.sqrt(N)
-    pooled_obs = list(data.pooled)
-    pooled_bundle = HazardBundle(
-        at_risk_process(pooled_obs), uncensored_subdist(pooled_obs), tau
-    )
-    grid = np.quantile(zs, np.linspace(0.1, config.tau_quantile - 0.1, config.grid_points))
-    lam_n = nelson_aalen(pooled_bundle)
-    km_n = kaplan_meier(pooled_bundle)
-    draws = _linearization_draws(config, data, seed)
-    out = []
-    for draw in draws:
-        pairs = resampled_group_fns(data, draw)
-        worst = 0.0
-        for at_risk_pi, uc_pi in pairs:
-            bundle_pi = HazardBundle(at_risk_pi, uc_pi, tau)
-            alpha = _sqrtn_diff(at_risk_pi, pooled_bundle.at_risk, root)
-            beta = _sqrtn_diff(uc_pi, pooled_bundle.uncensored, root)
-            if config.scenario == "survival-na":
-                lhs = nelson_aalen(bundle_pi)
-                deriv = na_derivative(pooled_bundle, alpha, beta)
-                res = max(
-                    abs(root * (lhs(t) - lam_n(t)) - deriv(t)) for t in grid
-                )
-            else:
-                lhs = kaplan_meier(bundle_pi)
-                deriv = km_derivative(pooled_bundle, alpha, beta)
-                if config.scenario == "survival-km":
-                    res = max(
-                        abs(root * (lhs(t) - km_n(t)) - deriv(t)) for t in grid
-                    )
-                else:  # rmst
-                    res = abs(
-                        root * (rmst(lhs, tau) - rmst(km_n, tau))
-                        - rmst(deriv, tau)
-                    )
-            worst = max(worst, res)
-        out.append(worst)
-    return out
 
 
 def linearization_residual_experiment(config: LinearizationConfig) -> dict:
@@ -707,10 +669,7 @@ def linearization_residual_experiment(config: LinearizationConfig) -> dict:
     per_n = []
     for step, sizes in enumerate(config.ladder):
         seed = config.seed.child(step)
-        if config.scenario == "wilcoxon":
-            residuals = _wilcoxon_residuals(config, tuple(sizes), seed)
-        else:
-            residuals = _survival_residuals(config, tuple(sizes), seed)
+        residuals = _ladder_residuals(config, tuple(sizes), seed)
         qs = np.quantile(np.asarray(residuals), probs)
         per_n.append(
             {

@@ -229,3 +229,52 @@ def test_dump_fn_roundtrip(tmp_path, capsys):
     assert run(["dump-fn", "--input", inp, "--fn", "at-risk"]) == EXIT_OK
     text = capsys.readouterr().out
     assert StepFn.from_text(text)(0) == 1
+
+
+def test_verify_bad_env_seed_is_data_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PERMBOOT_SEED", "abc")
+    cfg = _verify_config(tmp_path)
+    assert run(["verify", "--config", cfg, "--output", tmp_path / "r.json"]) == EXIT_DATA
+    assert "PERMBOOT_SEED" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_verify_seed_flag_keeps_stream_id(tmp_path):
+    outs = {}
+    for stream in (0, 5):
+        cfg = _verify_config(tmp_path, seed={"master_seed": 77, "stream_id": stream})
+        outs[stream] = tmp_path / f"r{stream}.json"
+        run(["verify", "--config", cfg, "--output", outs[stream], "--seed", 12])
+    docs = {k: json.loads(p.read_text()) for k, p in outs.items()}
+    assert docs[5]["config"]["seed"] == {"master_seed": 12, "stream_id": 5}
+    assert docs[0]["mc_mean"] != docs[5]["mc_mean"]
+
+
+_SURVIVAL_KERNEL = {
+    "kind": "perm-survival-na",
+    "lambdas": [0.5, 0.5],
+    "grid": [0.5, 1.0],
+    "tau": 2.0,
+    "population": {"survival_exponential": {"fail_rates": [1.0, 1.0]}},
+}
+
+
+@pytest.mark.parametrize("subcommand, doc, named", [
+    ("verify", [1, 2], "JSON object"),
+    ("simulate", {"mode": "plain", "group_laws": [{"kind": "exponential"}] * 2,
+                  "sizes": [5, 5]}, "'rate'"),
+    ("kernel", {k: v for k, v in _SURVIVAL_KERNEL.items() if k != "tau"}, "'tau'"),
+    ("kernel", dict(_SURVIVAL_KERNEL, population={"survival_exponential": {}}),
+     "'fail_rates'"),
+], ids=["verify-array", "simulate-no-rate", "kernel-no-tau", "kernel-no-fail-rates"])
+def test_malformed_config_is_data_error(tmp_path, capsys, subcommand, doc, named):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    outputs = {
+        "verify": ["--output", tmp_path / "r.json", "--seed", 3],
+        "simulate": ["--output", tmp_path / "d.csv"],
+        "kernel": ["--output-matrix", tmp_path / "m.csv", "--output-meta", tmp_path / "m.json"],
+    }[subcommand]
+    assert run([subcommand, "--config", cfg, *outputs]) == EXIT_DATA
+    assert named in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]

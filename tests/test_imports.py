@@ -1,8 +1,9 @@
-"""Every module-level import in the package is used.
+"""Every module-level import and private name in the package is used.
 
 A name counts as used only where the code refers to it (a mention in a
 docstring or comment does not count) or where the module re-exports it
-through ``__all__``.
+through ``__all__``.  A private module-level function, class or
+constant (``_name``) must be referred to somewhere in the package.
 """
 
 import ast
@@ -43,3 +44,34 @@ def test_no_unused_module_imports(path):
     used.update(_exported_names(tree))
     unused = sorted(set(_imported_names(tree)) - used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def test_no_unreferenced_private_names():
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unused = sorted(
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in referenced
+    )
+    assert not unused, f"private names never referenced: {unused}"

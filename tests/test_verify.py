@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from permboot.empirical import LambdaVector
 from permboot.errors import ContractError, DataError
+from permboot.functionals import HazardBundle, kaplan_meier, nelson_aalen
 from permboot.limits import KernelKind, coeff_matrix, perm_coeff
 from permboot.resampling import (
     ResampleDraw,
@@ -35,9 +36,11 @@ from permboot.verify import (
     linearization_residual_experiment,
     prodint_ratio_sequences,
     simulate_grid_gaussian,
+    simulate_survival_groups,
     wilcoxon_ratio_sequences,
     _indicator_counter,
     _survival_counter,
+    _survival_scenario,
 )
 
 
@@ -107,6 +110,13 @@ def test_config_invariants():
         ExperimentConfig.from_dict(_base_config(sizes=[5, 5], exhaustive=True))
     cfg = ExperimentConfig.from_dict(_base_config(sizes=[2, 2], draws=24, exhaustive=True))
     assert cfg.exhaustive
+
+
+def test_exhaustive_bootstrap_rejected_with_the_config():
+    with pytest.raises(ContractError, match="permutations only"):
+        ExperimentConfig.from_dict(_base_config(
+            sizes=[2, 2], draws=24, exhaustive=True, resample_kind="bootstrap",
+        ))
 
 
 def test_tolerance_spec():
@@ -385,6 +395,33 @@ def test_survival_counts_deaths_within_risk_sets(data):
     dj, rj = counts(np.array(flat).reshape(B, n))
     assert np.all(dj >= 0) and np.all(dj <= rj)
     assert np.all(np.diff(rj, axis=1) <= 0)
+
+
+@pytest.mark.parametrize("scenario", ["survival-na", "survival-km"])
+@pytest.mark.parametrize("resample_kind", ["permutation", "bootstrap"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_survival_statistic_matches_stepfn_functionals(scenario, resample_kind, m):
+    # failure and censoring times share three atoms, so deaths and
+    # censorings tie; grid points sit below the data and on atoms
+    atoms = {"kind": "point-masses", "points": [[0.2, 0.3], [0.5, 0.4], [0.9, 0.3]]}
+    cfg = ExperimentConfig.from_dict(_base_config(
+        scenario=scenario, resample_kind=resample_kind, group_laws=[atoms] * m,
+        censoring_laws=[atoms] * m, sizes=[12, 10, 8][:m], tau=0.5, grid=[0.1, 0.2, 0.5],
+    ))
+    seed = cfg.seed.child(0)
+    grid, curve, _pop, retries = _survival_scenario(cfg, seed)
+    data = simulate_survival_groups(
+        cfg.group_laws, cfg.censoring_laws, cfg.sizes, seed.child(0, retries).rng()
+    ).pooled()
+    functional = nelson_aalen if scenario == "survival-na" else kaplan_meier
+    kind = ResampleKind(resample_kind)
+    cum = np.cumsum([0, *cfg.sizes])
+    for row in draw_matrix(kind, data.N, 6, SeedSpec(23).rng()):
+        groups = resampled_group_fns(data, ResampleDraw(kind, tuple(row)))
+        for (at_risk, uncensored), a, b in zip(groups, cum, cum[1:]):
+            oracle = functional(HazardBundle(at_risk, uncensored, cfg.tau))
+            fast = curve(row[None, a:b])[0]
+            assert np.abs(fast - [oracle(t) for t in grid]).max() <= 1e-12
 
 
 # -- linearization -----------------------------------------------------

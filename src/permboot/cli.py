@@ -15,30 +15,17 @@ unless --stdout is given.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .empirical import Mode, MultiSampleData, read_csv, write_csv
+from .config import ExperimentConfig, KernelConfig, SimulateConfig, read_config, with_master_seed
+from .empirical import Mode, read_csv, write_csv
+from .empirical import at_risk_process, ecdf, uncensored_subdist, pooled_ecdf
 from .errors import ContractError, DataError, DomainError, SingularityError
 from .functionals import HazardBundle, kaplan_meier, nelson_aalen, rmst
 from .jsonio import canonical_json, write_atomic
-from .limits import (
-    KernelKind,
-    PlainPopulation,
-    assemble_kernel_matrix,
-    exponential_survival_population,
-)
-from .empirical import LambdaVector, at_risk_process, ecdf, uncensored_subdist, pooled_ecdf
-from .resampling import SeedSpec
-from .verify import (
-    ExperimentConfig,
-    Law,
-    conditional_cov_experiment,
-    increment_condition_probe,
-    inverse_counterexample,
-    simulate_survival_groups,
-)
+from .limits import assemble_kernel_matrix
+from .verify import conditional_cov_experiment, increment_condition_probe, inverse_counterexample
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,19 +35,6 @@ EXIT_VERIFY_FAILED = 4
 
 def _progress(msg: str):
     print(msg, file=sys.stderr)
-
-
-def _load_json(path) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    return doc
 
 
 def _seed_override(args) -> int | None:
@@ -74,17 +48,6 @@ def _seed_override(args) -> int | None:
         return int(env)
     except ValueError as exc:
         raise DataError(f"PERMBOOT_SEED must be an integer, got {env!r}") from exc
-
-
-def _seed_from(args, config: dict | None = None) -> SeedSpec:
-    """Seed resolution: flag > environment > config > default 0."""
-    master = _seed_override(args)
-    if master is not None:
-        return SeedSpec(master)
-    if config and "seed" in config:
-        s = config["seed"]
-        return SeedSpec(s["master_seed"], s.get("stream_id", 0))
-    return SeedSpec(0)
 
 
 def _threads_from(args) -> int:
@@ -102,25 +65,10 @@ def _threads_from(args) -> int:
 # -- simulate ----------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    config = _load_json(args.config)
-    for key in ("mode", "group_laws", "sizes"):
-        if key not in config:
-            raise DataError(f"simulate config missing {key!r}")
-    mode = Mode(config["mode"])
-    laws = [Law.from_dict(d) for d in config["group_laws"]]
-    sizes = config["sizes"]
-    if len(laws) != len(sizes):
-        raise DataError("need one law per group")
-    rng = _seed_from(args, config).rng()
-    if mode is Mode.PLAIN:
-        groups = [tuple(float(x) for x in law.sample(rng, n)) for law, n in zip(laws, sizes)]
-        data = MultiSampleData(tuple(groups))
-    else:
-        cens_cfg = config.get("censoring_laws") or [{"kind": "none"}] * len(laws)
-        cens = [Law.from_dict(d) for d in cens_cfg]
-        data = simulate_survival_groups(laws, cens, sizes, rng)
+    doc = with_master_seed(read_config(args.config), _seed_override(args))
+    data = SimulateConfig.from_dict(doc).simulate()
     write_csv(args.output, data)
-    _progress(f"wrote {sum(sizes)} observations to {args.output}")
+    _progress(f"wrote {sum(data.sizes)} observations to {args.output}")
     return EXIT_OK
 
 
@@ -167,46 +115,16 @@ def _cmd_analyze(args) -> int:
 
 # -- kernel ------------------------------------------------------------
 
-def _kernel_population(config: dict):
-    pop_cfg = config.get("population")
-    if pop_cfg is None:
-        raise DataError("kernel config missing 'population'")
-    if "plain" in pop_cfg:
-        law = Law.from_dict(pop_cfg["plain"])
-        return PlainPopulation(law.cdf)
-    if "survival_exponential" in pop_cfg:
-        sc = pop_cfg["survival_exponential"]
-        lam = LambdaVector(tuple(config["lambdas"]))
-        try:
-            fail_rates, tau = sc["fail_rates"], config["tau"]
-        except KeyError as exc:
-            raise DataError(f"kernel config missing {exc.args[0]!r}") from exc
-        return exponential_survival_population(
-            fail_rates, sc.get("cens_rates", [0.0] * len(lam)), lam, tau
-        )
-    raise DataError("population must be 'plain' or 'survival_exponential'")
-
-
 def _cmd_kernel(args) -> int:
-    config = _load_json(args.config)
-    for key in ("kind", "lambdas", "grid"):
-        if key not in config:
-            raise DataError(f"kernel config missing {key!r}")
-    try:
-        kind = KernelKind(config["kind"])
-    except ValueError as exc:
-        raise DataError(f"unknown kernel kind {config['kind']!r}") from exc
-    lambdas = LambdaVector(tuple(config["lambdas"]))
-    grid = [float(t) for t in config["grid"]]
-    pop = _kernel_population(config)
-    matrix = assemble_kernel_matrix(kind, pop, lambdas, grid)
+    config = KernelConfig.from_dict(read_config(args.config))
+    matrix = assemble_kernel_matrix(config.kind, config.population, config.lambdas, config.grid)
     lines = [",".join(format(v, ".17g") for v in row) for row in matrix]
     write_atomic(args.output_matrix, "\n".join(lines) + "\n")
     meta = {
-        "kind": kind.value,
-        "lambdas": list(lambdas.values),
-        "grid": grid,
-        "tau": config.get("tau"),
+        "kind": config.kind.value,
+        "lambdas": list(config.lambdas.values),
+        "grid": list(config.grid),
+        "tau": config.tau,
         "dim": int(matrix.shape[0]),
     }
     text = canonical_json(meta) + "\n"
@@ -220,10 +138,7 @@ def _cmd_kernel(args) -> int:
 # -- verify ------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    raw = _load_json(args.config)
-    master = _seed_override(args)
-    if master is not None:  # the config's stream_id stays
-        raw.setdefault("seed", {})["master_seed"] = master
+    raw = with_master_seed(read_config(args.config), _seed_override(args))
     if args.draws is not None:
         raw["draws"] = args.draws
     if args.exhaustive:

@@ -1,0 +1,381 @@
+"""Sampling laws and the configs of ``simulate``, ``kernel`` and ``verify``.
+
+Every config document is checked against the one packaged JSON schema
+(the verify config at its root, the simulate and kernel configs and the
+shared law and seed definitions under ``$defs``) by one validator built
+once per process.  A schema violation is a ``DataError`` naming the
+offending field; what the schema cannot express (one law per group,
+proportions summing to 1) is checked when the parsed objects are built.
+"""
+
+from __future__ import annotations
+
+import enum
+import functools
+import importlib.resources
+import json
+import math
+from dataclasses import dataclass
+
+import jsonschema
+import numpy as np
+
+from .empirical import LambdaVector, Mode, MultiSampleData
+from .errors import ContractError, DataError
+from .limits import KernelKind, PlainPopulation, exponential_survival_population
+from .resampling import ResampleKind, SeedSpec
+
+__all__ = [
+    "Law",
+    "ToleranceSpec",
+    "Scenario",
+    "ExperimentConfig",
+    "LinearizationConfig",
+    "SimulateConfig",
+    "KernelConfig",
+    "load_config_schema",
+    "validate",
+    "read_config",
+    "with_master_seed",
+    "simulate_plain_groups",
+    "simulate_survival_groups",
+]
+
+
+# -- schema ------------------------------------------------------------
+
+def load_config_schema() -> dict:
+    text = (
+        importlib.resources.files("permboot")
+        .joinpath("schemas/verify_config.schema.json")
+        .read_text()
+    )
+    return json.loads(text)
+
+
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
+    """The packaged schema's validator, built once per process."""
+    return jsonschema.Draft202012Validator(load_config_schema())
+
+
+def validate(doc, definition: str | None = None) -> None:
+    """Raise a DataError unless doc is valid against the packaged schema
+    (the verify config) or against its ``$defs`` entry ``definition``."""
+    validator = _validator()
+    if definition is not None:
+        # evolve keeps the root's $ref resolution, so "#/$defs/law" resolves
+        validator = validator.evolve(schema=validator.schema["$defs"][definition])
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    if error is not None:
+        where = f" at {error.json_path}" if error.path else ""
+        raise DataError(f"invalid config{where}: {error.message}")
+
+
+def read_config(path) -> dict:
+    """The JSON object in the file at path."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return doc
+
+
+def with_master_seed(doc: dict, master: int | None) -> dict:
+    """doc with its seed's master_seed replaced by master and its
+    stream_id kept; doc itself when master is None or its seed is not
+    an object (which the schema then reports)."""
+    seed = doc.get("seed", {})
+    if master is None or not isinstance(seed, dict):
+        return doc
+    return {**doc, "seed": {**seed, "master_seed": master}}
+
+
+def _seed(d: dict) -> SeedSpec:
+    return SeedSpec(int(d["master_seed"]), int(d.get("stream_id", 0)))
+
+
+# -- sampling laws -----------------------------------------------------
+
+@dataclass(frozen=True)
+class Law:
+    """A univariate sampling law used to simulate group data."""
+
+    kind: str
+    params: tuple
+
+    @classmethod
+    def exponential(cls, rate):
+        if rate <= 0:
+            raise ContractError("rate must be positive")
+        return cls("exponential", (float(rate),))
+
+    @classmethod
+    def uniform(cls, lo, hi):
+        if not lo < hi:
+            raise ContractError("need lo < hi")
+        return cls("uniform", (float(lo), float(hi)))
+
+    @classmethod
+    def point_masses(cls, points):
+        xs = tuple(float(x) for x, _p in points)
+        ps = tuple(float(p) for _x, p in points)
+        if abs(sum(ps) - 1) > 1e-12 or any(p < 0 for p in ps):
+            raise ContractError("point masses must be a probability vector")
+        return cls("point-masses", (xs, ps))
+
+    @classmethod
+    def none(cls):
+        """No censoring: censoring times at infinity."""
+        return cls("none", ())
+
+    @classmethod
+    def from_dict(cls, d):
+        validate(d, "law")  # the schema's keys are the constructors' parameters
+        make = {"exponential": cls.exponential, "uniform": cls.uniform,
+                "point-masses": cls.point_masses, "none": cls.none}[d["kind"]]
+        return make(**{key: value for key, value in d.items() if key != "kind"})
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        if self.kind == "exponential":
+            return rng.exponential(1.0 / self.params[0], size=n)
+        if self.kind == "uniform":
+            lo, hi = self.params
+            return rng.uniform(lo, hi, size=n)
+        if self.kind == "point-masses":
+            xs, ps = self.params
+            return rng.choice(np.asarray(xs), size=n, p=np.asarray(ps))
+        if self.kind == "none":
+            return np.full(n, np.inf)
+        raise ContractError(f"unknown law kind {self.kind!r}")
+
+    def cdf(self, t):
+        if self.kind == "exponential":
+            return 0.0 if t < 0 else 1.0 - math.exp(-self.params[0] * t)
+        if self.kind == "uniform":
+            lo, hi = self.params
+            return min(1.0, max(0.0, (t - lo) / (hi - lo)))
+        if self.kind == "point-masses":
+            xs, ps = self.params
+            return sum(p for x, p in zip(xs, ps) if x <= t)
+        if self.kind == "none":
+            return 0.0
+        raise ContractError(f"unknown law kind {self.kind!r}")
+
+
+def _censoring_or_none(censoring_laws, m: int) -> tuple:
+    """The censoring laws of m groups: those given, or no censoring."""
+    if not censoring_laws:
+        return (Law.none(),) * m
+    if len(censoring_laws) != m:
+        raise ContractError("need one censoring law per group")
+    return tuple(censoring_laws)
+
+
+def simulate_plain_groups(group_laws, sizes, rng) -> MultiSampleData:
+    """Groups of values, each drawn from its law in turn from rng."""
+    return MultiSampleData(
+        tuple(tuple(law.sample(rng, n).tolist()) for law, n in zip(group_laws, sizes))
+    )
+
+
+def simulate_survival_groups(group_laws, censoring_laws, sizes, rng) -> MultiSampleData:
+    """Right-censored groups of (min(X, C), 1{X <= C}) pairs; each group
+    draws its failure times X, then its censoring times C, from rng."""
+    groups = []
+    for law, cens, n in zip(group_laws, censoring_laws, sizes):
+        x = law.sample(rng, n)
+        c = cens.sample(rng, n)
+        groups.append(
+            tuple(zip(np.minimum(x, c).tolist(), (x <= c).astype(int).tolist()))
+        )
+    return MultiSampleData(tuple(groups))
+
+
+# -- simulate and kernel -----------------------------------------------
+
+@dataclass(frozen=True)
+class SimulateConfig:
+    """A ``permboot simulate`` config: one law and one size per group."""
+
+    mode: Mode
+    group_laws: tuple
+    sizes: tuple
+    censoring_laws: tuple
+    seed: SeedSpec
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SimulateConfig":
+        validate(d, "simulate_config")
+        if len(d["group_laws"]) != len(d["sizes"]):
+            raise DataError("need one law per group")
+        laws = tuple(Law.from_dict(law) for law in d["group_laws"])
+        cens = [Law.from_dict(law) for law in d.get("censoring_laws") or ()]
+        return cls(
+            mode=Mode(d["mode"]),
+            group_laws=laws,
+            sizes=tuple(int(n) for n in d["sizes"]),
+            censoring_laws=_censoring_or_none(cens, len(laws)),
+            seed=_seed(d.get("seed", {"master_seed": 0})),
+        )
+
+    def simulate(self) -> MultiSampleData:
+        """The dataset this config describes, drawn from its seed."""
+        rng = self.seed.rng()
+        if self.mode is Mode.PLAIN:
+            return simulate_plain_groups(self.group_laws, self.sizes, rng)
+        return simulate_survival_groups(self.group_laws, self.censoring_laws, self.sizes, rng)
+
+
+@dataclass(frozen=True)
+class KernelConfig:
+    """A ``permboot kernel`` config: a kernel kind, limiting group
+    proportions, a grid and the population of the limit."""
+
+    kind: KernelKind
+    lambdas: LambdaVector
+    grid: tuple
+    population: object
+    tau: float | None = None
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "KernelConfig":
+        validate(d, "kernel_config")
+        lambdas = LambdaVector(tuple(d["lambdas"]))
+        pop = d["population"]
+        if "plain" in pop:
+            population = PlainPopulation(Law.from_dict(pop["plain"]).cdf)
+        else:
+            rates = pop["survival_exponential"]
+            population = exponential_survival_population(
+                rates["fail_rates"], rates.get("cens_rates", [0.0] * len(lambdas)),
+                lambdas, d["tau"],
+            )
+        return cls(
+            kind=KernelKind(d["kind"]),
+            lambdas=lambdas,
+            grid=tuple(float(t) for t in d["grid"]),
+            population=population,
+            tau=d.get("tau"),
+        )
+
+
+# -- verify ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ToleranceSpec:
+    """Cell passes when |dev| <= max(abs_tol, se_multiplier * SE)."""
+
+    abs_tol: float = 0.02
+    se_multiplier: float = 4.0
+
+    def __post_init__(self):
+        if self.abs_tol <= 0:
+            raise ContractError("abs_tol must be positive")
+        if self.se_multiplier < 2:
+            raise ContractError("se_multiplier must be at least 2")
+
+
+class Scenario(enum.Enum):
+    PLAIN_INDICATOR = "plain-indicator"
+    SURVIVAL_NA = "survival-na"
+    SURVIVAL_KM = "survival-km"
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    scenario: Scenario
+    group_laws: tuple
+    sizes: tuple
+    draws: int
+    outer_reps: int
+    resample_kind: ResampleKind
+    seed: SeedSpec
+    censoring_laws: tuple | None = None
+    grid: object = "pooled-deciles"
+    tolerance: ToleranceSpec = ToleranceSpec()
+    tau: float | None = None
+    tau_quantile: float = 0.8
+    target: str = "plugin"
+    exhaustive: bool = False
+    raw: dict | None = None
+
+    def __post_init__(self):
+        if len(self.sizes) != len(self.group_laws):
+            raise ContractError("need one law per group")
+        if len(self.sizes) < 2 or any(n < 2 for n in self.sizes):
+            raise ContractError("need m >= 2 groups of size >= 2")
+        if not self.exhaustive and self.draws < 100:
+            raise ContractError("draws must be >= 100 unless exhaustive")
+        if self.exhaustive and sum(self.sizes) > 8:
+            raise ContractError("exhaustive mode limited to N <= 8")
+        if self.scenario is not Scenario.PLAIN_INDICATOR:
+            object.__setattr__(
+                self, "censoring_laws", _censoring_or_none(self.censoring_laws, len(self.sizes))
+            )
+        if self.target not in ("plugin", "analytic"):
+            raise ContractError("target must be 'plugin' or 'analytic'")
+        if self.exhaustive and self.resample_kind is not ResampleKind.PERMUTATION:
+            raise ContractError("exhaustive mode applies to permutations only")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ExperimentConfig":
+        validate(d)
+        cens = d.get("censoring_laws")
+        grid = d.get("grid", "pooled-deciles")
+        if isinstance(grid, list):
+            grid = tuple(sorted(float(g) for g in grid))
+        elif isinstance(grid, dict):
+            grid = {"pooled_quantiles": tuple(grid["pooled_quantiles"])}
+        return cls(
+            scenario=Scenario(d["scenario"]),
+            group_laws=tuple(Law.from_dict(law) for law in d["group_laws"]),
+            sizes=tuple(int(n) for n in d["sizes"]),
+            draws=int(d["draws"]),
+            outer_reps=int(d["outer_reps"]),
+            resample_kind=ResampleKind(d["resample_kind"]),
+            seed=_seed(d["seed"]),
+            censoring_laws=tuple(Law.from_dict(law) for law in cens) if cens else None,
+            grid=grid,
+            tolerance=ToleranceSpec(**d.get("tolerance", {})),
+            tau=d.get("tau"),
+            tau_quantile=d.get("tau_quantile", 0.8),
+            target=d.get("target", "plugin"),
+            exhaustive=d.get("exhaustive", False),
+            raw=dict(d),
+        )
+
+    def kernel_kind(self) -> KernelKind:
+        perm = self.resample_kind is ResampleKind.PERMUTATION
+        if self.scenario is Scenario.PLAIN_INDICATOR:
+            return KernelKind.PERM_INDICATOR if perm else KernelKind.BOOT_INDICATOR
+        if self.scenario is Scenario.SURVIVAL_NA:
+            return KernelKind.PERM_SURVIVAL_NA if perm else KernelKind.BOOT_SURVIVAL_NA
+        return KernelKind.PERM_KM if perm else KernelKind.BOOT_KM
+
+
+@dataclass(frozen=True)
+class LinearizationConfig:
+    scenario: str  # "wilcoxon" | "survival-na" | "survival-km" | "rmst"
+    group_laws: tuple
+    ladder: tuple  # sequence of per-group size tuples
+    draws: int
+    resample_kind: ResampleKind
+    seed: SeedSpec
+    censoring_laws: tuple | None = None
+    grid_points: int = 9
+    tau_quantile: float = 0.8
+
+    def __post_init__(self):
+        if self.scenario not in ("wilcoxon", "survival-na", "survival-km", "rmst"):
+            raise ContractError(f"unknown linearization scenario {self.scenario!r}")
+        if self.scenario != "wilcoxon":
+            object.__setattr__(
+                self, "censoring_laws",
+                _censoring_or_none(self.censoring_laws, len(self.group_laws)),
+            )

@@ -15,23 +15,32 @@ scenario is a functional and its derivative fed to one ladder loop.
 Everything is deterministic given (config, seed): datasets and draws
 use counter-based child seeds, and reductions are order-independent, so
 reports are byte-identical regardless of thread count.
+
+Sampling laws and configs live in ``permboot.config``; this module
+re-exports them under their old names.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import enum
-import importlib.resources
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import jsonschema
 import numpy as np
 
+from .config import (
+    ExperimentConfig,
+    Law,
+    LinearizationConfig,
+    Scenario,
+    ToleranceSpec,
+    load_config_schema,
+    simulate_plain_groups,
+    simulate_survival_groups,
+)
 from .empirical import (
     LambdaVector,
-    MultiSampleData,
     at_risk_process,
     ecdf,
     pooled_ecdf,
@@ -53,14 +62,12 @@ from .functionals import (
 from .jsonio import canonical_json
 from .limits import (
     EmpiricalSurvivalPopulation,
-    KernelKind,
     PlainPopulation,
     assemble_kernel_matrix,
     exponential_survival_population,
 )
 from .resampling import (
     ResampleDraw,
-    ResampleKind,
     SeedSpec,
     all_permutations,
     draw_matrix,
@@ -71,6 +78,7 @@ from .stepfn import StepFn, affine_combine
 __all__ = [
     "Law",
     "ToleranceSpec",
+    "Scenario",
     "ExperimentConfig",
     "VerifyReport",
     "conditional_cov_experiment",
@@ -88,193 +96,6 @@ __all__ = [
 ]
 
 _MAX_DATASET_RETRIES = 100
-
-
-# -- sampling laws -----------------------------------------------------
-
-@dataclass(frozen=True)
-class Law:
-    """A univariate sampling law used to simulate group data."""
-
-    kind: str
-    params: tuple
-
-    @classmethod
-    def exponential(cls, rate):
-        if rate <= 0:
-            raise ContractError("rate must be positive")
-        return cls("exponential", (float(rate),))
-
-    @classmethod
-    def uniform(cls, lo, hi):
-        if not lo < hi:
-            raise ContractError("need lo < hi")
-        return cls("uniform", (float(lo), float(hi)))
-
-    @classmethod
-    def point_masses(cls, points):
-        xs = tuple(float(x) for x, _p in points)
-        ps = tuple(float(p) for _x, p in points)
-        if abs(sum(ps) - 1) > 1e-12 or any(p < 0 for p in ps):
-            raise ContractError("point masses must be a probability vector")
-        return cls("point-masses", (xs, ps))
-
-    @classmethod
-    def none(cls):
-        """No censoring: censoring times at infinity."""
-        return cls("none", ())
-
-    @classmethod
-    def from_dict(cls, d):
-        try:
-            kind = d["kind"]
-            if kind == "exponential":
-                return cls.exponential(d["rate"])
-            if kind == "uniform":
-                return cls.uniform(d["lo"], d["hi"])
-            if kind == "point-masses":
-                return cls.point_masses(d["points"])
-        except KeyError as exc:
-            raise DataError(f"law missing {exc.args[0]!r}") from exc
-        if kind == "none":
-            return cls.none()
-        raise DataError(f"unknown law kind {kind!r}")
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.kind == "exponential":
-            return rng.exponential(1.0 / self.params[0], size=n)
-        if self.kind == "uniform":
-            lo, hi = self.params
-            return rng.uniform(lo, hi, size=n)
-        if self.kind == "point-masses":
-            xs, ps = self.params
-            return rng.choice(np.asarray(xs), size=n, p=np.asarray(ps))
-        if self.kind == "none":
-            return np.full(n, np.inf)
-        raise ContractError(f"unknown law kind {self.kind!r}")
-
-    def cdf(self, t):
-        if self.kind == "exponential":
-            return 0.0 if t < 0 else 1.0 - math.exp(-self.params[0] * t)
-        if self.kind == "uniform":
-            lo, hi = self.params
-            return min(1.0, max(0.0, (t - lo) / (hi - lo)))
-        if self.kind == "point-masses":
-            xs, ps = self.params
-            return sum(p for x, p in zip(xs, ps) if x <= t)
-        if self.kind == "none":
-            return 0.0
-        raise ContractError(f"unknown law kind {self.kind!r}")
-
-
-# -- configuration -----------------------------------------------------
-
-@dataclass(frozen=True)
-class ToleranceSpec:
-    """Cell passes when |dev| <= max(abs_tol, se_multiplier * SE)."""
-
-    abs_tol: float = 0.02
-    se_multiplier: float = 4.0
-
-    def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ContractError("abs_tol must be positive")
-        if self.se_multiplier < 2:
-            raise ContractError("se_multiplier must be at least 2")
-
-
-class Scenario(enum.Enum):
-    PLAIN_INDICATOR = "plain-indicator"
-    SURVIVAL_NA = "survival-na"
-    SURVIVAL_KM = "survival-km"
-
-
-def load_config_schema() -> dict:
-    import json
-
-    text = (
-        importlib.resources.files("permboot")
-        .joinpath("schemas/verify_config.schema.json")
-        .read_text()
-    )
-    return json.loads(text)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    scenario: Scenario
-    group_laws: tuple
-    sizes: tuple
-    draws: int
-    outer_reps: int
-    resample_kind: ResampleKind
-    seed: SeedSpec
-    censoring_laws: tuple | None = None
-    grid: object = "pooled-deciles"
-    tolerance: ToleranceSpec = ToleranceSpec()
-    tau: float | None = None
-    tau_quantile: float = 0.8
-    target: str = "plugin"
-    exhaustive: bool = False
-    raw: dict | None = None
-
-    def __post_init__(self):
-        if len(self.sizes) != len(self.group_laws):
-            raise ContractError("need one law per group")
-        if len(self.sizes) < 2 or any(n < 2 for n in self.sizes):
-            raise ContractError("need m >= 2 groups of size >= 2")
-        if not self.exhaustive and self.draws < 100:
-            raise ContractError("draws must be >= 100 unless exhaustive")
-        if self.exhaustive and sum(self.sizes) > 8:
-            raise ContractError("exhaustive mode limited to N <= 8")
-        if self.scenario is not Scenario.PLAIN_INDICATOR and self.censoring_laws is None:
-            object.__setattr__(
-                self, "censoring_laws", tuple(Law.none() for _ in self.sizes)
-            )
-        if self.target not in ("plugin", "analytic"):
-            raise ContractError("target must be 'plugin' or 'analytic'")
-        if self.exhaustive and self.resample_kind is not ResampleKind.PERMUTATION:
-            raise ContractError("exhaustive mode applies to permutations only")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        try:
-            jsonschema.validate(d, load_config_schema())
-        except jsonschema.ValidationError as exc:
-            raise DataError(f"invalid config: {exc.message}") from exc
-        seed = SeedSpec(d["seed"]["master_seed"], d["seed"].get("stream_id", 0))
-        tol = ToleranceSpec(**d.get("tolerance", {}))
-        cens = d.get("censoring_laws")
-        grid = d.get("grid", "pooled-deciles")
-        if isinstance(grid, list):
-            grid = tuple(sorted(float(g) for g in grid))
-        elif isinstance(grid, dict):
-            grid = {"pooled_quantiles": tuple(grid["pooled_quantiles"])}
-        return cls(
-            scenario=Scenario(d["scenario"]),
-            group_laws=tuple(Law.from_dict(law) for law in d["group_laws"]),
-            sizes=tuple(d["sizes"]),
-            draws=d["draws"],
-            outer_reps=d["outer_reps"],
-            resample_kind=ResampleKind(d["resample_kind"]),
-            seed=seed,
-            censoring_laws=tuple(Law.from_dict(law) for law in cens) if cens else None,
-            grid=grid,
-            tolerance=tol,
-            tau=d.get("tau"),
-            tau_quantile=d.get("tau_quantile", 0.8),
-            target=d.get("target", "plugin"),
-            exhaustive=d.get("exhaustive", False),
-            raw=dict(d),
-        )
-
-    def kernel_kind(self) -> KernelKind:
-        perm = self.resample_kind is ResampleKind.PERMUTATION
-        if self.scenario is Scenario.PLAIN_INDICATOR:
-            return KernelKind.PERM_INDICATOR if perm else KernelKind.BOOT_INDICATOR
-        if self.scenario is Scenario.SURVIVAL_NA:
-            return KernelKind.PERM_SURVIVAL_NA if perm else KernelKind.BOOT_SURVIVAL_NA
-        return KernelKind.PERM_KM if perm else KernelKind.BOOT_KM
 
 
 # -- report ------------------------------------------------------------
@@ -370,10 +191,8 @@ def _resolve_grid(config: ExperimentConfig, z: np.ndarray, default_probs, tau=No
 def _plain_scenario(config: ExperimentConfig, seed: SeedSpec):
     """Indicator scenario: the grid, the ECDF at it of the assigned values
     (a (B, K) statistic of the (B, n) pooled indices), the population."""
-    rng = seed.child(0).rng()
-    pooled = np.concatenate(
-        [law.sample(rng, n) for law, n in zip(config.group_laws, config.sizes)]
-    )
+    data = simulate_plain_groups(config.group_laws, config.sizes, seed.child(0).rng())
+    pooled = np.array(data.pooled().pooled)
     grid = _resolve_grid(config, pooled, np.linspace(0.1, 0.9, 9))
     counts = _indicator_counter(pooled, grid)
     if config.target == "plugin":
@@ -382,19 +201,6 @@ def _plain_scenario(config: ExperimentConfig, seed: SeedSpec):
         mix = [(n / pooled.size, law) for law, n in zip(config.group_laws, config.sizes)]
         pop = PlainPopulation(lambda t: sum(w * law.cdf(t) for w, law in mix))
     return grid, lambda idx: counts(idx) / idx.shape[1], pop, 0
-
-
-def simulate_survival_groups(group_laws, censoring_laws, sizes, rng) -> MultiSampleData:
-    """Right-censored groups of (min(X, C), 1{X <= C}) pairs; each group
-    draws its failure times X, then its censoring times C, from rng."""
-    groups = []
-    for law, cens, n in zip(group_laws, censoring_laws, sizes):
-        x = law.sample(rng, n)
-        c = cens.sample(rng, n)
-        groups.append(
-            tuple(zip(np.minimum(x, c).tolist(), (x <= c).astype(int).tolist()))
-        )
-    return MultiSampleData(tuple(groups))
 
 
 def _at_risk_dataset(config, sizes, seed: SeedSpec, tau=None):
@@ -577,27 +383,6 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 # -- linearization residuals -------------------------------------------
 
-@dataclass(frozen=True)
-class LinearizationConfig:
-    scenario: str  # "wilcoxon" | "survival-na" | "survival-km" | "rmst"
-    group_laws: tuple
-    ladder: tuple  # sequence of per-group size tuples
-    draws: int
-    resample_kind: ResampleKind
-    seed: SeedSpec
-    censoring_laws: tuple | None = None
-    grid_points: int = 9
-    tau_quantile: float = 0.8
-
-    def __post_init__(self):
-        if self.scenario not in ("wilcoxon", "survival-na", "survival-km", "rmst"):
-            raise ContractError(f"unknown linearization scenario {self.scenario!r}")
-        if self.scenario != "wilcoxon" and self.censoring_laws is None:
-            object.__setattr__(
-                self, "censoring_laws", tuple(Law.none() for _ in self.group_laws)
-            )
-
-
 def _ladder_residuals(config: LinearizationConfig, sizes, seed: SeedSpec):
     """Per draw, the largest linearization residual over its units.
 
@@ -610,11 +395,7 @@ def _ladder_residuals(config: LinearizationConfig, sizes, seed: SeedSpec):
     if config.scenario == "wilcoxon":
         if len(sizes) != 2:
             raise ContractError("the Wilcoxon scenario needs exactly two groups")
-        rng = seed.child(0).rng()
-        groups = [
-            tuple(law.sample(rng, n)) for law, n in zip(config.group_laws, sizes)
-        ]
-        data = MultiSampleData(tuple(groups)).pooled()
+        data = simulate_plain_groups(config.group_laws, sizes, seed.child(0).rng()).pooled()
         z, top = np.asarray(data.pooled), 0.9
         hn = pooled_ecdf(data)
         theta_n = (hn, hn)

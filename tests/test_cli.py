@@ -2,10 +2,14 @@ import csv
 import errno
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permboot.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from permboot.limits import KernelKind
 from permboot.stepfn import StepFn
 
 
@@ -278,3 +282,127 @@ def test_malformed_config_is_data_error(tmp_path, capsys, subcommand, doc, named
     assert run([subcommand, "--config", cfg, *outputs]) == EXIT_DATA
     assert named in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+_PLAIN_KERNEL = {
+    "kind": "perm-indicator",
+    "lambdas": [0.5, 0.5],
+    "grid": [0.5, 1.0],
+    "population": {"plain": {"kind": "exponential", "rate": 1.0}},
+}
+_SIMULATE = {
+    "mode": "survival",
+    "group_laws": [{"kind": "exponential", "rate": 1.0}] * 2,
+    "censoring_laws": [{"kind": "exponential", "rate": 0.5}] * 2,
+    "sizes": [4, 3],
+    "seed": {"master_seed": 2},
+}
+_OUTPUTS = {
+    "simulate": lambda d: ["--output", d / "d.csv"],
+    "kernel": lambda d: ["--output-matrix", d / "m.csv", "--output-meta", d / "m.json"],
+}
+
+
+@pytest.mark.parametrize("subcommand, doc, named", [
+    ("simulate", dict(_SIMULATE, group_laws=["exponential", "exponential"]), "group_laws"),
+    ("kernel", dict(_PLAIN_KERNEL, population={"plain": "exponential"}), "population"),
+    ("simulate", dict(_SIMULATE, mode="weird"), "mode"),
+    ("simulate", dict(_SIMULATE, sizes=[3, "x"]), "sizes"),
+    ("kernel", dict(_PLAIN_KERNEL, grid="abc"), "grid"),
+    ("kernel", dict(_PLAIN_KERNEL, lambdas=0.5), "lambdas"),
+    ("simulate", {**_SIMULATE, "censoring_law": _SIMULATE["censoring_laws"]}, "censoring_law"),
+    ("kernel", dict(_PLAIN_KERNEL, kind="nope"), "kind"),
+    ("kernel", dict(_SURVIVAL_KERNEL, population=_PLAIN_KERNEL["population"]), "population"),
+], ids=["simulate-law-string", "kernel-law-string", "simulate-mode", "simulate-sizes",
+        "kernel-grid", "kernel-lambdas", "simulate-misspelt-key", "kernel-kind",
+        "kernel-population-for-kind"])
+def test_schema_violation_names_the_field(tmp_path, capsys, subcommand, doc, named):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert run([subcommand, "--config", cfg, *_OUTPUTS[subcommand](tmp_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "invalid config" in err and named in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_simulate_seed_flag_keeps_stream_id(tmp_path):
+    outs = {}
+    for stream in (0, 5):
+        cfg = tmp_path / f"sim{stream}.json"
+        cfg.write_text(json.dumps(dict(_SIMULATE, seed={"master_seed": 2, "stream_id": stream})))
+        outs[stream] = tmp_path / f"d{stream}.csv"
+        assert run(["simulate", "--config", cfg, "--output", outs[stream], "--seed", 9]) == EXIT_OK
+    assert outs[0].read_text() != outs[5].read_text()
+    # stream 0 under --seed 9 is the config seeded with master_seed 9
+    cfg = tmp_path / "sim9.json"
+    cfg.write_text(json.dumps(dict(_SIMULATE, seed={"master_seed": 9})))
+    assert run(["simulate", "--config", cfg, "--output", tmp_path / "d9.csv"]) == EXIT_OK
+    assert (tmp_path / "d9.csv").read_text() == outs[0].read_text()
+
+
+def test_simulate_env_seed_keeps_stream_id(tmp_path, monkeypatch):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps(dict(_SIMULATE, seed={"master_seed": 2, "stream_id": 5})))
+    monkeypatch.setenv("PERMBOOT_SEED", "9")
+    assert run(["simulate", "--config", cfg, "--output", tmp_path / "env.csv"]) == EXIT_OK
+    monkeypatch.delenv("PERMBOOT_SEED")
+    assert run(["simulate", "--config", cfg, "--output", tmp_path / "flag.csv",
+                "--seed", 9]) == EXIT_OK
+    assert (tmp_path / "env.csv").read_text() == (tmp_path / "flag.csv").read_text()
+
+
+# -- any one field of a valid simulate or kernel config replaced ---------
+
+_WORDS = st.sampled_from([
+    "kind", "rate", "lo", "hi", "points", "exponential", "uniform", "point-masses",
+    "none", "plain", "survival", "survival_exponential", "fail_rates", "cens_rates",
+    "master_seed", "stream_id", *(k.value for k in KernelKind),
+])
+_LEAF = st.none() | st.booleans() | st.integers(-3, 50) | _WORDS | st.text(max_size=3)
+_NODE = (_LEAF | st.lists(_LEAF, max_size=3)
+         | st.dictionaries(_WORDS | st.text(max_size=3), _LEAF, max_size=3))
+_JSON = (_WORDS | _NODE | st.lists(_NODE, max_size=3)
+         | st.dictionaries(_WORDS | st.text(max_size=3), _NODE, max_size=3))
+
+# (subcommand, valid config, paths of the fields that may be replaced)
+_FIELDS = [
+    ("simulate", _SIMULATE, [
+        ("mode",), ("group_laws",), ("group_laws", 0), ("group_laws", 1, "rate"),
+        ("censoring_laws",), ("censoring_laws", 1), ("sizes",), ("sizes", 0),
+        ("seed",), ("seed", "master_seed"), ("seed", "stream_id"),
+    ]),
+    ("kernel", _PLAIN_KERNEL, [
+        ("kind",), ("lambdas",), ("lambdas", 1), ("grid",), ("grid", 0), ("tau",),
+        ("population",), ("population", "plain"), ("population", "plain", "kind"),
+    ]),
+    ("kernel", dict(_SURVIVAL_KERNEL, kind="boot-km"), [
+        ("kind",), ("lambdas",), ("grid",), ("tau",), ("population",),
+        ("population", "survival_exponential"),
+        ("population", "survival_exponential", "fail_rates"),
+        ("population", "survival_exponential", "cens_rates"),
+    ]),
+]
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(_FIELDS), pick=st.integers(0, 99), value=_JSON)
+def test_one_field_replaced_never_raises(case, pick, value):
+    subcommand, doc, paths = case
+    doc = _replaced(doc, paths[pick % len(paths)], value)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = tmp / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert run([subcommand, "--config", cfg, *_OUTPUTS[subcommand](tmp)]) in (
+            EXIT_OK, EXIT_USAGE, EXIT_DATA
+        )

@@ -1,0 +1,79 @@
+import json
+
+import jsonschema
+import pytest
+
+from permboot import config
+from permboot.config import ExperimentConfig, KernelConfig, Law, SimulateConfig, load_config_schema
+from permboot.errors import ContractError, DataError
+
+
+def test_packaged_schema_is_valid():
+    jsonschema.Draft202012Validator.check_schema(load_config_schema())
+
+
+def test_law_error_names_the_missing_field():
+    with pytest.raises(DataError, match="'rate' is a required property"):
+        Law.from_dict({"kind": "exponential"})
+    with pytest.raises(DataError, match=r"at \$\.kind"):
+        Law.from_dict({"kind": "cauchy"})
+
+
+def test_one_validator_per_process(monkeypatch):
+    built = []
+    real = jsonschema.Draft202012Validator
+
+    def counting(schema, *args, **kwargs):
+        built.append(schema)
+        return real(schema, *args, **kwargs)
+
+    def no_metaschema_check(*args, **kwargs):
+        raise AssertionError("jsonschema.validate checks the schema on every call")
+
+    monkeypatch.setattr(jsonschema, "Draft202012Validator", counting)
+    monkeypatch.setattr(jsonschema, "validate", no_metaschema_check)
+    config._validator.cache_clear()
+    try:
+        exp = {"kind": "exponential", "rate": 1.0}
+        for _ in range(2):
+            ExperimentConfig.from_dict({
+                "scenario": "plain-indicator", "group_laws": [exp, exp], "sizes": [5, 5],
+                "draws": 100, "outer_reps": 1, "resample_kind": "permutation",
+                "seed": {"master_seed": 1},
+            })
+            SimulateConfig.from_dict({"mode": "plain", "group_laws": [exp, exp], "sizes": [3, 3]})
+            KernelConfig.from_dict({"kind": "perm-indicator", "lambdas": [0.5, 0.5],
+                                    "grid": [1.0], "population": {"plain": exp}})
+            Law.from_dict(exp)
+    finally:
+        config._validator.cache_clear()
+    assert len(built) == 1
+
+
+def test_with_master_seed_keeps_stream_id():
+    doc = {"seed": {"master_seed": 1, "stream_id": 5}}
+    assert config.with_master_seed(doc, 9) == {"seed": {"master_seed": 9, "stream_id": 5}}
+    assert config.with_master_seed({}, 9) == {"seed": {"master_seed": 9}}
+    assert config.with_master_seed(doc, None) is doc
+    assert config.with_master_seed({"seed": 3}, 9) == {"seed": 3}  # left to the schema
+
+
+def test_simulate_config_defaults_and_cross_checks():
+    exp = {"kind": "exponential", "rate": 1.0}
+    cfg = SimulateConfig.from_dict({"mode": "survival", "group_laws": [exp, exp], "sizes": [3, 4]})
+    assert cfg.censoring_laws == (Law.none(), Law.none())
+    assert cfg.seed.master_seed == 0 and cfg.seed.stream_id == 0
+    with pytest.raises(DataError, match="one law per group"):
+        SimulateConfig.from_dict({"mode": "plain", "group_laws": [exp, exp], "sizes": [3, 3, 3]})
+    with pytest.raises(ContractError, match="one censoring law per group"):
+        SimulateConfig.from_dict({"mode": "survival", "group_laws": [exp] * 3, "sizes": [3] * 3,
+                                  "censoring_laws": [exp, exp]})
+
+
+def test_read_config_needs_a_json_object(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"a": 1}))
+    assert config.read_config(path) == {"a": 1}
+    path.write_text("[1]")
+    with pytest.raises(DataError, match="JSON object"):
+        config.read_config(path)

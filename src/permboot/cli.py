@@ -202,6 +202,8 @@ _DUMPABLE = ("ecdf", "pooled-ecdf", "at-risk", "uncensored", "na", "km")
 def _cmd_dump_fn(args) -> int:
     mode = Mode.PLAIN if args.fn in ("ecdf", "pooled-ecdf") else Mode.SURVIVAL
     data = read_csv(args.input, mode)
+    if not 0 <= args.group <= data.m:
+        raise DataError(f"--group must be in 0..{data.m} (0 = pooled), got {args.group}")
     pooled = data.pooled()
     if args.fn == "pooled-ecdf":
         fn = pooled_ecdf(pooled)

@@ -287,6 +287,28 @@ class Scenario(enum.Enum):
     SURVIVAL_KM = "survival-km"
 
 
+def _check_tau_reachable(config, sizes) -> None:
+    """Reject sizes whose groups can never all be at risk at the pooled
+    ``tau_quantile`` quantile.
+
+    Without ties only N - ceil((N - 1) q) pooled times lie at or above
+    that quantile ((N - 1) q is numpy's linear-interpolation index), and
+    every group needs one of them.  Only point masses make ties, so
+    configs with a point-masses law are left to the dataset retries.
+    """
+    laws = (*config.group_laws, *config.censoring_laws)
+    if any(law.kind == "point-masses" for law in laws):
+        return
+    N, m = sum(sizes), len(sizes)
+    at_or_above = N - math.ceil((N - 1) * config.tau_quantile)
+    if at_or_above < m:
+        raise ContractError(
+            f"tau_quantile {config.tau_quantile} leaves {at_or_above} of the "
+            f"pooled times of sizes {list(sizes)} at or above tau, fewer than "
+            f"the {m} groups that must be at risk there"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: Scenario
@@ -318,6 +340,8 @@ class ExperimentConfig:
             object.__setattr__(
                 self, "censoring_laws", _censoring_or_none(self.censoring_laws, len(self.sizes))
             )
+            if self.tau is None:
+                _check_tau_reachable(self, self.sizes)
         if self.target not in ("plugin", "analytic"):
             raise ContractError("target must be 'plugin' or 'analytic'")
         if self.exhaustive and self.resample_kind is not ResampleKind.PERMUTATION:
@@ -379,3 +403,5 @@ class LinearizationConfig:
                 self, "censoring_laws",
                 _censoring_or_none(self.censoring_laws, len(self.group_laws)),
             )
+            for sizes in self.ladder:
+                _check_tau_reachable(self, sizes)

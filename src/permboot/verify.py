@@ -10,7 +10,8 @@ uniform differentiability fails.
 A Monte Carlo scenario is data fed to one replicate: a grid, a
 statistic of the resampled groups' per-draw counts, and the population
 whose limit kernel the covariance is compared with.  A linearization
-scenario is a functional and its derivative fed to one ladder loop.
+rung counts every draw the same way and evaluates a functional and its
+derivative on those counts, for all draws at once.
 
 Everything is deterministic given (config, seed): datasets and draws
 use counter-based child seeds, and reductions are order-independent, so
@@ -39,23 +40,12 @@ from .config import (
     simulate_plain_groups,
     simulate_survival_groups,
 )
-from .empirical import (
-    LambdaVector,
-    at_risk_process,
-    ecdf,
-    pooled_ecdf,
-    uncensored_subdist,
-)
-from .errors import ContractError, DataError, SingularityError
+from .empirical import LambdaVector, at_risk_process, ecdf, uncensored_subdist
+from .errors import ContractError, DataError, DomainError, SingularityError
 from .functionals import (
     HazardBundle,
-    kaplan_meier,
-    km_derivative,
-    na_derivative,
-    nelson_aalen,
     product_integral,
     prodint_derivative,
-    rmst,
     wilcoxon_curve,
     wilcoxon_derivative,
 )
@@ -66,13 +56,7 @@ from .limits import (
     assemble_kernel_matrix,
     exponential_survival_population,
 )
-from .resampling import (
-    ResampleDraw,
-    SeedSpec,
-    all_permutations,
-    draw_matrix,
-    resampled_group_fns,
-)
+from .resampling import SeedSpec, all_permutations, draw_matrix
 from .stepfn import StepFn, affine_combine
 
 __all__ = [
@@ -96,6 +80,8 @@ __all__ = [
 ]
 
 _MAX_DATASET_RETRIES = 100
+# draws per block of the linearization ladder
+_LADDER_CHUNK = 64
 
 
 # -- report ------------------------------------------------------------
@@ -174,6 +160,17 @@ def _survival_counter(z: np.ndarray, delta: np.ndarray, t_max: float):
     return events, counts
 
 
+def _hazard(deaths: np.ndarray, at_risk: np.ndarray) -> np.ndarray:
+    """Hazard increments deaths / at risk, 0 where nobody is at risk."""
+    return np.divide(deaths, at_risk, out=np.zeros(np.shape(deaths)), where=at_risk > 0)
+
+
+def _at_grid(curves: np.ndarray, positions: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """Running curves (B, K) over K sorted points read after the first
+    ``positions`` points of each grid point; ``start`` before the first."""
+    return np.insert(curves, 0, start, axis=1)[:, positions]
+
+
 def _resolve_grid(config: ExperimentConfig, z: np.ndarray, default_probs, tau=None):
     """The configured grid: explicit points, or quantiles of the pooled
     sample z (``default_probs`` for "pooled-deciles"); survival grids
@@ -238,10 +235,10 @@ def _survival_scenario(config: ExperimentConfig, seed: SeedSpec):
         deaths, at_risk = counts(idx)
         if np.any((at_risk == 0) & (deaths > 0)):
             raise SingularityError("empty risk set in a resampled group")
-        h = np.divide(deaths, at_risk, out=np.zeros(deaths.shape), where=at_risk > 0)
+        h = _hazard(deaths, at_risk)
         if km_mode:
-            return np.insert(np.cumprod(1.0 - h, axis=1), 0, 1.0, axis=1)[:, pos]
-        return np.insert(np.cumsum(h, axis=1), 0, 0.0, axis=1)[:, pos]
+            return _at_grid(np.cumprod(1.0 - h, axis=1), pos, 1.0)
+        return _at_grid(np.cumsum(h, axis=1), pos)
 
     if config.target == "plugin":
         pop = EmpiricalSurvivalPopulation(
@@ -383,64 +380,109 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 # -- linearization residuals -------------------------------------------
 
-def _ladder_residuals(config: LinearizationConfig, sizes, seed: SeedSpec):
+def _wilcoxon_residuals(z, n1, grid, draws):
+    """Per draw, the sup over the grid of the residual of the Wilcoxon
+    curve t -> int_(-inf, t] A dB at (A, B) = (H_n, H_n), from the two
+    groups' counts at the distinct pooled values; (B,)."""
+    N = z.size
+    root = math.sqrt(N)
+    values, labels = np.unique(z, return_inverse=True)
+    K = values.size
+    dh = np.bincount(labels, minlength=K) / N
+    h = np.cumsum(dh)
+    f1 = np.cumsum(_binned_counts(draws[:, :n1], labels, K), axis=1) / n1
+    df2 = _binned_counts(draws[:, n1:], labels, K) / (N - n1)
+    alpha, dbeta = root * (f1 - h), root * (df2 - dh)
+    # derivative: int H_n d(beta) + int alpha dH_n
+    linear = np.cumsum(h * dbeta + alpha * dh, axis=1)
+    change = root * (np.cumsum(f1 * df2, axis=1) - np.cumsum(h * dh))
+    residual = change - linear
+    return np.abs(_at_grid(residual, np.searchsorted(values, grid, side="right"))).max(axis=1)
+
+
+def _survival_residuals(scenario, z, delta, sizes, tau, grid, draws):
+    """Per draw, the largest residual over the groups of the
+    Nelson-Aalen, Kaplan-Meier or RMST map, from each group's deaths
+    and at-risk counts at the pooled event times up to tau; (B,)."""
+    if tau <= 0:
+        raise ContractError("tau must be positive")
+    events, counts = _survival_counter(z, delta, tau)
+    N = z.size
+    root = math.sqrt(N)
+    deaths, at_risk = (c[0] for c in counts(np.arange(N)[None, :]))
+    terminal = deaths == at_risk
+    if scenario != "survival-na" and terminal.any():
+        raise DomainError(
+            f"derivative undefined: jump of exactly -1 at time {events[terminal][0]}"
+        )
+    hn = deaths / at_risk
+    dbar, rbar = deaths / N, at_risk / N
+    surv_n = np.cumprod(1.0 - hn)
+    # the RMST integrates levels at the events below tau up to the next event or tau
+    below = np.searchsorted(events, tau, side="left")
+    widths = np.diff(np.append(events[:below], tau))
+    positions = np.searchsorted(events, grid, side="right")
+    cum = np.cumsum([0, *sizes])
+    out = []
+    for a, b in zip(cum, cum[1:]):
+        d, r = counts(draws[:, a:b])
+        h = _hazard(d, r)
+        # directions sqrt(N) (group - pooled) of the at-risk fraction
+        # (alpha) and of the uncensored subdistribution's jumps (dbeta)
+        alpha = root * (r / (b - a) - rbar)
+        dbeta = root * (d / (b - a) - dbar)
+        # chain rule: int (1/r) d(beta) - int alpha / r^2 d(uncensored)
+        dlam = dbeta / rbar - alpha * dbar / rbar**2
+        if scenario == "survival-na":
+            change = root * (np.cumsum(h, axis=1) - np.cumsum(hn))
+            linear = np.cumsum(dlam, axis=1)
+        else:
+            change = root * (np.cumprod(1.0 - h, axis=1) - surv_n)
+            # Duhamel form of the product-integral derivative
+            # (Gill & Johansen 1990)
+            linear = -surv_n * np.cumsum(dlam / (1.0 - hn), axis=1)
+        residual = change - linear
+        if scenario == "rmst":
+            out.append(np.abs((residual[:, :below] * widths).sum(axis=1)))
+        else:
+            out.append(np.abs(_at_grid(residual, positions)).max(axis=1))
+    return np.max(out, axis=0)
+
+
+def _ladder_residuals(config: LinearizationConfig, sizes, seed: SeedSpec) -> np.ndarray:
     """Per draw, the largest linearization residual over its units.
 
-    A unit is a pair of resampled step functions theta with pooled
+    A unit is a pair of resampled processes theta with pooled
     counterpart theta_n: the two group ECDFs for Wilcoxon, each group's
     (at-risk, uncensored) pair for the hazard scenarios.  Its residual
     compares sqrt(N) (phi(theta) - phi(theta_n)) with the derivative at
-    theta_n in the direction sqrt(N) (theta - theta_n).
+    theta_n in the direction sqrt(N) (theta - theta_n): the sup over the
+    grid for curves, the absolute value for RMST.  Every draw is
+    counted by bin on the distinct pooled values or the pooled event
+    times, so all draws are evaluated at once on (B, K) arrays.
     """
     if config.scenario == "wilcoxon":
         if len(sizes) != 2:
             raise ContractError("the Wilcoxon scenario needs exactly two groups")
         data = simulate_plain_groups(config.group_laws, sizes, seed.child(0).rng()).pooled()
         z, top = np.asarray(data.pooled), 0.9
-        hn = pooled_ecdf(data)
-        theta_n = (hn, hn)
-        phi = wilcoxon_curve
-        dphi = lambda alpha, beta: wilcoxon_derivative(hn, hn, alpha, beta)
-        units = lambda fns: [fns]
     else:
         data, z, tau, _retries = _at_risk_dataset(config, sizes, seed)
         top = config.tau_quantile - 0.1
-        obs = list(data.pooled)
-        pooled = HazardBundle(at_risk_process(obs), uncensored_subdist(obs), tau)
-        theta_n = (pooled.at_risk, pooled.uncensored)
-        # built per call, so rebinding a module name (as the benchmark
-        # tracer does) reaches these calls too
-        functional, derivative = {
-            "survival-na": (nelson_aalen, na_derivative),
-            "survival-km": (kaplan_meier, km_derivative),
-            "rmst": (
-                lambda bundle: rmst(kaplan_meier(bundle), bundle.tau),
-                lambda bundle, a, b: rmst(km_derivative(bundle, a, b), bundle.tau),
-            ),
-        }[config.scenario]
-        phi = lambda at_risk, uc: functional(HazardBundle(at_risk, uc, tau))
-        dphi = lambda alpha, beta: derivative(pooled, alpha, beta)
-        units = lambda fns: fns
     grid = np.quantile(z, np.linspace(0.1, top, config.grid_points))
-    root = math.sqrt(data.N)
-    base = phi(*theta_n)
-
-    def residual(theta):
-        """|sqrt(N) (phi(theta) - base) - derivative|: the sup over the
-        grid for curves, the absolute value for scalars."""
-        directions = [affine_combine([root, -root], [f, g]) for f, g in zip(theta, theta_n)]
-        value, linear = phi(*theta), dphi(*directions)
-        if isinstance(value, StepFn):
-            return max(abs(root * (value(t) - base(t)) - linear(t)) for t in grid)
-        return abs(root * (value - base) - linear)
-
-    kind = config.resample_kind
-    return [
-        max(residual(theta) for theta in units(
-            resampled_group_fns(data, ResampleDraw(kind, tuple(row)))
-        ))
-        for row in draw_matrix(kind, data.N, config.draws, seed.child(1).rng())
-    ]
+    draws = draw_matrix(config.resample_kind, data.N, config.draws, seed.child(1).rng())
+    if config.scenario == "wilcoxon":
+        residuals = lambda rows: _wilcoxon_residuals(z, sizes[0], grid, rows)
+    else:
+        delta = np.array([d for _z, d in data.pooled])
+        residuals = lambda rows: _survival_residuals(
+            config.scenario, z, delta, sizes, tau, grid, rows
+        )
+    # rows are independent, so chunks of them bound the (rows, K) arrays
+    # without changing any result
+    return np.concatenate([
+        residuals(draws[i:i + _LADDER_CHUNK]) for i in range(0, config.draws, _LADDER_CHUNK)
+    ])
 
 
 def linearization_residual_experiment(config: LinearizationConfig) -> dict:

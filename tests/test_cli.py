@@ -235,6 +235,45 @@ def test_dump_fn_roundtrip(tmp_path, capsys):
     assert StepFn.from_text(text)(0) == 1
 
 
+@pytest.mark.parametrize("group", [3, -1])
+def test_dump_fn_group_out_of_range(tmp_path, capsys, group):
+    # the toy data have two groups: 0 (pooled), 1 and 2 are valid
+    inp = tmp_path / "toy.csv"
+    _write_survival_csv(inp)
+    assert run(["dump-fn", "--input", inp, "--fn", "km", "--group", group]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "0..2" in err and str(group) in err
+
+
+_EXHAUSTIVE_NA = dict(
+    scenario="survival-na", draws=24, outer_reps=1, exhaustive=True,
+    group_laws=[{"kind": "exponential", "rate": 1.0}] * 3,
+)
+
+
+@pytest.mark.parametrize("sizes", [[2, 2], [3, 2, 3]])
+def test_verify_unreachable_tau_quantile_is_usage_error(tmp_path, capsys, sizes):
+    # tau_quantile 0.8 leaves 1 (N=4) or 2 (N=8) pooled times at or above
+    # tau, fewer than the groups that must be at risk there
+    cfg = _verify_config(tmp_path, **dict(
+        _EXHAUSTIVE_NA, sizes=sizes, group_laws=_EXHAUSTIVE_NA["group_laws"][:len(sizes)]
+    ))
+    assert run(["verify", "--config", cfg, "--output", tmp_path / "r.json"]) == EXIT_USAGE
+    assert "tau_quantile" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_verify_reachable_tau_quantile_runs(tmp_path):
+    cfg = _verify_config(tmp_path, **dict(
+        _EXHAUSTIVE_NA, sizes=[4, 4], group_laws=_EXHAUSTIVE_NA["group_laws"][:2]
+    ))
+    out = tmp_path / "r.json"
+    # exhaustive enumeration is judged against the N -> oo kernel, which
+    # it misses at N=8: a finished run that fails verification
+    assert run(["verify", "--config", cfg, "--output", out]) == EXIT_VERIFY_FAILED
+    assert json.loads(out.read_text())["aggregates"]["n_cells"] > 0
+
+
 def test_verify_bad_env_seed_is_data_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PERMBOOT_SEED", "abc")
     cfg = _verify_config(tmp_path)

@@ -4,8 +4,16 @@ import jsonschema
 import pytest
 
 from permboot import config
-from permboot.config import ExperimentConfig, KernelConfig, Law, SimulateConfig, load_config_schema
+from permboot.config import (
+    ExperimentConfig,
+    KernelConfig,
+    Law,
+    LinearizationConfig,
+    SimulateConfig,
+    load_config_schema,
+)
 from permboot.errors import ContractError, DataError
+from permboot.resampling import ResampleKind, SeedSpec
 
 
 def test_packaged_schema_is_valid():
@@ -77,3 +85,42 @@ def test_read_config_needs_a_json_object(tmp_path):
     path.write_text("[1]")
     with pytest.raises(DataError, match="JSON object"):
         config.read_config(path)
+
+
+_EXP = {"kind": "exponential", "rate": 1.0}
+_TIED = {"kind": "point-masses", "points": [[0.5, 0.5], [1.0, 0.5]]}
+
+
+def _survival_config(sizes, **over):
+    return {
+        "scenario": "survival-na", "group_laws": [_EXP] * len(sizes), "sizes": sizes,
+        "draws": 200, "outer_reps": 1, "resample_kind": "bootstrap",
+        "seed": {"master_seed": 1}, **over,
+    }
+
+
+@pytest.mark.parametrize("sizes", [[2, 2], [3, 2, 3], [2, 2, 2, 2, 2, 2, 2]])
+def test_unreachable_tau_quantile_is_rejected(sizes):
+    with pytest.raises(ContractError, match="tau_quantile"):
+        ExperimentConfig.from_dict(_survival_config(sizes))
+
+
+@pytest.mark.parametrize("over", [
+    {"sizes": [4, 4]},
+    {"sizes": [2, 2], "tau": 1.0},  # an explicit tau is not a quantile
+    {"sizes": [2, 2], "tau_quantile": 0.5},  # 2 of 4 times at or above
+    {"sizes": [2, 2], "group_laws": [_TIED, _TIED]},  # ties can reach it
+    {"sizes": [2, 2], "censoring_laws": [_EXP, _TIED]},
+    {"sizes": [2, 2], "scenario": "plain-indicator"},
+])
+def test_reachable_tau_quantile_is_accepted(over):
+    ExperimentConfig.from_dict(_survival_config(**over))
+
+
+def test_unreachable_tau_quantile_rejected_on_any_ladder_rung():
+    law = Law.exponential(1.0)
+    rungs = dict(group_laws=(law, law), ladder=((20, 20), (2, 2)), draws=5,
+                 resample_kind=ResampleKind.PERMUTATION, seed=SeedSpec(1))
+    with pytest.raises(ContractError, match=r"sizes \[2, 2\]"):
+        LinearizationConfig(scenario="rmst", **rungs)
+    LinearizationConfig(scenario="wilcoxon", **rungs)

@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permboot.empirical import LambdaVector
-from permboot.errors import ContractError, DataError
-from permboot.functionals import HazardBundle, kaplan_meier, nelson_aalen
+from permboot.config import simulate_plain_groups
+from permboot.empirical import LambdaVector, at_risk_process, uncensored_subdist
+from permboot.errors import ContractError, DataError, DomainError, PermbootError
+from permboot.functionals import (
+    HazardBundle,
+    kaplan_meier,
+    km_derivative,
+    na_derivative,
+    nelson_aalen,
+    rmst,
+    wilcoxon_curve,
+    wilcoxon_derivative,
+)
 from permboot.limits import KernelKind, coeff_matrix, perm_coeff
 from permboot.resampling import (
     ResampleDraw,
@@ -20,6 +30,7 @@ from permboot.resampling import (
     resampled_group_fns,
 )
 from permboot.empirical import MultiSampleData, pooled_ecdf
+from permboot.stepfn import StepFn, affine_combine
 from permboot.verify import (
     ExperimentConfig,
     Law,
@@ -38,7 +49,9 @@ from permboot.verify import (
     simulate_grid_gaussian,
     simulate_survival_groups,
     wilcoxon_ratio_sequences,
+    _at_risk_dataset,
     _indicator_counter,
+    _ladder_residuals,
     _survival_counter,
     _survival_scenario,
 )
@@ -481,6 +494,214 @@ def test_linearization_wilcoxon_needs_two_groups():
     )
     with pytest.raises(ContractError):
         linearization_residual_experiment(cfg)
+
+
+# -- linearization: the count path against the StepFn oracle -----------
+
+def _stepfn_ladder_residuals(config, sizes, seed):
+    """Per draw, the largest linearization residual over its units,
+    from every resampled group rebuilt as StepFns by
+    ``resampled_group_fns`` and the functionals' own maps and
+    derivatives: the oracle of ``_ladder_residuals``."""
+    if config.scenario == "wilcoxon":
+        data = simulate_plain_groups(config.group_laws, sizes, seed.child(0).rng()).pooled()
+        z, top = np.asarray(data.pooled), 0.9
+        hn = pooled_ecdf(data)
+        theta_n = (hn, hn)
+        phi = wilcoxon_curve
+        dphi = lambda alpha, beta: wilcoxon_derivative(hn, hn, alpha, beta)
+        units = lambda fns: [fns]
+    else:
+        data, z, tau, _retries = _at_risk_dataset(config, sizes, seed)
+        top = config.tau_quantile - 0.1
+        obs = list(data.pooled)
+        pooled = HazardBundle(at_risk_process(obs), uncensored_subdist(obs), tau)
+        theta_n = (pooled.at_risk, pooled.uncensored)
+        functional, derivative = {
+            "survival-na": (nelson_aalen, na_derivative),
+            "survival-km": (kaplan_meier, km_derivative),
+            "rmst": (
+                lambda bundle: rmst(kaplan_meier(bundle), bundle.tau),
+                lambda bundle, a, b: rmst(km_derivative(bundle, a, b), bundle.tau),
+            ),
+        }[config.scenario]
+        phi = lambda at_risk, uc: functional(HazardBundle(at_risk, uc, tau))
+        dphi = lambda alpha, beta: derivative(pooled, alpha, beta)
+        units = lambda fns: fns
+    grid = np.quantile(z, np.linspace(0.1, top, config.grid_points))
+    root = math.sqrt(data.N)
+    base = phi(*theta_n)
+
+    def residual(theta):
+        directions = [affine_combine([root, -root], [f, g]) for f, g in zip(theta, theta_n)]
+        value, linear = phi(*theta), dphi(*directions)
+        if isinstance(value, StepFn):
+            return max(abs(root * (value(t) - base(t)) - linear(t)) for t in grid)
+        return abs(root * (value - base) - linear)
+
+    kind = config.resample_kind
+    return np.array([
+        max(residual(theta) for theta in units(
+            resampled_group_fns(data, ResampleDraw(kind, tuple(row)))
+        ))
+        for row in draw_matrix(kind, data.N, config.draws, seed.child(1).rng())
+    ])
+
+
+def _ladder_config(scenario, kind, laws, sizes, **over):
+    failure, censoring = laws
+    return LinearizationConfig(
+        scenario=scenario,
+        group_laws=(failure,) * len(sizes),
+        censoring_laws=None if scenario == "wilcoxon" else (censoring,) * len(sizes),
+        ladder=(sizes,),
+        draws=over.pop("draws", 8),
+        resample_kind=ResampleKind(kind),
+        seed=SeedSpec(over.pop("master_seed", 41)),
+        **over,
+    )
+
+
+def _pooled_hazard_reaches_one(cfg):
+    """Whether some pooled event time up to tau has every time still at
+    risk there a death."""
+    data, z, tau, _retries = _at_risk_dataset(cfg, cfg.ladder[0], cfg.seed.child(0))
+    delta = np.array([d for _z, d in data.pooled])
+    _events, counts = _survival_counter(z, delta, tau)
+    deaths, at_risk = counts(np.arange(data.N)[None, :])
+    return bool(np.any(deaths == at_risk))
+
+
+def _assert_matches_oracle(cfg):
+    """The count path agrees with the oracle to 1e-12 (returns None), or
+    both raise the same error class (returns the oracle's error), or
+    only the count path raises, at an exact pooled hazard jump of 1
+    (returns its error)."""
+    sizes, seed = cfg.ladder[0], cfg.seed.child(0)
+    try:
+        oracle = _stepfn_ladder_residuals(cfg, sizes, seed)
+    except PermbootError as exc:
+        with pytest.raises(PermbootError) as got:
+            _ladder_residuals(cfg, sizes, seed)
+        assert type(got.value) is type(exc)
+        return exc
+    try:
+        fast = _ladder_residuals(cfg, sizes, seed)
+    except DomainError as exc:
+        # the oracle tests 1 - dLambda == 0 in floats (1 / at-risk
+        # fraction times a jump of the subdistribution), which can miss
+        # a pooled hazard jump of exactly 1 that the counts see
+        assert cfg.scenario != "survival-na" and _pooled_hazard_reaches_one(cfg)
+        return exc
+    assert fast.shape == oracle.shape == (cfg.draws,)
+    assert np.abs(fast - oracle).max() <= 1e-12
+    return None
+
+
+_TIED = Law.point_masses([(0.2, 0.3), (0.5, 0.4), (0.9, 0.3)])
+_LADDER_LAWS = {
+    "continuous": (Law.exponential(1.0), Law.exponential(0.5)),
+    # failure and censoring times share the atoms: deaths and censorings tie
+    "ties": (_TIED, _TIED),
+    # a fifth of the failures at time 0
+    "events-at-0": (
+        Law.point_masses([(0.0, 0.2), (0.4, 0.3), (0.7, 0.2), (1.1, 0.1), (1.6, 0.2)]),
+        Law.exponential(0.5),
+    ),
+}
+_LADDER_CASES = [
+    (scenario, kind, laws, sizes)
+    for scenario in ("wilcoxon", "survival-na", "survival-km", "rmst")
+    for kind in ("permutation", "bootstrap")
+    for laws in _LADDER_LAWS
+    for sizes in ((14, 17), (12, 9, 15))
+    if scenario != "wilcoxon" or len(sizes) == 2
+]
+
+
+@pytest.mark.parametrize("scenario, kind, laws, sizes", _LADDER_CASES)
+def test_ladder_residuals_match_stepfn_oracle(scenario, kind, laws, sizes):
+    assert _assert_matches_oracle(
+        _ladder_config(scenario, kind, _LADDER_LAWS[laws], sizes)
+    ) is None
+
+
+def test_ladder_oracle_covers_a_group_km_reaching_zero():
+    # bootstrap groups of 4 often miss every time past their last death,
+    # so their Kaplan-Meier curve reaches 0 inside [0, tau]
+    for scenario in ("survival-na", "survival-km", "rmst"):
+        cfg = _ladder_config(scenario, "bootstrap", _LADDER_LAWS["continuous"], (4, 30, 4),
+                             draws=12)
+        assert _assert_matches_oracle(cfg) is None
+    data, z, tau, _retries = _at_risk_dataset(cfg, cfg.ladder[0], cfg.seed.child(0))
+    delta = np.array([d for _z, d in data.pooled])
+    _events, counts = _survival_counter(z, delta, tau)
+    draws = draw_matrix(cfg.resample_kind, data.N, cfg.draws, cfg.seed.child(0).child(1).rng())
+    deaths, at_risk = counts(draws[:, :4])
+    assert np.any((deaths == at_risk) & (at_risk > 0))
+
+
+@pytest.mark.parametrize("scenario, raises", [
+    ("survival-na", False), ("survival-km", True), ("rmst", True),
+])
+def test_ladder_pooled_terminal_jump_raises_like_the_oracle(scenario, raises):
+    # no censoring, and tau (the pooled 0.8 quantile) is the larger atom,
+    # where every time still at risk is a death: a pooled hazard jump of
+    # 1 at tau, where the Kaplan-Meier derivative is undefined
+    two_atoms = Law.point_masses([(0.5, 0.5), (1.0, 0.5)])
+    cfg = _ladder_config(scenario, "permutation", (two_atoms, Law.none()), (10, 10),
+                         master_seed=3)
+    _data, _z, tau, _retries = _at_risk_dataset(cfg, cfg.ladder[0], cfg.seed.child(0))
+    assert tau == 1.0
+    error = _assert_matches_oracle(cfg)
+    assert (error is not None) == raises
+    if raises:
+        assert isinstance(error, DomainError)
+
+
+@pytest.mark.parametrize("scenario", ["survival-na", "survival-km", "rmst"])
+def test_ladder_tau_at_zero_raises_like_the_oracle(scenario):
+    # nine tenths of the times are 0, so the pooled 0.8 quantile tau is 0
+    at_zero = Law.point_masses([(0.0, 0.9), (1.0, 0.1)])
+    cfg = _ladder_config(scenario, "bootstrap", (at_zero, Law.none()), (10, 10))
+    assert isinstance(_assert_matches_oracle(cfg), ContractError)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scenario=st.sampled_from(["wilcoxon", "survival-na", "survival-km", "rmst"]),
+    kind=st.sampled_from(["permutation", "bootstrap"]),
+    laws=st.sampled_from(sorted(_LADDER_LAWS)),
+    sizes=st.lists(st.integers(5, 25), min_size=2, max_size=3).map(tuple),
+    master_seed=st.integers(0, 2**32 - 1),
+)
+def test_ladder_residuals_match_stepfn_oracle_property(scenario, kind, laws, sizes, master_seed):
+    if scenario == "wilcoxon":
+        sizes = sizes[:2]
+    _assert_matches_oracle(_ladder_config(
+        scenario, kind, _LADDER_LAWS[laws], sizes, draws=4, master_seed=master_seed
+    ))
+
+
+@pytest.mark.parametrize("scenario, kind", [
+    ("wilcoxon", "permutation"), ("survival-na", "bootstrap"),
+    ("survival-km", "permutation"), ("rmst", "bootstrap"),
+])
+def test_ladder_residual_medians_shrink_like_inverse_root_n(scenario, kind):
+    # the second-order remainder of these maps is O_p(N^-1/2): the median
+    # residual's log-log slope against N should be near -1/2
+    cfg = LinearizationConfig(
+        scenario=scenario,
+        group_laws=(Law.exponential(1.0), Law.exponential(1.5 if scenario == "wilcoxon" else 1.0)),
+        censoring_laws=None if scenario == "wilcoxon" else (Law.exponential(0.5),) * 2,
+        ladder=((200, 200), (600, 600), (1800, 1800), (5000, 5000)),
+        draws=200,
+        resample_kind=ResampleKind(kind),
+        seed=SeedSpec(20261018),
+    )
+    rows = linearization_residual_experiment(cfg)["ladder"]
+    slope = np.polyfit(np.log([r["N"] for r in rows]), np.log([r["median"] for r in rows]), 1)[0]
+    assert -0.65 <= slope <= -0.35, slope
 
 
 # -- ratio checks and the counterexample -------------------------------

@@ -33,6 +33,7 @@ __all__ = [
     "permutation_matrix",
     "bootstrap_matrix",
     "draw_matrix",
+    "draw_blocks",
     "resampled_group_fns",
     "centered_process",
 ]
@@ -109,6 +110,13 @@ def draw_matrix(kind: ResampleKind, N: int, B: int, rng: np.random.Generator) ->
     if kind is ResampleKind.PERMUTATION:
         return permutation_matrix(N, B, rng)
     return bootstrap_matrix(N, B, rng)
+
+
+def draw_blocks(kind: ResampleKind, N: int, B: int, rng: np.random.Generator, rows: int):
+    """The rows of ``draw_matrix(kind, N, B, rng)`` in blocks of at most
+    ``rows`` draws, each block drawn from rng only when it is needed."""
+    for start in range(0, B, rows):
+        yield draw_matrix(kind, N, min(rows, B - start), rng)
 
 
 def resampled_group_fns(data: PooledData, draw: ResampleDraw, mode: Mode | None = None):

@@ -11,7 +11,8 @@ A Monte Carlo scenario is data fed to one replicate: a grid, a
 statistic of the resampled groups' per-draw counts, and the population
 whose limit kernel the covariance is compared with.  A linearization
 rung counts every draw the same way and evaluates a functional and its
-derivative on those counts, for all draws at once.
+derivative on those counts.  Both make, count and evaluate draws in
+blocks of a fixed size, so a block's memory does not grow with N or B.
 
 Everything is deterministic given (config, seed): datasets and draws
 use counter-based child seeds, and reductions are order-independent, so
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,7 +58,7 @@ from .limits import (
     assemble_kernel_matrix,
     exponential_survival_population,
 )
-from .resampling import SeedSpec, all_permutations, draw_matrix
+from .resampling import ResampleKind, SeedSpec, all_permutations, draw_blocks
 from .stepfn import StepFn, affine_combine
 
 __all__ = [
@@ -80,8 +82,10 @@ __all__ = [
 ]
 
 _MAX_DATASET_RETRIES = 100
-# draws per block of the linearization ladder
-_LADDER_CHUNK = 64
+# integers per block of draws: draws are made and counted in blocks of
+# this many entries of the widest per-draw array (the pooled indices or
+# the count labels), so a block's memory depends on neither N nor B
+_BLOCK_CELLS = 1 << 17
 
 
 # -- report ------------------------------------------------------------
@@ -116,33 +120,46 @@ class VerifyReport:
 
 # -- conditional covariance experiment ---------------------------------
 
-def _binned_counts(idx: np.ndarray, bins: np.ndarray, nbins: int) -> np.ndarray:
-    """Per-draw count of the assigned pooled indices idx (B, n) whose
-    label ``bins[i]`` is each of 0..nbins-1; exact integers, (B, nbins)."""
-    B = idx.shape[0]
-    flat = bins[idx] + nbins * np.arange(B, dtype=np.intp)[:, None]
-    return np.bincount(flat.ravel(), minlength=B * nbins).reshape(B, nbins)
+@dataclass(frozen=True)
+class _Counter:
+    """Per-draw counts of assigned pooled indices, from one label in
+    0..nbins-1 per pooled index: ``binned(idx)`` counts each label for
+    the indices idx (B, n) (exact integers, (B, nbins)), ``finish`` turns
+    those bins into the counts a statistic reads, and calling the counter
+    does both."""
+
+    labels: np.ndarray
+    nbins: int
+    finish: Callable = lambda bins: bins
+
+    def binned(self, idx: np.ndarray) -> np.ndarray:
+        B = idx.shape[0]
+        flat = self.labels[idx] + self.nbins * np.arange(B, dtype=np.intp)[:, None]
+        return np.bincount(flat.ravel(), minlength=B * self.nbins).reshape(B, self.nbins)
+
+    def __call__(self, idx: np.ndarray):
+        return self.finish(self.binned(idx))
 
 
-def _indicator_counter(pooled: np.ndarray, grid: np.ndarray):
-    """counts(idx): per-draw number of assigned values <= each grid
-    point, in grid order (unsorted and repeated points allowed); (B, K)."""
+def _indicator_counter(pooled: np.ndarray, grid: np.ndarray) -> _Counter:
+    """Counts per draw of assigned values <= each grid point, in grid
+    order (unsorted and repeated points allowed); (B, K)."""
     order = np.argsort(grid, kind="stable")
     # values <= sorted grid point k are those in bins 0..k
     bins = np.searchsorted(grid[order], pooled, side="left")
     K = grid.size
 
-    def counts(idx):
-        out = np.empty((idx.shape[0], K), dtype=np.intp)
-        out[:, order] = np.cumsum(_binned_counts(idx, bins, K + 1)[:, :K], axis=1)
+    def finish(binned):
+        out = np.empty((binned.shape[0], K), dtype=np.intp)
+        out[:, order] = np.cumsum(binned[:, :K], axis=1)
         return out
 
-    return counts
+    return _Counter(bins, K + 1, finish)
 
 
 def _survival_counter(z: np.ndarray, delta: np.ndarray, t_max: float):
-    """The event times (distinct uncensored times <= t_max) and
-    counts(idx): per-draw (deaths, at risk) at each event time, (B, K) each."""
+    """The event times (distinct uncensored times <= t_max) and a counter
+    of per-draw (deaths, at risk) at each event time, (B, K) each."""
     death = (delta == 1) & (z <= t_max)
     events = np.unique(z[death])
     K = events.size
@@ -151,13 +168,34 @@ def _survival_counter(z: np.ndarray, delta: np.ndarray, t_max: float):
     # 2 * risk bin + death carries both counts
     labels = 2 * np.searchsorted(events, z, side="right") + death
 
-    def counts(idx):
-        per_bin = _binned_counts(idx, labels, 2 * (K + 1)).reshape(-1, K + 1, 2)
+    def finish(binned):
+        per_bin = binned.reshape(-1, K + 1, 2)
         # times per risk bin, from bin K down to bin 1
         down = per_bin[:, :0:-1, 0] + per_bin[:, :0:-1, 1]
         return per_bin[:, 1:, 1], np.cumsum(down, axis=1)[:, ::-1]
 
-    return events, counts
+    return events, _Counter(labels, 2 * (K + 1), finish)
+
+
+def _block_rows(width: int) -> int:
+    """Draws per block when the widest per-draw array has ``width``
+    entries.  At least two: a one-row block is both C- and F-ordered,
+    and the joined blocks must keep the statistic's memory order, which
+    fixes the summation order of their mean."""
+    return max(2, _BLOCK_CELLS // width)
+
+
+def _group_counts(counter: _Counter, sizes, blocks, complement: bool):
+    """Per block of draws (rows of pooled indices, group j assigned the
+    j-th run of ``sizes`` columns), each group's binned counts.  With
+    ``complement`` (permutation draws, which assign every pooled index
+    once) the last group's are the pooled bins minus the others'."""
+    cum = np.cumsum([0, *sizes])
+    pooled = counter.binned(np.arange(cum[-1])[None, :])
+    for rows in blocks:
+        bins = [counter.binned(rows[:, a:b]) for a, b in zip(cum[:-2], cum[1:-1])]
+        bins.append(pooled - sum(bins) if complement else counter.binned(rows[:, cum[-2]:]))
+        yield bins
 
 
 def _hazard(deaths: np.ndarray, at_risk: np.ndarray) -> np.ndarray:
@@ -168,7 +206,11 @@ def _hazard(deaths: np.ndarray, at_risk: np.ndarray) -> np.ndarray:
 def _at_grid(curves: np.ndarray, positions: np.ndarray, start: float = 0.0) -> np.ndarray:
     """Running curves (B, K) over K sorted points read after the first
     ``positions`` points of each grid point; ``start`` before the first."""
-    return np.insert(curves, 0, start, axis=1)[:, positions]
+    if curves.shape[1] == 0:
+        return np.full((curves.shape[0], positions.size), start)
+    out = curves[:, np.maximum(positions - 1, 0)]
+    out[:, positions == 0] = start
+    return out
 
 
 def _resolve_grid(config: ExperimentConfig, z: np.ndarray, default_probs, tau=None):
@@ -186,18 +228,19 @@ def _resolve_grid(config: ExperimentConfig, z: np.ndarray, default_probs, tau=No
 
 
 def _plain_scenario(config: ExperimentConfig, seed: SeedSpec):
-    """Indicator scenario: the grid, the ECDF at it of the assigned values
-    (a (B, K) statistic of the (B, n) pooled indices), the population."""
+    """Indicator scenario: the grid, the counter, the statistic (the
+    ECDF at the grid of n assigned values, (B, K), from their counts),
+    the population, the retries."""
     data = simulate_plain_groups(config.group_laws, config.sizes, seed.child(0).rng())
     pooled = np.array(data.pooled().pooled)
     grid = _resolve_grid(config, pooled, np.linspace(0.1, 0.9, 9))
-    counts = _indicator_counter(pooled, grid)
+    counter = _indicator_counter(pooled, grid)
     if config.target == "plugin":
         pop = PlainPopulation(lambda t: np.mean(pooled <= t))
     else:
         mix = [(n / pooled.size, law) for law, n in zip(config.group_laws, config.sizes)]
         pop = PlainPopulation(lambda t: sum(w * law.cdf(t) for w, law in mix))
-    return grid, lambda idx: counts(idx) / idx.shape[1], pop, 0
+    return grid, counter, lambda counts, n: counts / n, pop, 0
 
 
 def _at_risk_dataset(config, sizes, seed: SeedSpec, tau=None):
@@ -220,19 +263,20 @@ def _at_risk_dataset(config, sizes, seed: SeedSpec, tau=None):
 
 
 def _survival_scenario(config: ExperimentConfig, seed: SeedSpec):
-    """Nelson-Aalen or Kaplan-Meier scenario: the grid, the curve at it
-    of the assigned observations (the cumsum or cumprod of deaths / at
-    risk over the pooled event times), the population, the retries."""
+    """Nelson-Aalen or Kaplan-Meier scenario: the grid, the counter, the
+    statistic (the curve at the grid of the assigned observations, the
+    cumsum or cumprod of deaths / at risk over the pooled event times,
+    from their counts), the population, the retries."""
     data, z, tau, retries = _at_risk_dataset(config, config.sizes, seed, config.tau)
     obs = data.pooled
     delta = np.array([d for _z, d in obs])
     grid = _resolve_grid(config, z, np.linspace(0.1, 0.7, 5), tau)
-    events, counts = _survival_counter(z, delta, grid.max())
+    events, counter = _survival_counter(z, delta, grid.max())
     pos = np.searchsorted(events, grid, side="right")
     km_mode = config.scenario is Scenario.SURVIVAL_KM
 
-    def curve(idx):
-        deaths, at_risk = counts(idx)
+    def curve(counts, _n):
+        deaths, at_risk = counts
         if np.any((at_risk == 0) & (deaths > 0)):
             raise SingularityError("empty risk set in a resampled group")
         h = _hazard(deaths, at_risk)
@@ -246,7 +290,7 @@ def _survival_scenario(config: ExperimentConfig, seed: SeedSpec):
         )
     else:
         pop = _analytic_survival_population(config, tau)
-    return grid, curve, pop, retries
+    return grid, counter, curve, pop, retries
 
 
 def _analytic_survival_population(config: ExperimentConfig, tau):
@@ -270,24 +314,37 @@ def _analytic_survival_population(config: ExperimentConfig, tau):
 def _replicate(config: ExperimentConfig, r: int):
     """Dataset r: the covariance over draws of sqrt(N) (group statistic -
     pooled statistic), the limit kernel, the conditional mean, the
-    dataset retries."""
+    dataset retries.
+
+    Draws are made and counted block by block; only each block's rows
+    of sqrt(N) (group statistic - pooled statistic) are kept.
+    """
     seed = config.seed.child(r)
     plain = config.scenario is Scenario.PLAIN_INDICATOR
-    grid, stat, pop, retries = (_plain_scenario if plain else _survival_scenario)(config, seed)
+    grid, counter, stat, pop, retries = (_plain_scenario if plain else _survival_scenario)(
+        config, seed
+    )
     sizes = config.sizes
     N = sum(sizes)
-    draws = (
-        all_permutations(N) if config.exhaustive
-        else draw_matrix(config.resample_kind, N, config.draws, seed.child(1).rng())
-    )
-    pooled = stat(np.arange(N)[None, :])[0]
-    cum = np.cumsum([0, *sizes])
-    X = math.sqrt(N) * np.concatenate(
-        [stat(draws[:, a:b]) - pooled[None, :] for a, b in zip(cum, cum[1:])], axis=1
-    )
+    rows = _block_rows(max(N, counter.nbins))
+    if config.exhaustive:
+        perms = all_permutations(N)
+        blocks = (perms[i:i + rows] for i in range(0, len(perms), rows))
+    else:
+        blocks = draw_blocks(config.resample_kind, N, config.draws, seed.child(1).rng(), rows)
+    pooled = stat(counter(np.arange(N)[None, :]), N)[0]
+    complement = config.resample_kind is ResampleKind.PERMUTATION
+    # joined along the draws, the blocks keep the statistic's memory
+    # order, so the mean and cross-products sum as over one whole matrix
+    X = np.concatenate([
+        math.sqrt(N) * np.concatenate(
+            [stat(counter.finish(c), n) - pooled[None, :] for c, n in zip(bins, sizes)], axis=1
+        )
+        for bins in _group_counts(counter, sizes, blocks, complement)
+    ], axis=0)
     cond_mean = X.mean(axis=0)
     Xc = X - cond_mean[None, :]
-    cov = (Xc.T @ Xc) / draws.shape[0]
+    cov = (Xc.T @ Xc) / X.shape[0]
     kernel = assemble_kernel_matrix(
         config.kernel_kind(), pop, LambdaVector.from_sizes(sizes), grid
     )
@@ -380,36 +437,42 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 # -- linearization residuals -------------------------------------------
 
-def _wilcoxon_residuals(z, n1, grid, draws):
-    """Per draw, the sup over the grid of the residual of the Wilcoxon
-    curve t -> int_(-inf, t] A dB at (A, B) = (H_n, H_n), from the two
-    groups' counts at the distinct pooled values; (B,)."""
+def _wilcoxon_residuals(z, sizes, grid):
+    """The counter of the distinct pooled values and, from the two
+    groups' counts of them, per draw the sup over the grid of the
+    residual of the Wilcoxon curve t -> int_(-inf, t] A dB at
+    (A, B) = (H_n, H_n); (B,)."""
     N = z.size
+    n1 = sizes[0]
     root = math.sqrt(N)
     values, labels = np.unique(z, return_inverse=True)
     K = values.size
     dh = np.bincount(labels, minlength=K) / N
     h = np.cumsum(dh)
-    f1 = np.cumsum(_binned_counts(draws[:, :n1], labels, K), axis=1) / n1
-    df2 = _binned_counts(draws[:, n1:], labels, K) / (N - n1)
-    alpha, dbeta = root * (f1 - h), root * (df2 - dh)
-    # derivative: int H_n d(beta) + int alpha dH_n
-    linear = np.cumsum(h * dbeta + alpha * dh, axis=1)
-    change = root * (np.cumsum(f1 * df2, axis=1) - np.cumsum(h * dh))
-    residual = change - linear
-    return np.abs(_at_grid(residual, np.searchsorted(values, grid, side="right"))).max(axis=1)
+    positions = np.searchsorted(values, grid, side="right")
+
+    def residuals(bins):
+        f1 = np.cumsum(bins[0], axis=1) / n1
+        df2 = bins[1] / (N - n1)
+        alpha, dbeta = root * (f1 - h), root * (df2 - dh)
+        # derivative: int H_n d(beta) + int alpha dH_n
+        linear = np.cumsum(h * dbeta + alpha * dh, axis=1)
+        change = root * (np.cumsum(f1 * df2, axis=1) - np.cumsum(h * dh))
+        return np.abs(_at_grid(change - linear, positions)).max(axis=1)
+
+    return _Counter(labels, K), residuals
 
 
-def _survival_residuals(scenario, z, delta, sizes, tau, grid, draws):
-    """Per draw, the largest residual over the groups of the
-    Nelson-Aalen, Kaplan-Meier or RMST map, from each group's deaths
-    and at-risk counts at the pooled event times up to tau; (B,)."""
+def _survival_residuals(scenario, z, delta, sizes, tau, grid):
+    """The counter of deaths and at risk at the pooled event times up to
+    tau and, from each group's counts, per draw the largest residual over
+    the groups of the Nelson-Aalen, Kaplan-Meier or RMST map; (B,)."""
     if tau <= 0:
         raise ContractError("tau must be positive")
-    events, counts = _survival_counter(z, delta, tau)
+    events, counter = _survival_counter(z, delta, tau)
     N = z.size
     root = math.sqrt(N)
-    deaths, at_risk = (c[0] for c in counts(np.arange(N)[None, :]))
+    deaths, at_risk = (c[0] for c in counter(np.arange(N)[None, :]))
     terminal = deaths == at_risk
     if scenario != "survival-na" and terminal.any():
         raise DomainError(
@@ -422,31 +485,34 @@ def _survival_residuals(scenario, z, delta, sizes, tau, grid, draws):
     below = np.searchsorted(events, tau, side="left")
     widths = np.diff(np.append(events[:below], tau))
     positions = np.searchsorted(events, grid, side="right")
-    cum = np.cumsum([0, *sizes])
-    out = []
-    for a, b in zip(cum, cum[1:]):
-        d, r = counts(draws[:, a:b])
-        h = _hazard(d, r)
-        # directions sqrt(N) (group - pooled) of the at-risk fraction
-        # (alpha) and of the uncensored subdistribution's jumps (dbeta)
-        alpha = root * (r / (b - a) - rbar)
-        dbeta = root * (d / (b - a) - dbar)
-        # chain rule: int (1/r) d(beta) - int alpha / r^2 d(uncensored)
-        dlam = dbeta / rbar - alpha * dbar / rbar**2
-        if scenario == "survival-na":
-            change = root * (np.cumsum(h, axis=1) - np.cumsum(hn))
-            linear = np.cumsum(dlam, axis=1)
-        else:
-            change = root * (np.cumprod(1.0 - h, axis=1) - surv_n)
-            # Duhamel form of the product-integral derivative
-            # (Gill & Johansen 1990)
-            linear = -surv_n * np.cumsum(dlam / (1.0 - hn), axis=1)
-        residual = change - linear
-        if scenario == "rmst":
-            out.append(np.abs((residual[:, :below] * widths).sum(axis=1)))
-        else:
-            out.append(np.abs(_at_grid(residual, positions)).max(axis=1))
-    return np.max(out, axis=0)
+
+    def residuals(bins):
+        out = []
+        for group_bins, n in zip(bins, sizes):
+            d, r = counter.finish(group_bins)
+            h = _hazard(d, r)
+            # directions sqrt(N) (group - pooled) of the at-risk fraction
+            # (alpha) and of the uncensored subdistribution's jumps (dbeta)
+            alpha = root * (r / n - rbar)
+            dbeta = root * (d / n - dbar)
+            # chain rule: int (1/r) d(beta) - int alpha / r^2 d(uncensored)
+            dlam = dbeta / rbar - alpha * dbar / rbar**2
+            if scenario == "survival-na":
+                change = root * (np.cumsum(h, axis=1) - np.cumsum(hn))
+                linear = np.cumsum(dlam, axis=1)
+            else:
+                change = root * (np.cumprod(1.0 - h, axis=1) - surv_n)
+                # Duhamel form of the product-integral derivative
+                # (Gill & Johansen 1990)
+                linear = -surv_n * np.cumsum(dlam / (1.0 - hn), axis=1)
+            residual = change - linear
+            if scenario == "rmst":
+                out.append(np.abs((residual[:, :below] * widths).sum(axis=1)))
+            else:
+                out.append(np.abs(_at_grid(residual, positions)).max(axis=1))
+        return np.max(out, axis=0)
+
+    return counter, residuals
 
 
 def _ladder_residuals(config: LinearizationConfig, sizes, seed: SeedSpec) -> np.ndarray:
@@ -459,7 +525,8 @@ def _ladder_residuals(config: LinearizationConfig, sizes, seed: SeedSpec) -> np.
     theta_n in the direction sqrt(N) (theta - theta_n): the sup over the
     grid for curves, the absolute value for RMST.  Every draw is
     counted by bin on the distinct pooled values or the pooled event
-    times, so all draws are evaluated at once on (B, K) arrays.
+    times, so each block of draws is evaluated at once on (rows, K)
+    arrays.
     """
     if config.scenario == "wilcoxon":
         if len(sizes) != 2:
@@ -470,18 +537,17 @@ def _ladder_residuals(config: LinearizationConfig, sizes, seed: SeedSpec) -> np.
         data, z, tau, _retries = _at_risk_dataset(config, sizes, seed)
         top = config.tau_quantile - 0.1
     grid = np.quantile(z, np.linspace(0.1, top, config.grid_points))
-    draws = draw_matrix(config.resample_kind, data.N, config.draws, seed.child(1).rng())
     if config.scenario == "wilcoxon":
-        residuals = lambda rows: _wilcoxon_residuals(z, sizes[0], grid, rows)
+        counter, residuals = _wilcoxon_residuals(z, sizes, grid)
     else:
         delta = np.array([d for _z, d in data.pooled])
-        residuals = lambda rows: _survival_residuals(
-            config.scenario, z, delta, sizes, tau, grid, rows
-        )
-    # rows are independent, so chunks of them bound the (rows, K) arrays
-    # without changing any result
+        counter, residuals = _survival_residuals(config.scenario, z, delta, sizes, tau, grid)
+    rows = _block_rows(max(data.N, counter.nbins))
+    blocks = draw_blocks(config.resample_kind, data.N, config.draws, seed.child(1).rng(), rows)
+    complement = config.resample_kind is ResampleKind.PERMUTATION
+    # rows are independent, so blocks of them change no result
     return np.concatenate([
-        residuals(draws[i:i + _LADDER_CHUNK]) for i in range(0, config.draws, _LADDER_CHUNK)
+        residuals(bins) for bins in _group_counts(counter, sizes, blocks, complement)
     ])
 
 

@@ -14,7 +14,9 @@ from permboot.resampling import (
     all_permutations,
     bootstrap_matrix,
     centered_process,
+    draw_blocks,
     draw_bootstrap,
+    draw_matrix,
     draw_permutation,
     permutation_matrix,
     resampled_group_fns,
@@ -144,3 +146,18 @@ def test_matrix_rows_are_permutations():
     mat = permutation_matrix(5, 50, SeedSpec(3).rng())
     for row in mat:
         assert sorted(row) == list(range(5))
+
+
+@pytest.mark.parametrize("kind", list(ResampleKind))
+@pytest.mark.parametrize("rows", [1, 7, 500])
+def test_draw_blocks_match_draw_matrix(kind, rows):
+    # verify's reports depend on this: blocks drawn one after the other
+    # from one generator are the rows of the whole matrix.  B = 101 is
+    # not a multiple of 7, 500 rows is one block larger than B, and odd
+    # block sizes (7 * 13 indices) split the generator's 64-bit outputs
+    N, B = 13, 101
+    whole = draw_matrix(kind, N, B, SeedSpec(5).rng())
+    blocks = list(draw_blocks(kind, N, B, SeedSpec(5).rng(), rows))
+    assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    assert 0 < len(blocks[-1]) <= rows
+    assert np.array_equal(np.concatenate(blocks), whole)

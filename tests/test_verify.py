@@ -52,9 +52,12 @@ from permboot.verify import (
     _at_risk_dataset,
     _indicator_counter,
     _ladder_residuals,
+    _plain_scenario,
+    _replicate,
     _survival_counter,
     _survival_scenario,
 )
+import permboot.verify as verify_module
 
 
 def _base_config(**over):
@@ -172,6 +175,18 @@ def test_constant_statistic_zero_covariance():
         _base_config(sizes=[2, 2], draws=24, outer_reps=1, exhaustive=True,
                      grid=[-1.0, 1e9])
     )
+    report = conditional_cov_experiment(cfg)
+    assert np.all(report.mc_mean == 0.0)
+
+
+@pytest.mark.parametrize("scenario", ["survival-na", "survival-km"])
+def test_survival_grid_before_every_event_zero_covariance(scenario):
+    # exponential times are positive, so no event lies at or before the
+    # grid and every resampled curve stays at its start
+    cfg = ExperimentConfig.from_dict(_base_config(
+        scenario=scenario, outer_reps=1, grid=[0.0, 0.0],
+        censoring_laws=[{"kind": "exponential", "rate": 0.5}] * 2,
+    ))
     report = conditional_cov_experiment(cfg)
     assert np.all(report.mc_mean == 0.0)
 
@@ -323,6 +338,108 @@ def test_survival_plugin_kernel_matches_count_formula(scenario, resample_kind):
     assert np.abs(report.kernel_mean - np.kron(coeffs, cell)).max() <= 1e-12
 
 
+# -- blocked replicate against the whole draw matrix ---------------------
+
+def _one_shot_replicate(config, r):
+    """Covariance and conditional mean of replicate r from all draws at
+    once: every group counted directly on the whole (B, N) draw matrix
+    and one (B, m*G) matrix X, the oracle of the blocked ``_replicate``."""
+    seed = config.seed.child(r)
+    plain = config.scenario is Scenario.PLAIN_INDICATOR
+    _grid, counter, stat, _pop, _retries = (_plain_scenario if plain else _survival_scenario)(
+        config, seed
+    )
+    N = sum(config.sizes)
+    draws = (
+        all_permutations(N) if config.exhaustive
+        else draw_matrix(config.resample_kind, N, config.draws, seed.child(1).rng())
+    )
+    pooled = stat(counter(np.arange(N)[None, :]), N)[0]
+    cum = np.cumsum([0, *config.sizes])
+    X = math.sqrt(N) * np.concatenate(
+        [stat(counter(draws[:, a:b]), b - a) - pooled[None, :] for a, b in zip(cum, cum[1:])],
+        axis=1,
+    )
+    cond_mean = X.mean(axis=0)
+    Xc = X - cond_mean[None, :]
+    return (Xc.T @ Xc) / draws.shape[0], cond_mean
+
+
+_TIED_DICT = {"kind": "point-masses", "points": [[0.2, 0.3], [0.5, 0.4], [0.9, 0.3]]}
+_BLOCK_CASES = [
+    (dict(scenario=scenario, resample_kind=kind, sizes=[30, 27, 22][:m],
+          group_laws=[{"kind": "exponential", "rate": r} for r in (1.0, 1.5, 0.8)][:m],
+          **({} if scenario == "plain-indicator"
+             else {"censoring_laws": [{"kind": "exponential", "rate": 0.5}] * m}),
+          **grid), f"{scenario}-{kind}-{m}-{name}")
+    for scenario in ("plain-indicator", "survival-na", "survival-km")
+    for kind in ("permutation", "bootstrap")
+    for m in (2, 3)
+    for name, grid in (("default", {}), ("explicit", {"grid": [0.5, 0.2, 0.5, 0.1]}))
+] + [
+    (dict(scenario=scenario, resample_kind=kind, group_laws=[_TIED_DICT] * 2,
+          **({} if scenario == "plain-indicator"
+             else {"censoring_laws": [_TIED_DICT] * 2, "tau": 0.5, "grid": [0.1, 0.2, 0.5]})),
+     f"{scenario}-{kind}-ties")
+    for scenario in ("plain-indicator", "survival-na", "survival-km")
+    for kind in ("permutation", "bootstrap")
+] + [
+    (dict(scenario=scenario, sizes=sizes, exhaustive=True,
+          group_laws=[{"kind": "uniform", "lo": 0, "hi": 1}] * len(sizes),
+          **({} if scenario == "plain-indicator"
+             else {"censoring_laws": [{"kind": "exponential", "rate": 0.5}] * len(sizes),
+                   "tau_quantile": 0.5, "grid": {"pooled_quantiles": [0.1, 0.4]}})),
+     f"{scenario}-exhaustive-{len(sizes)}")
+    for scenario in ("plain-indicator", "survival-na")
+    for sizes in ([3, 2], [2, 3, 2])
+]
+
+
+@pytest.mark.parametrize("cells", [1, 300])
+@pytest.mark.parametrize("over", [c for c, _ in _BLOCK_CASES], ids=[i for _, i in _BLOCK_CASES])
+def test_blocked_replicate_equals_whole_matrix(over, cells, monkeypatch):
+    # blocks of 2 rows (cells=1) or of 3 to 7 rows (cells=300) against
+    # B = 211 draws, a prime, so the last block is a short one
+    monkeypatch.setattr(verify_module, "_BLOCK_CELLS", cells)
+    block_rows = []
+    blocks = verify_module.draw_blocks
+
+    def spy(kind, N, B, rng, rows):
+        block_rows.append(rows)
+        return blocks(kind, N, B, rng, rows)
+
+    monkeypatch.setattr(verify_module, "draw_blocks", spy)
+    cfg = ExperimentConfig.from_dict(_base_config(**dict(dict(draws=211, outer_reps=2), **over)))
+    for r in range(cfg.outer_reps):
+        cov, _kernel, cond_mean, _retries = _replicate(cfg, r)
+        oracle_cov, oracle_mean = _one_shot_replicate(cfg, r)
+        assert np.array_equal(cov, oracle_cov)
+        assert np.array_equal(cond_mean, oracle_mean)
+    if not cfg.exhaustive:
+        assert all(1 < rows < cfg.draws and cfg.draws % rows for rows in block_rows)
+
+
+def test_survival_memory_does_not_grow_with_draws():
+    # draws are made and counted in blocks: only the (B, m*G) centred
+    # statistic grows with B (80 KB per 1000 draws here)
+    import tracemalloc
+
+    def peak(draws):
+        cfg = ExperimentConfig.from_dict(_base_config(
+            scenario="survival-km", resample_kind="bootstrap", sizes=[300, 300],
+            draws=draws, outer_reps=1,
+            censoring_laws=[{"kind": "exponential", "rate": 0.5}] * 2,
+        ))
+        tracemalloc.start()
+        try:
+            conditional_cov_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) <= peak(1000) + 2 * 2**20
+
+
 # -- resampled counts against the dense products -----------------------
 
 _COUNT_CASES = [
@@ -422,7 +539,7 @@ def test_survival_statistic_matches_stepfn_functionals(scenario, resample_kind, 
         censoring_laws=[atoms] * m, sizes=[12, 10, 8][:m], tau=0.5, grid=[0.1, 0.2, 0.5],
     ))
     seed = cfg.seed.child(0)
-    grid, curve, _pop, retries = _survival_scenario(cfg, seed)
+    grid, counter, curve, _pop, retries = _survival_scenario(cfg, seed)
     data = simulate_survival_groups(
         cfg.group_laws, cfg.censoring_laws, cfg.sizes, seed.child(0, retries).rng()
     ).pooled()
@@ -433,7 +550,7 @@ def test_survival_statistic_matches_stepfn_functionals(scenario, resample_kind, 
         groups = resampled_group_fns(data, ResampleDraw(kind, tuple(row)))
         for (at_risk, uncensored), a, b in zip(groups, cum, cum[1:]):
             oracle = functional(HazardBundle(at_risk, uncensored, cfg.tau))
-            fast = curve(row[None, a:b])[0]
+            fast = curve(counter(row[None, a:b]), b - a)[0]
             assert np.abs(fast - [oracle(t) for t in grid]).max() <= 1e-12
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
 
 from .config import ExperimentConfig, KernelConfig, SimulateConfig, read_config, with_master_seed
 from .empirical import Mode, read_csv, write_csv
@@ -76,18 +77,16 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     data = read_csv(args.input, Mode.SURVIVAL)
-    pooled = data.pooled()
-    all_times = [z for z, _d in pooled.pooled]
-    tau = args.tau if args.tau is not None else max(all_times)
-    rows = []
+    tau = args.tau if args.tau is not None else max(z for g in data.groups for z, _d in g)
+    curves = ["group,time,na,km\n"]
     summary_groups = []
     for j, g in enumerate(data.groups, start=1):
         bundle = HazardBundle(at_risk_process(g), uncensored_subdist(g), tau)
         lam = nelson_aalen(bundle)
         surv = kaplan_meier(bundle)
         times = sorted({z for z, _d in g if z <= tau})
-        for t in times:
-            rows.append((j, t, lam(t), surv(t)))
+        cells = chain.from_iterable(zip(times, lam.evaluate(times), surv.evaluate(times)))
+        curves.append(f"{j},%.17g,%.17g,%.17g\n" * len(times) % tuple(cells))
         summary_groups.append(
             {
                 "group": j,
@@ -98,12 +97,7 @@ def _cmd_analyze(args) -> int:
                 "rmst": rmst(surv, tau),
             }
         )
-    lines = ["group,time,na,km"]
-    for j, t, na_v, km_v in rows:
-        lines.append(
-            f"{j},{format(t, '.17g')},{format(na_v, '.17g')},{format(km_v, '.17g')}"
-        )
-    write_atomic(args.output_curves, "\n".join(lines) + "\n")
+    write_atomic(args.output_curves, "".join(curves))
     summary = {"tau": float(tau), "groups": summary_groups}
     text = canonical_json(summary) + "\n"
     write_atomic(args.output_summary, text)

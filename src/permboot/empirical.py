@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .errors import ContractError, DataError
@@ -234,60 +234,69 @@ def read_csv(path, mode: Mode) -> MultiSampleData:
     """Load multi-sample data from CSV.
 
     Plain mode columns: ``group,value``.  Survival mode columns:
-    ``group,time,status`` with status in {0, 1}.  Group labels are
-    mapped to 1..m in first-appearance order.
+    ``group,time,status`` with status in {0, 1}.  Columns may come in
+    any order and extra columns are ignored; blank lines are skipped.
+    Group labels are mapped to 1..m in first-appearance order.  A row
+    too short to hold every column, or with an unparsable or non-finite
+    number, raises ``DataError`` naming ``path`` and its line.
     """
-    order = []
+    survival = mode is Mode.SURVIVAL
+    want = ["group", "time", "status"] if survival else ["group", "value"]
     groups = {}
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty CSV")
-        want = ["group", "value"] if mode is Mode.PLAIN else ["group", "time", "status"]
-        missing = [c for c in want if c not in reader.fieldnames]
+        missing = [c for c in want if c not in header]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
-        for i, row in enumerate(reader, start=2):
-            label = row["group"]
-            if label not in groups:
-                groups[label] = []
-                order.append(label)
+        # a repeated column name reads its last copy
+        position = {name: i for i, name in enumerate(header)}
+        cols = [position[c] for c in want]
+        gi, vi = cols[0], cols[1]
+        si = cols[2] if survival else None
+        width = max(cols) + 1
+        isfinite = math.isfinite
+        for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue
+                raise DataError(
+                    f"{path}:{reader.line_num}: bad row "
+                    f"(expected at least {width} fields, got {len(row)})"
+                )
             try:
-                if mode is Mode.PLAIN:
-                    obs = float(row["value"])
-                else:
-                    status = int(row["status"])
+                if survival:
+                    status = int(row[si])
                     if status not in (0, 1):
                         raise ValueError(f"status {status}")
-                    obs = (float(row["time"]), status)
+                x = float(row[vi])
+                if not isfinite(x):
+                    raise ValueError(f"non-finite {want[1]} {row[vi]!r}")
             except ValueError as exc:
-                raise DataError(f"{path}:{i}: bad row ({exc})") from exc
-            groups[label].append(obs)
-    if len(order) < 2:
-        raise DataError(f"{path}: need at least two groups, found {len(order)}")
+                raise DataError(f"{path}:{reader.line_num}: bad row ({exc})") from exc
+            groups.setdefault(row[gi], []).append((x, status) if survival else x)
+    if len(groups) < 2:
+        raise DataError(f"{path}: need at least two groups, found {len(groups)}")
     try:
-        return MultiSampleData(tuple(tuple(groups[g]) for g in order))
+        return MultiSampleData(tuple(groups.values()))
     except ContractError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def write_csv(path, data: MultiSampleData):
     """Write ``data`` as CSV through ``write_atomic``: a failed write
-    leaves any previous file at ``path`` untouched."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if data.mode is Mode.PLAIN:
-        writer.writerow(["group", "value"])
-        for j, g in enumerate(data.groups, start=1):
-            for x in g:
-                writer.writerow([j, format(x, ".17g")])
-    else:
-        writer.writerow(["group", "time", "status"])
-        for j, g in enumerate(data.groups, start=1):
-            for z, d in g:
-                writer.writerow([j, format(z, ".17g"), d])
-    write_atomic(path, buf.getvalue())
+    leaves any previous file at ``path`` untouched.  Values are written
+    with ``%.17g``, which round-trips every float."""
+    plain = data.mode is Mode.PLAIN
+    parts = ["group,value\n" if plain else "group,time,status\n"]
+    row = "%.17g\n" if plain else "%.17g,%s\n"
+    for j, g in enumerate(data.groups, start=1):
+        cells = g if plain else tuple(chain.from_iterable(g))
+        parts.append((f"{j}," + row) * len(g) % cells)
+    write_atomic(path, "".join(parts))

@@ -14,6 +14,7 @@ defined as the function value at 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .errors import ContractError, DomainError, SingularityError
@@ -88,13 +89,8 @@ def restrict(f: StepFn, hi) -> StepFn:
     """Restrict f to [f.lo, hi], dropping breakpoints beyond hi."""
     if not f.lo < hi <= f.hi:
         raise DomainError(f"cannot restrict to [{f.lo}, {hi}]")
-    keep = [(u, j) for u, j in zip(f.breakpoints, f.jumps) if u <= hi]
-    return replace(
-        f,
-        breakpoints=tuple(u for u, _ in keep),
-        jumps=tuple(j for _, j in keep),
-        hi=hi,
-    )
+    k = bisect_right(f.breakpoints, hi)
+    return replace(f, breakpoints=f.breakpoints[:k], jumps=f.jumps[:k], hi=hi)
 
 
 def pointwise_product(f: StepFn, g: StepFn) -> StepFn:

@@ -21,6 +21,8 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import ContractError, DomainError
 
 __all__ = [
@@ -33,7 +35,12 @@ __all__ = [
 
 
 class Convention(enum.Enum):
-    """Continuity convention at jump points."""
+    """Continuity convention at jump points.
+
+    The value is also the side a sorted search takes at a breakpoint
+    (``bisect_right`` / ``np.searchsorted(side="right")`` count the jump
+    there), which is how scalar and bulk evaluation share one rule.
+    """
 
     RIGHT_CONTINUOUS = "right"  # value at a breakpoint includes the jump
     LEFT_CONTINUOUS = "left"    # value at a breakpoint excludes the jump
@@ -41,6 +48,8 @@ class Convention(enum.Enum):
 
 RIGHT = Convention.RIGHT_CONTINUOUS
 LEFT = Convention.LEFT_CONTINUOUS
+
+_BISECT = {"right": bisect_right, "left": bisect_left}
 
 
 @dataclass(frozen=True)
@@ -84,17 +93,34 @@ class StepFn:
                 )
         # prefix sums of jumps; cum[k] = total jump mass of the first k jumps
         object.__setattr__(self, "_cum", (0,) + tuple(accumulate(js)))
+        object.__setattr__(self, "_side", self.convention.value)
 
     # -- evaluation ----------------------------------------------------
 
+    def _check_domain(self, first, last):
+        """DomainError unless lo <= first and last <= hi."""
+        if not self.lo <= first:
+            raise DomainError(f"point {first} outside domain [{self.lo}, {self.hi}]")
+        if not last <= self.hi:
+            raise DomainError(f"point {last} outside domain [{self.lo}, {self.hi}]")
+
     def __call__(self, t):
-        if not (self.lo <= t <= self.hi):
-            raise DomainError(f"point {t} outside domain [{self.lo}, {self.hi}]")
-        if self.convention is RIGHT:
-            k = bisect_right(self.breakpoints, t)
-        else:
-            k = bisect_left(self.breakpoints, t)
-        return self.base + self._cum[k]
+        self._check_domain(t, t)
+        return self.base + self._cum[_BISECT[self._side](self.breakpoints, t)]
+
+    def evaluate(self, ts):
+        """``[self(t) for t in ts]`` from one sorted search over the
+        breakpoints: the same ``base + cum[k]`` values ``__call__`` returns.
+
+        ``ts`` and the breakpoints must be numbers numpy orders exactly as
+        Python does, such as floats.
+        """
+        ts = np.asarray(ts)
+        if ts.size:
+            self._check_domain(ts.min(), ts.max())
+        levels = self.levels()
+        ks = np.searchsorted(self.breakpoints, ts, side=self._side)
+        return [levels[k] for k in ks.tolist()]
 
     def left_limit(self, t):
         """lim_{s -> t-} f(s); requires lo < t <= hi."""

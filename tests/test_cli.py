@@ -81,6 +81,29 @@ def test_analyze_missing_file(tmp_path):
     assert run(["analyze", "--input", tmp_path / "none.csv"]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["dump-fn", "--fn", "km", "--group", "1"]])
+def test_short_row_is_data_error_naming_the_line(tmp_path, capsys, argv):
+    inp = tmp_path / "short.csv"
+    inp.write_text("group,time,status\n1,0.5,1\n1,0.7\n2,1.0,1\n")
+    curves = tmp_path / "curves.csv"
+    code = run([*argv, "--input", inp, *(["--output-curves", curves] if argv == ["analyze"] else [])])
+    assert code == EXIT_DATA
+    assert "short.csv:3: bad row (expected at least 3 fields, got 2)" in capsys.readouterr().err
+    assert not curves.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_time_is_data_error_naming_the_line(tmp_path, capsys, bad):
+    inp = tmp_path / "inf.csv"
+    inp.write_text(f"group,time,status\n1,0.5,1\n2,1.0,0\n2,{bad},1\n")
+    curves, summary = tmp_path / "curves.csv", tmp_path / "summary.json"
+    assert run(["analyze", "--input", inp, "--output-curves", curves,
+                "--output-summary", summary]) == EXIT_DATA
+    assert f"inf.csv:4: bad row (non-finite time '{bad}')" in capsys.readouterr().err
+    assert not curves.exists() and not summary.exists()
+    assert run(["dump-fn", "--input", inp, "--fn", "at-risk"]) == EXIT_DATA
+
+
 def test_simulate_then_analyze(tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({

@@ -184,6 +184,16 @@ def test_csv_errors(tmp_path):
         read_csv(tmp_path / "nope.csv", Mode.PLAIN)
 
 
+def test_csv_errors_name_the_file_line(tmp_path):
+    p = tmp_path / "blank.csv"
+    p.write_text("group,value\n\n1,2.0\n\n\n2,notanumber\n")
+    with pytest.raises(DataError, match="blank.csv:6: bad row"):
+        read_csv(p, Mode.PLAIN)
+    p.write_text("group,value\r\n\r\n1,2.0\r\n2,inf\r\n")
+    with pytest.raises(DataError, match=r"blank.csv:4: bad row \(non-finite value 'inf'\)"):
+        read_csv(p, Mode.PLAIN)
+
+
 def test_csv_group_labels_first_appearance(tmp_path):
     p = tmp_path / "labels.csv"
     p.write_text("group,value\nB,1\nA,2\nB,3\n")

@@ -34,6 +34,30 @@ def test_eval_outside_domain():
         f(1.5)
 
 
+@given(
+    st.lists(st.floats(0.0, 10.0), max_size=12, unique=True),
+    st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+    st.sampled_from([RIGHT, LEFT]),
+    st.lists(st.floats(0.0, 10.0), max_size=8),
+)
+def test_evaluate_equals_pointwise_calls(bps, jumps, conv, extra):
+    bps = sorted(b for b in bps if b > 0 or conv is LEFT)
+    f = StepFn(0.25, bps, jumps[: len(bps)], lo=0.0, hi=10.0, convention=conv)
+    # every breakpoint, both domain ends and arbitrary points, unsorted
+    ts = bps + [0.0, 10.0] + extra
+    assert f.evaluate(ts) == [f(t) for t in ts]
+    assert f.evaluate([]) == []
+
+
+@pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan])
+def test_evaluate_outside_domain(bad):
+    f = StepFn(0, (0.5,), (1,), lo=0, hi=1)
+    with pytest.raises(DomainError, match="outside domain"):
+        f.evaluate([0.25, bad, 0.75])
+    with pytest.raises(DomainError, match="outside domain"):
+        f(bad)
+
+
 def test_left_limit():
     f = StepFn(0, (0.5,), (1,))
     assert f.left_limit(0.5) == 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -64,8 +65,12 @@ class MultiSampleData:
                     z, d = x
                     if z < 0:
                         raise ContractError(f"negative observation time {z}")
+                    if not math.isfinite(z):
+                        raise ContractError(f"non-finite observation time {z}")
                     if d not in (0, 1):
                         raise ContractError(f"censoring status must be 0/1, got {d}")
+                elif math.isnan(x):
+                    raise ContractError("NaN observation")
 
     @property
     def mode(self) -> Mode:
@@ -183,8 +188,8 @@ def group_ecdfs(data: PooledData) -> list:
     return [ecdf(data.pooled[data.group_slice(j)]) for j in range(data.m)]
 
 
-def at_risk_process(sample, hi=math.inf) -> StepFn:
-    """Left-continuous at-risk curve t -> (1/n) sum 1{z_i >= t} on [0, hi]."""
+def at_risk_process(sample) -> StepFn:
+    """Left-continuous at-risk curve t -> (1/n) sum 1{z_i >= t} on [0, inf]."""
     zs = [z for z, _d in sample]
     if not zs:
         raise ContractError("empty sample")
@@ -198,16 +203,15 @@ def at_risk_process(sample, hi=math.inf) -> StepFn:
         breakpoints=bps,
         jumps=tuple(-counts[u] / n for u in bps),
         lo=0,
-        hi=hi,
         convention=LEFT,
     )
 
 
-def uncensored_subdist(sample, hi=math.inf) -> StepFn:
+def uncensored_subdist(sample) -> StepFn:
     """Right-continuous subdistribution t -> (1/n) sum delta_i 1{z_i <= t}.
 
     Events at time 0 are folded into the base value (breakpoints live in
-    (0, hi]); the [0, .] integral convention picks them up as the jump
+    (0, inf)); the [0, .] integral convention picks them up as the jump
     at 0.
     """
     if not sample:
@@ -223,7 +227,6 @@ def uncensored_subdist(sample, hi=math.inf) -> StepFn:
         breakpoints=bps,
         jumps=tuple(counts[u] / n for u in bps),
         lo=0,
-        hi=hi,
         convention=RIGHT,
     )
 
@@ -244,43 +247,45 @@ def read_csv(path, mode: Mode) -> MultiSampleData:
     want = ["group", "time", "status"] if survival else ["group", "value"]
     groups = {}
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty CSV")
-        missing = [c for c in want if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}")
-        # a repeated column name reads its last copy
-        position = {name: i for i, name in enumerate(header)}
-        cols = [position[c] for c in want]
-        gi, vi = cols[0], cols[1]
-        si = cols[2] if survival else None
-        width = max(cols) + 1
-        isfinite = math.isfinite
-        for row in reader:
-            if len(row) < width:
-                if not row:
-                    continue
-                raise DataError(
-                    f"{path}:{reader.line_num}: bad row "
-                    f"(expected at least {width} fields, got {len(row)})"
-                )
-            try:
-                if survival:
-                    status = int(row[si])
-                    if status not in (0, 1):
-                        raise ValueError(f"status {status}")
-                x = float(row[vi])
-                if not isfinite(x):
-                    raise ValueError(f"non-finite {want[1]} {row[vi]!r}")
-            except ValueError as exc:
-                raise DataError(f"{path}:{reader.line_num}: bad row ({exc})") from exc
-            groups.setdefault(row[gi], []).append((x, status) if survival else x)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty CSV")
+    missing = [c for c in want if c not in header]
+    if missing:
+        raise DataError(f"{path}: missing columns {missing}")
+    # a repeated column name reads its last copy
+    position = {name: i for i, name in enumerate(header)}
+    cols = [position[c] for c in want]
+    gi, vi = cols[0], cols[1]
+    si = cols[2] if survival else None
+    width = max(cols) + 1
+    isfinite = math.isfinite
+    for row in reader:
+        if len(row) < width:
+            if not row:
+                continue
+            raise DataError(
+                f"{path}:{reader.line_num}: bad row "
+                f"(expected at least {width} fields, got {len(row)})"
+            )
+        try:
+            if survival:
+                status = int(row[si])
+                if status not in (0, 1):
+                    raise ValueError(f"status {status}")
+            x = float(row[vi])
+            if not isfinite(x):
+                raise ValueError(f"non-finite {want[1]} {row[vi]!r}")
+        except ValueError as exc:
+            raise DataError(f"{path}:{reader.line_num}: bad row ({exc})") from exc
+        groups.setdefault(row[gi], []).append((x, status) if survival else x)
     if len(groups) < 2:
         raise DataError(f"{path}: need at least two groups, found {len(groups)}")
     try:

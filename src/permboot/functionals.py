@@ -181,39 +181,34 @@ def na_derivative(bundle: HazardBundle, alpha: StepFn, beta: StepFn) -> StepFn:
 # -- product integral --------------------------------------------------
 
 # terminal hazard jumps of exactly 1 accumulate to -1 only up to float
-# roundoff; undershoot within this band is treated as exactly -1
+# roundoff; a jump within this band of -1 is treated as exactly -1
 _TERMINAL_TOL = 1e-12
 
 
-def _prodint_factor(delta, u, eps_jump):
-    if eps_jump == 0:
-        if delta < -1 - _TERMINAL_TOL:
-            raise DomainError(f"jump {delta} below -1 at time {u}")
-        return max(1 + delta, 0) if delta < -1 + _TERMINAL_TOL else 1 + delta
-    if delta <= -1 + eps_jump:
-        raise DomainError(f"jump {delta} too close to -1 at time {u}")
-    return 1 + delta
+def _prodint_factor(delta, u):
+    if delta < -1 - _TERMINAL_TOL:
+        raise DomainError(f"jump {delta} below -1 at time {u}")
+    return max(1 + delta, 0) if delta < -1 + _TERMINAL_TOL else 1 + delta
 
 
-def product_integral(A: StepFn, *, jump_at_zero: bool = False,
-                     eps_jump: float = 0.0) -> StepFn:
+def product_integral(A: StepFn, *, jump_at_zero: bool = False) -> StepFn:
     """prod over u <= t of (1 + dA(u)).
 
-    With ``eps_jump = 0`` (the default) a jump of exactly -1 is allowed
-    and sends the product to 0 from there on (the terminal Kaplan-Meier
-    case); jumps below -1 are always rejected.
+    A jump of exactly -1 is allowed and sends the product to 0 from
+    there on (the terminal Kaplan-Meier case); jumps below -1 are
+    rejected.
     """
     running = 1
     if jump_at_zero:
         if A.lo != 0:
             raise ContractError("jump-at-zero convention requires domain starting at 0")
-        running = _prodint_factor(A(0), 0, eps_jump)
+        running = _prodint_factor(A(0), 0)
     base = running
     bps, jumps = [], []
     for u, j in zip(A.breakpoints, A.jumps):
         if u <= A.lo:
             continue
-        new = running * _prodint_factor(j, u, eps_jump)
+        new = running * _prodint_factor(j, u)
         bps.append(u)
         jumps.append(new - running)
         running = new
@@ -223,21 +218,21 @@ def product_integral(A: StepFn, *, jump_at_zero: bool = False,
     )
 
 
-def prodint_derivative(A: StepFn, alpha: StepFn, *, jump_at_zero: bool = False,
-                       eps_jump: float = 0.0) -> StepFn:
+def prodint_derivative(A: StepFn, alpha: StepFn, *, jump_at_zero: bool = False) -> StepFn:
     """Derivative of the product integral at A in direction alpha:
     prod(A)(.) * (alpha(.) - alpha(a) - sum dA * d(alpha) / (1 + dA)).
 
     Unlike the product integral itself, the derivative needs every jump
-    of A strictly above -1.
+    of A strictly above -1: a jump within the product integral's
+    roundoff band of -1 is rejected as exactly -1.
     """
     _check_common_domain(A, alpha)
-    phi = product_integral(A, jump_at_zero=jump_at_zero, eps_jump=eps_jump)
+    phi = product_integral(A, jump_at_zero=jump_at_zero)
     corr_base = 0
     alpha_part = alpha
     if jump_at_zero:
         a0 = A(0)
-        if 1 + a0 == 0:
+        if a0 < -1 + _TERMINAL_TOL:
             raise DomainError("derivative undefined: jump of exactly -1 at time 0")
         corr_base = a0 * alpha(0) / (1 + a0)
     else:
@@ -246,7 +241,7 @@ def prodint_derivative(A: StepFn, alpha: StepFn, *, jump_at_zero: bool = False,
     for u, j in zip(A.breakpoints, A.jumps):
         if u <= A.lo:
             continue
-        if 1 + j == 0:
+        if j < -1 + _TERMINAL_TOL:
             raise DomainError(f"derivative undefined: jump of exactly -1 at time {u}")
         da = alpha.jump_at(u)
         term = j * da / (1 + j)
@@ -264,10 +259,10 @@ def prodint_derivative(A: StepFn, alpha: StepFn, *, jump_at_zero: bool = False,
 
 # -- Kaplan-Meier ------------------------------------------------------
 
-def kaplan_meier(bundle: HazardBundle, *, eps_jump: float = 0.0) -> StepFn:
+def kaplan_meier(bundle: HazardBundle) -> StepFn:
     """Product-limit survival curve prod over [0, t] of (1 - dLambda)."""
     lam = nelson_aalen(bundle)
-    return product_integral(lam.scale(-1), jump_at_zero=True, eps_jump=eps_jump)
+    return product_integral(lam.scale(-1), jump_at_zero=True)
 
 
 def km_derivative(bundle: HazardBundle, alpha: StepFn, beta: StepFn) -> StepFn:

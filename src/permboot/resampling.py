@@ -27,8 +27,6 @@ __all__ = [
     "ResampleKind",
     "ResampleDraw",
     "SeedSpec",
-    "draw_permutation",
-    "draw_bootstrap",
     "all_permutations",
     "permutation_matrix",
     "bootstrap_matrix",
@@ -78,16 +76,6 @@ class ResampleDraw:
                 raise ContractError("bootstrap assignment indices out of range")
 
 
-def draw_permutation(data: PooledData, seed: SeedSpec) -> ResampleDraw:
-    perm = seed.rng().permutation(data.N)
-    return ResampleDraw(ResampleKind.PERMUTATION, tuple(perm))
-
-
-def draw_bootstrap(data: PooledData, seed: SeedSpec) -> ResampleDraw:
-    idx = seed.rng().integers(0, data.N, size=data.N)
-    return ResampleDraw(ResampleKind.POOLED_BOOTSTRAP, tuple(idx))
-
-
 def all_permutations(N: int) -> np.ndarray:
     """All N! permutations as an (N!, N) int array; N <= 8 only."""
     if N > 8:
@@ -119,7 +107,7 @@ def draw_blocks(kind: ResampleKind, N: int, B: int, rng: np.random.Generator, ro
         yield draw_matrix(kind, N, min(rows, B - start), rng)
 
 
-def resampled_group_fns(data: PooledData, draw: ResampleDraw, mode: Mode | None = None):
+def resampled_group_fns(data: PooledData, draw: ResampleDraw):
     """Group empirical functions rebuilt from a resampling draw.
 
     Plain mode returns a list of m ECDF StepFns; survival mode returns a
@@ -130,13 +118,11 @@ def resampled_group_fns(data: PooledData, draw: ResampleDraw, mode: Mode | None 
         raise ContractError(
             f"draw length {len(draw.assignment)} does not match N={data.N}"
         )
-    if mode is None:
-        mode = data.mode
     out = []
     for j in range(data.m):
         sl = data.group_slice(j)
         obs = [data.pooled[i] for i in draw.assignment[sl]]
-        if mode is Mode.PLAIN:
+        if data.mode is Mode.PLAIN:
             out.append(ecdf(obs))
         else:
             out.append((at_risk_process(obs), uncensored_subdist(obs)))

@@ -11,8 +11,9 @@ A Monte Carlo scenario is data fed to one replicate: a grid, a
 statistic of the resampled groups' per-draw counts, and the population
 whose limit kernel the covariance is compared with.  A linearization
 rung counts every draw the same way and evaluates a functional and its
-derivative on those counts.  Both make, count and evaluate draws in
-blocks of a fixed size, so a block's memory does not grow with N or B.
+derivative on those counts.  Both make, count and evaluate draws through
+one driver, in blocks of a fixed size, so a block's memory does not
+grow with N or B.
 
 Everything is deterministic given (config, seed): datasets and draws
 use counter-based child seeds, and reductions are order-independent, so
@@ -101,7 +102,6 @@ class VerifyReport:
     cell_pass: np.ndarray
     aggregates: dict
     passed: bool
-    runtime_seconds: float | None = None
 
     def to_json(self) -> str:
         doc = {
@@ -177,30 +177,51 @@ def _survival_counter(z: np.ndarray, delta: np.ndarray, t_max: float):
     return events, _Counter(labels, 2 * (K + 1), finish)
 
 
-def _block_rows(width: int) -> int:
-    """Draws per block when the widest per-draw array has ``width``
-    entries.  At least two: a one-row block is both C- and F-ordered,
-    and the joined blocks must keep the statistic's memory order, which
-    fixes the summation order of their mean."""
-    return max(2, _BLOCK_CELLS // width)
-
-
-def _group_counts(counter: _Counter, sizes, blocks, complement: bool):
-    """Per block of draws (rows of pooled indices, group j assigned the
-    j-th run of ``sizes`` columns), each group's binned counts.  With
-    ``complement`` (permutation draws, which assign every pooled index
-    once) the last group's are the pooled bins minus the others'."""
+def _over_draws(fn, counter: _Counter, sizes, kind: ResampleKind, draws: int,
+                seed: SeedSpec, exhaustive: bool = False) -> np.ndarray:
+    """``fn`` of each block of draws' per-group bins, joined along the
+    draws: ``draws`` rows of ``kind`` from seed.child(1), or every
+    permutation when ``exhaustive``, group j assigned the j-th run of
+    ``sizes`` columns."""
     cum = np.cumsum([0, *sizes])
-    pooled = counter.binned(np.arange(cum[-1])[None, :])
-    for rows in blocks:
-        bins = [counter.binned(rows[:, a:b]) for a, b in zip(cum[:-2], cum[1:-1])]
-        bins.append(pooled - sum(bins) if complement else counter.binned(rows[:, cum[-2]:]))
-        yield bins
+    N = int(cum[-1])
+    # at least two rows: a one-row block is both C- and F-ordered, and
+    # the joined blocks must keep fn's memory order, which fixes the
+    # summation order of their mean
+    rows = max(2, _BLOCK_CELLS // max(N, counter.nbins))
+    if exhaustive:
+        perms = all_permutations(N)
+        blocks = (perms[i:i + rows] for i in range(0, len(perms), rows))
+    else:
+        blocks = draw_blocks(kind, N, draws, seed.child(1).rng(), rows)
+    pooled = counter.binned(np.arange(N)[None, :])
+    # a permutation assigns every pooled index once: the last group's
+    # bins are the pooled bins minus the others'
+    complement = kind is ResampleKind.PERMUTATION
+
+    def group_bins():
+        for idx in blocks:
+            bins = [counter.binned(idx[:, a:b]) for a, b in zip(cum[:-2], cum[1:-1])]
+            bins.append(pooled - sum(bins) if complement else counter.binned(idx[:, cum[-2]:]))
+            yield bins
+
+    # the comprehension holds a block's bins until the next block's are
+    # all counted; a plain loop drops them one group earlier, and glibc
+    # then returns and re-faults that memory every block (2.5x the minor
+    # page faults of a survival-KM bootstrap replicate at 300 + 300)
+    return np.concatenate([fn(bins) for bins in group_bins()])
 
 
 def _hazard(deaths: np.ndarray, at_risk: np.ndarray) -> np.ndarray:
     """Hazard increments deaths / at risk, 0 where nobody is at risk."""
     return np.divide(deaths, at_risk, out=np.zeros(np.shape(deaths)), where=at_risk > 0)
+
+
+def _survival_curve(deaths: np.ndarray, at_risk: np.ndarray, km: bool) -> np.ndarray:
+    """Nelson-Aalen (running sum of the hazard increments) or, with
+    ``km``, Kaplan-Meier (running product of 1 - increment) curves."""
+    h = _hazard(deaths, at_risk)
+    return np.cumprod(1.0 - h, axis=-1) if km else np.cumsum(h, axis=-1)
 
 
 def _at_grid(curves: np.ndarray, positions: np.ndarray, start: float = 0.0) -> np.ndarray:
@@ -279,10 +300,7 @@ def _survival_scenario(config: ExperimentConfig, seed: SeedSpec):
         deaths, at_risk = counts
         if np.any((at_risk == 0) & (deaths > 0)):
             raise SingularityError("empty risk set in a resampled group")
-        h = _hazard(deaths, at_risk)
-        if km_mode:
-            return _at_grid(np.cumprod(1.0 - h, axis=1), pos, 1.0)
-        return _at_grid(np.cumsum(h, axis=1), pos)
+        return _at_grid(_survival_curve(deaths, at_risk, km_mode), pos, float(km_mode))
 
     if config.target == "plugin":
         pop = EmpiricalSurvivalPopulation(
@@ -314,11 +332,7 @@ def _analytic_survival_population(config: ExperimentConfig, tau):
 def _replicate(config: ExperimentConfig, r: int):
     """Dataset r: the covariance over draws of sqrt(N) (group statistic -
     pooled statistic), the limit kernel, the conditional mean, the
-    dataset retries.
-
-    Draws are made and counted block by block; only each block's rows
-    of sqrt(N) (group statistic - pooled statistic) are kept.
-    """
+    dataset retries."""
     seed = config.seed.child(r)
     plain = config.scenario is Scenario.PLAIN_INDICATOR
     grid, counter, stat, pop, retries = (_plain_scenario if plain else _survival_scenario)(
@@ -326,22 +340,16 @@ def _replicate(config: ExperimentConfig, r: int):
     )
     sizes = config.sizes
     N = sum(sizes)
-    rows = _block_rows(max(N, counter.nbins))
-    if config.exhaustive:
-        perms = all_permutations(N)
-        blocks = (perms[i:i + rows] for i in range(0, len(perms), rows))
-    else:
-        blocks = draw_blocks(config.resample_kind, N, config.draws, seed.child(1).rng(), rows)
     pooled = stat(counter(np.arange(N)[None, :]), N)[0]
-    complement = config.resample_kind is ResampleKind.PERMUTATION
-    # joined along the draws, the blocks keep the statistic's memory
-    # order, so the mean and cross-products sum as over one whole matrix
-    X = np.concatenate([
-        math.sqrt(N) * np.concatenate(
+
+    def block(bins):
+        return math.sqrt(N) * np.concatenate(
             [stat(counter.finish(c), n) - pooled[None, :] for c, n in zip(bins, sizes)], axis=1
         )
-        for bins in _group_counts(counter, sizes, blocks, complement)
-    ], axis=0)
+
+    X = _over_draws(
+        block, counter, sizes, config.resample_kind, config.draws, seed, config.exhaustive
+    )
     cond_mean = X.mean(axis=0)
     Xc = X - cond_mean[None, :]
     cov = (Xc.T @ Xc) / X.shape[0]
@@ -354,9 +362,6 @@ def _replicate(config: ExperimentConfig, r: int):
 def conditional_cov_experiment(config: ExperimentConfig, threads: int = 1) -> VerifyReport:
     """Estimate the conditional resampling covariance on a grid and
     compare it cellwise against the matching limit kernel."""
-    import time
-
-    t0 = time.perf_counter()
     R = config.outer_reps
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -409,7 +414,6 @@ def conditional_cov_experiment(config: ExperimentConfig, threads: int = 1) -> Ve
         cell_pass=cell_pass,
         aggregates=aggregates,
         passed=bool(cell_pass.all()),
-        runtime_seconds=time.perf_counter() - t0,
     )
 
 
@@ -473,14 +477,15 @@ def _survival_residuals(scenario, z, delta, sizes, tau, grid):
     N = z.size
     root = math.sqrt(N)
     deaths, at_risk = (c[0] for c in counter(np.arange(N)[None, :]))
+    km = scenario != "survival-na"
     terminal = deaths == at_risk
-    if scenario != "survival-na" and terminal.any():
+    if km and terminal.any():
         raise DomainError(
             f"derivative undefined: jump of exactly -1 at time {events[terminal][0]}"
         )
-    hn = deaths / at_risk
+    hn = _hazard(deaths, at_risk)
+    curve_n = _survival_curve(deaths, at_risk, km)
     dbar, rbar = deaths / N, at_risk / N
-    surv_n = np.cumprod(1.0 - hn)
     # the RMST integrates levels at the events below tau up to the next event or tau
     below = np.searchsorted(events, tau, side="left")
     widths = np.diff(np.append(events[:below], tau))
@@ -490,21 +495,19 @@ def _survival_residuals(scenario, z, delta, sizes, tau, grid):
         out = []
         for group_bins, n in zip(bins, sizes):
             d, r = counter.finish(group_bins)
-            h = _hazard(d, r)
             # directions sqrt(N) (group - pooled) of the at-risk fraction
             # (alpha) and of the uncensored subdistribution's jumps (dbeta)
             alpha = root * (r / n - rbar)
             dbeta = root * (d / n - dbar)
             # chain rule: int (1/r) d(beta) - int alpha / r^2 d(uncensored)
             dlam = dbeta / rbar - alpha * dbar / rbar**2
-            if scenario == "survival-na":
-                change = root * (np.cumsum(h, axis=1) - np.cumsum(hn))
-                linear = np.cumsum(dlam, axis=1)
-            else:
-                change = root * (np.cumprod(1.0 - h, axis=1) - surv_n)
+            change = root * (_survival_curve(d, r, km) - curve_n)
+            if km:
                 # Duhamel form of the product-integral derivative
                 # (Gill & Johansen 1990)
-                linear = -surv_n * np.cumsum(dlam / (1.0 - hn), axis=1)
+                linear = -curve_n * np.cumsum(dlam / (1.0 - hn), axis=1)
+            else:
+                linear = np.cumsum(dlam, axis=1)
             residual = change - linear
             if scenario == "rmst":
                 out.append(np.abs((residual[:, :below] * widths).sum(axis=1)))
@@ -531,24 +534,17 @@ def _ladder_residuals(config: LinearizationConfig, sizes, seed: SeedSpec) -> np.
     if config.scenario == "wilcoxon":
         if len(sizes) != 2:
             raise ContractError("the Wilcoxon scenario needs exactly two groups")
-        data = simulate_plain_groups(config.group_laws, sizes, seed.child(0).rng()).pooled()
-        z, top = np.asarray(data.pooled), 0.9
-    else:
-        data, z, tau, _retries = _at_risk_dataset(config, sizes, seed)
-        top = config.tau_quantile - 0.1
-    grid = np.quantile(z, np.linspace(0.1, top, config.grid_points))
-    if config.scenario == "wilcoxon":
+        data = simulate_plain_groups(config.group_laws, sizes, seed.child(0).rng())
+        z = np.asarray(data.pooled().pooled)
+        grid = np.quantile(z, np.linspace(0.1, 0.9, config.grid_points))
         counter, residuals = _wilcoxon_residuals(z, sizes, grid)
     else:
+        data, z, tau, _retries = _at_risk_dataset(config, sizes, seed)
+        grid = np.quantile(z, np.linspace(0.1, config.tau_quantile - 0.1, config.grid_points))
         delta = np.array([d for _z, d in data.pooled])
         counter, residuals = _survival_residuals(config.scenario, z, delta, sizes, tau, grid)
-    rows = _block_rows(max(data.N, counter.nbins))
-    blocks = draw_blocks(config.resample_kind, data.N, config.draws, seed.child(1).rng(), rows)
-    complement = config.resample_kind is ResampleKind.PERMUTATION
     # rows are independent, so blocks of them change no result
-    return np.concatenate([
-        residuals(bins) for bins in _group_counts(counter, sizes, blocks, complement)
-    ])
+    return _over_draws(residuals, counter, sizes, config.resample_kind, config.draws, seed)
 
 
 def linearization_residual_experiment(config: LinearizationConfig) -> dict:

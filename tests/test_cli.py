@@ -92,6 +92,15 @@ def test_short_row_is_data_error_naming_the_line(tmp_path, capsys, argv):
     assert not curves.exists()
 
 
+def test_non_utf8_csv_is_data_error_naming_the_file(tmp_path, capsys):
+    inp = tmp_path / "latin1.csv"
+    inp.write_bytes(b"group,time,status\n1,0.5,1\ncaf\xe9,1.0,0\n")
+    curves = tmp_path / "curves.csv"
+    assert run(["analyze", "--input", inp, "--output-curves", curves]) == EXIT_DATA
+    assert "latin1.csv: not UTF-8 text" in capsys.readouterr().err
+    assert not curves.exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_time_is_data_error_naming_the_line(tmp_path, capsys, bad):
     inp = tmp_path / "inf.csv"

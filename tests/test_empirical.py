@@ -135,6 +135,12 @@ def test_multisample_validation():
         MultiSampleData((((-1, 1),), ((2, 1),)))  # negative time
     with pytest.raises(ContractError):
         MultiSampleData((((1, 2),), ((2, 1),)))  # bad status
+    nan = float("nan")
+    with pytest.raises(ContractError):
+        MultiSampleData(((nan, 1.0), (2.0,)))  # NaN value
+    for bad in (nan, math.inf):
+        with pytest.raises(ContractError):
+            MultiSampleData((((bad, 1), (1.0, 1)), ((2.0, 0),)))  # non-finite time
 
 
 def test_pooled_order_and_slices():

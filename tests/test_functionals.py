@@ -166,11 +166,7 @@ def test_product_integral_terminal_zero_jump_allowed():
     assert phi(3) == pytest.approx(0, abs=1e-15)
 
 
-def test_product_integral_eps_jump_rejects():
-    A = StepFn(0, (1,), (-0.95,), lo=0, hi=2)
-    product_integral(A)  # fine at eps 0
-    with pytest.raises(DomainError):
-        product_integral(A, eps_jump=0.1)
+def test_product_integral_rejects_jump_below_minus_one():
     with pytest.raises(DomainError):
         product_integral(StepFn(0, (1,), (-1.5,), lo=0, hi=2))
 

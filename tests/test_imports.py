@@ -75,3 +75,31 @@ def test_no_unreferenced_private_names():
         if name not in referenced
     )
     assert not unused, f"private names never referenced: {unused}"
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # benchmarks/tracing.py wraps library functions by name: install()
+    # raises if one of them is gone, and uninstall() puts them all back
+    import importlib.util
+    import sys
+
+    import permboot.cli  # the tracer wraps cli.main; the package imports the rest
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", PACKAGE.parents[1] / "benchmarks" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = {
+        name: dict(vars(mod)) for name, mod in sys.modules.items()
+        if name == "permboot" or name.startswith("permboot.")
+    }
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer._patches
+    finally:
+        tracer.uninstall()
+    for name, bindings in before.items():
+        mod = vars(sys.modules[name])
+        assert all(mod[k] is v for k, v in bindings.items()), name

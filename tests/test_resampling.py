@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from permboot.empirical import Mode, MultiSampleData, pooled_ecdf
+from permboot.empirical import MultiSampleData, pooled_ecdf
 from permboot.errors import ContractError
 from permboot.resampling import (
     ResampleDraw,
@@ -15,9 +15,7 @@ from permboot.resampling import (
     bootstrap_matrix,
     centered_process,
     draw_blocks,
-    draw_bootstrap,
     draw_matrix,
-    draw_permutation,
     permutation_matrix,
     resampled_group_fns,
 )
@@ -29,10 +27,9 @@ def _plain(groups):
 
 
 def test_seedspec_determinism():
-    data = _plain([[1, 2], [3, 4]])
     s = SeedSpec(123, stream_id=7)
-    assert draw_permutation(data, s) == draw_permutation(data, s)
-    assert draw_bootstrap(data, s) == draw_bootstrap(data, s)
+    for kind in ResampleKind:
+        assert np.array_equal(draw_matrix(kind, 4, 3, s.rng()), draw_matrix(kind, 4, 3, s.rng()))
 
 
 def test_seedspec_children_differ():
@@ -42,8 +39,7 @@ def test_seedspec_children_differ():
 
 
 def test_permutation_is_bijection():
-    data = _plain([[1, 2, 3], [4, 5]])
-    draw = draw_permutation(data, SeedSpec(0))
+    draw = ResampleDraw(ResampleKind.PERMUTATION, permutation_matrix(5, 1, SeedSpec(0).rng())[0])
     assert sorted(draw.assignment) == list(range(5))
 
 
@@ -95,7 +91,7 @@ def test_draw_length_mismatch():
 def test_survival_pairs_travel_atomically():
     data = MultiSampleData((((1.0, 1), (2.0, 0)), ((3.0, 1),))).pooled()
     swapish = ResampleDraw(ResampleKind.PERMUTATION, (2, 1, 0))
-    pairs = resampled_group_fns(data, swapish, Mode.SURVIVAL)
+    pairs = resampled_group_fns(data, swapish)
     hbar, huc = pairs[1]
     # group 2 now holds (1.0, 1): a death at 1
     assert huc(1.0) == 1.0
@@ -105,9 +101,8 @@ def test_survival_pairs_travel_atomically():
 def test_permutation_conservation():
     data = _plain([[0.5, 1.5, 2.5], [0.7, 1.7]])
     hn = pooled_ecdf(data)
-    for seed in range(5):
-        draw = draw_permutation(data, SeedSpec(seed))
-        fns = resampled_group_fns(data, draw)
+    for row in permutation_matrix(data.N, 5, SeedSpec(0).rng()):
+        fns = resampled_group_fns(data, ResampleDraw(ResampleKind.PERMUTATION, row))
         mix = affine_combine(data.fractions(), fns)
         for t in (0.5, 0.7, 1.5, 1.7, 2.5, 3.0):
             assert mix(t) == pytest.approx(hn(t), abs=1e-12)
@@ -117,7 +112,8 @@ def test_centered_process_zero_sum():
     data = _plain([[0.5, 1.5], [0.7, 1.7]])
     hn = pooled_ecdf(data)
     grid = [0.6, 1.0, 2.0]
-    draw = draw_permutation(data, SeedSpec(9))
+    row = permutation_matrix(data.N, 1, SeedSpec(9).rng())[0]
+    draw = ResampleDraw(ResampleKind.PERMUTATION, row)
     X = centered_process(resampled_group_fns(data, draw), hn, data.N, grid)
     assert X.shape == (2, 3)
     weighted = np.array(data.fractions()) @ X

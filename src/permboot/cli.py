@@ -23,7 +23,7 @@ from .config import ExperimentConfig, KernelConfig, SimulateConfig, read_config,
 from .empirical import Mode, read_csv, write_csv
 from .empirical import at_risk_process, ecdf, uncensored_subdist, pooled_ecdf
 from .errors import ContractError, DataError, DomainError, SingularityError
-from .functionals import HazardBundle, kaplan_meier, nelson_aalen, rmst
+from .functionals import HazardBundle, kaplan_meier, km_from_hazard, nelson_aalen, rmst
 from .jsonio import canonical_json, write_atomic
 from .limits import assemble_kernel_matrix
 from .verify import conditional_cov_experiment, increment_condition_probe, inverse_counterexample
@@ -83,7 +83,7 @@ def _cmd_analyze(args) -> int:
     for j, g in enumerate(data.groups, start=1):
         bundle = HazardBundle(at_risk_process(g), uncensored_subdist(g), tau)
         lam = nelson_aalen(bundle)
-        surv = kaplan_meier(bundle)
+        surv = km_from_hazard(lam)
         times = sorted({z for z, _d in g if z <= tau})
         cells = chain.from_iterable(zip(times, lam.evaluate(times), surv.evaluate(times)))
         curves.append(f"{j},%.17g,%.17g,%.17g\n" * len(times) % tuple(cells))

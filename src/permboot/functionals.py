@@ -38,6 +38,7 @@ __all__ = [
     "product_integral",
     "prodint_derivative",
     "kaplan_meier",
+    "km_from_hazard",
     "km_derivative",
     "rmst",
     "quantile",
@@ -261,7 +262,12 @@ def prodint_derivative(A: StepFn, alpha: StepFn, *, jump_at_zero: bool = False) 
 
 def kaplan_meier(bundle: HazardBundle) -> StepFn:
     """Product-limit survival curve prod over [0, t] of (1 - dLambda)."""
-    lam = nelson_aalen(bundle)
+    return km_from_hazard(nelson_aalen(bundle))
+
+
+def km_from_hazard(lam: StepFn) -> StepFn:
+    """The product-limit curve of a cumulative hazard lam on [0, tau]
+    (``nelson_aalen``), for callers that keep lam as well."""
     return product_integral(lam.scale(-1), jump_at_zero=True)
 
 

@@ -37,7 +37,7 @@ from scipy.integrate import quad
 
 from .empirical import LambdaVector
 from .errors import ContractError, SingularityError
-from .functionals import HazardBundle, kaplan_meier, nelson_aalen
+from .functionals import HazardBundle, km_from_hazard, nelson_aalen
 
 __all__ = [
     "KernelKind",
@@ -124,7 +124,7 @@ class EmpiricalSurvivalPopulation:
         self._at_risk = bundle.at_risk
         self._uncensored = bundle.uncensored
         lam = nelson_aalen(bundle)
-        self._surv = kaplan_meier(bundle)
+        self._surv = km_from_hazard(lam)
         events = []
         if lam.base != 0:
             events.append((0.0, lam.base, bundle.at_risk(0)))

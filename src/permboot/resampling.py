@@ -5,6 +5,24 @@ positions N_{j-1}..N_j - 1 (0-based).  Permutation draws are bijections
 of the pooled indices (the pool is redistributed, not resampled);
 bootstrap draws are N i.i.d. uniform indices into the pool.
 
+A statistic that reads a draw only through each group's counts per bin
+of the pooled values can skip the assignment: ``draw_counts`` draws
+those counts from their law.  Under permutation, group 1's counts are
+multivariate hypergeometric over the pooled bin counts, each later group
+is hypergeometric on what is left, and the last group takes the rest;
+under the pooled bootstrap, group j's counts are multinomial(n_j,
+pooled bins / N).  The cost grows with the number of bins, not with N.
+``verify``'s plain-indicator Monte Carlo (K + 1 bins for K grid points)
+draws counts: at 200 + 200, K = 9 and B = 2000, drawing and counting a
+replicate takes ~4 ms instead of ~25 ms for permutation and ~10 ms
+instead of ~14 ms for the bootstrap (2-vCPU host).  Survival scenarios,
+the linearization ladder and exhaustive enumeration keep index draws: a
+survival counter has about 2N bins (632 at 300 + 300), where counts
+drawn from their law take ~6x as long as drawing and counting indices.
+Counts from their law have the law of counted index draws but are other
+numbers, so plain reports agree with those of versions that counted
+index draws in law, not in bytes.
+
 Seeding is counter-based: a ``SeedSpec`` plus a child path fully
 determines every draw, so experiments parallelize with bit-reproducible
 results independent of scheduling.
@@ -32,6 +50,7 @@ __all__ = [
     "bootstrap_matrix",
     "draw_matrix",
     "draw_blocks",
+    "draw_counts",
     "resampled_group_fns",
     "centered_process",
 ]
@@ -105,6 +124,37 @@ def draw_blocks(kind: ResampleKind, N: int, B: int, rng: np.random.Generator, ro
     ``rows`` draws, each block drawn from rng only when it is needed."""
     for start in range(0, B, rows):
         yield draw_matrix(kind, N, min(rows, B - start), rng)
+
+
+def draw_counts(kind: ResampleKind, pooled_bins, sizes, B: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """B draws of every group's counts per bin, (m, B, nbins), for a
+    pooled sample with ``pooled_bins`` values in each bin: the law of
+    counting the assigned pooled values of B draws of ``kind`` by bin."""
+    pooled_bins = np.asarray(pooled_bins, dtype=np.intp)
+    N = int(pooled_bins.sum())
+    if sum(sizes) != N:
+        raise ContractError(f"group sizes {tuple(sizes)} do not add up to N={N}")
+    out = np.empty((len(sizes), B, pooled_bins.size), dtype=np.intp)
+    if kind is ResampleKind.POOLED_BOOTSTRAP:
+        for j, n in enumerate(sizes):
+            out[j] = rng.multinomial(n, pooled_bins / N, size=B)
+        return out
+    # per draw, the pooled values not yet assigned in each bin and in all
+    # bins after it; each bin takes its hypergeometric share of what the
+    # group still needs, and the last bin and the last group the rest
+    left = np.tile(pooled_bins, (B, 1))
+    for j, n in enumerate(sizes[:-1]):
+        need = np.full(B, n, dtype=np.intp)
+        after = left.sum(axis=1)
+        for k in range(pooled_bins.size - 1):
+            after -= left[:, k]
+            out[j, :, k] = rng.hypergeometric(left[:, k], after, need)
+            need -= out[j, :, k]
+        out[j, :, -1] = need
+        left -= out[j]
+    out[-1] = left
+    return out
 
 
 def resampled_group_fns(data: PooledData, draw: ResampleDraw):

@@ -13,7 +13,10 @@ whose limit kernel the covariance is compared with.  A linearization
 rung counts every draw the same way and evaluates a functional and its
 derivative on those counts.  Both make, count and evaluate draws through
 one driver, in blocks of a fixed size, so a block's memory does not
-grow with N or B.
+grow with N or B.  The plain indicator's K + 1 bins per group are few,
+so its Monte Carlo draws them from their law in one block
+(``resampling.draw_counts``); survival counters have about 2N bins, and
+they, the ladder and exhaustive enumeration count index draws.
 
 Everything is deterministic given (config, seed): datasets and draws
 use counter-based child seeds, and reductions are order-independent, so
@@ -59,7 +62,7 @@ from .limits import (
     assemble_kernel_matrix,
     exponential_survival_population,
 )
-from .resampling import ResampleKind, SeedSpec, all_permutations, draw_blocks
+from .resampling import ResampleKind, SeedSpec, all_permutations, draw_blocks, draw_counts
 from .stepfn import StepFn, affine_combine
 
 __all__ = [
@@ -126,11 +129,14 @@ class _Counter:
     0..nbins-1 per pooled index: ``binned(idx)`` counts each label for
     the indices idx (B, n) (exact integers, (B, nbins)), ``finish`` turns
     those bins into the counts a statistic reads, and calling the counter
-    does both."""
+    does both.  With ``by_law``, Monte Carlo draws skip the indices and
+    take each group's bins from their law (``draw_counts``), which pays
+    only where the bins are few."""
 
     labels: np.ndarray
     nbins: int
     finish: Callable = lambda bins: bins
+    by_law: bool = False
 
     def binned(self, idx: np.ndarray) -> np.ndarray:
         B = idx.shape[0]
@@ -154,7 +160,8 @@ def _indicator_counter(pooled: np.ndarray, grid: np.ndarray) -> _Counter:
         out[:, order] = np.cumsum(binned[:, :K], axis=1)
         return out
 
-    return _Counter(bins, K + 1, finish)
+    # K + 1 bins: drawn from their law, not counted from index draws
+    return _Counter(bins, K + 1, finish, by_law=True)
 
 
 def _survival_counter(z: np.ndarray, delta: np.ndarray, t_max: float):
@@ -182,9 +189,13 @@ def _over_draws(fn, counter: _Counter, sizes, kind: ResampleKind, draws: int,
     """``fn`` of each block of draws' per-group bins, joined along the
     draws: ``draws`` rows of ``kind`` from seed.child(1), or every
     permutation when ``exhaustive``, group j assigned the j-th run of
-    ``sizes`` columns."""
+    ``sizes`` columns.  A ``by_law`` counter's bins are drawn from
+    seed.child(1) in one block, as large as the statistic fn returns."""
     cum = np.cumsum([0, *sizes])
     N = int(cum[-1])
+    pooled = counter.binned(np.arange(N)[None, :])
+    if counter.by_law and not exhaustive:
+        return fn(draw_counts(kind, pooled[0], sizes, draws, seed.child(1).rng()))
     # at least two rows: a one-row block is both C- and F-ordered, and
     # the joined blocks must keep fn's memory order, which fixes the
     # summation order of their mean
@@ -194,7 +205,6 @@ def _over_draws(fn, counter: _Counter, sizes, kind: ResampleKind, draws: int,
         blocks = (perms[i:i + rows] for i in range(0, len(perms), rows))
     else:
         blocks = draw_blocks(kind, N, draws, seed.child(1).rng(), rows)
-    pooled = counter.binned(np.arange(N)[None, :])
     # a permutation assigns every pooled index once: the last group's
     # bins are the pooled bins minus the others'
     complement = kind is ResampleKind.PERMUTATION

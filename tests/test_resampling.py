@@ -1,5 +1,7 @@
+import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,11 +17,13 @@ from permboot.resampling import (
     bootstrap_matrix,
     centered_process,
     draw_blocks,
+    draw_counts,
     draw_matrix,
     permutation_matrix,
     resampled_group_fns,
 )
 from permboot.stepfn import affine_combine
+from permboot.verify import _indicator_counter
 
 
 def _plain(groups):
@@ -157,3 +161,171 @@ def test_draw_blocks_match_draw_matrix(kind, rows):
     assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
     assert 0 < len(blocks[-1]) <= rows
     assert np.array_equal(np.concatenate(blocks), whole)
+
+
+# -- per-group bin counts against their exact law ------------------------
+
+# Indicator bins with empty ones: grid point 0.1 lies below all the data
+# (bin 0 empty), 1.0 is repeated (the bin between its copies is empty)
+# and 5.0 lies above all the data (the last bin is empty).
+_GRID = np.array([1.0, 0.1, 5.0, 1.0, 3.0])
+_LAW_CASES = [
+    (ResampleKind.PERMUTATION, (0.3, 0.7, 0.7, 1.2, 2.0, 2.5, 3.1, 4.0), sizes)
+    for sizes in ((5, 3), (3, 3, 2))
+] + [
+    (ResampleKind.POOLED_BOOTSTRAP, (0.3, 0.7, 0.7, 2.0, 2.5, 4.0), sizes)
+    for sizes in ((4, 2), (2, 2, 2))
+]
+_LAW_IDS = [f"{kind.value}-{'-'.join(map(str, sizes))}" for kind, _v, sizes in _LAW_CASES]
+
+
+def _pooled_bins(values):
+    counter = _indicator_counter(np.array(values), _GRID)
+    return counter, counter.binned(np.arange(len(values))[None, :])[0]
+
+
+def _law(kind, pooled_bins, sizes, outcome):
+    """Exact probability of the per-group bin counts ``outcome`` (a tuple
+    of m tuples): sequential multivariate hypergeometric for permutation,
+    independent multinomials for the pooled bootstrap."""
+    N = int(sum(pooled_bins))
+    prob = Fraction(1)
+    left = [int(c) for c in pooled_bins]
+    for n, x in zip(sizes, outcome):
+        if kind is ResampleKind.PERMUTATION:
+            if any(k > c for c, k in zip(left, x)):
+                return Fraction(0)
+            prob *= Fraction(
+                math.prod(math.comb(c, k) for c, k in zip(left, x)), math.comb(sum(left), n)
+            )
+            left = [c - k for c, k in zip(left, x)]
+        else:
+            ways = math.factorial(n) // math.prod(math.factorial(k) for k in x)
+            prob *= ways * math.prod(Fraction(int(c), N) ** k for c, k in zip(pooled_bins, x))
+    return prob
+
+
+def _outcomes(counts):
+    """Per draw, its (m, nbins) counts as a tuple of m tuples."""
+    return [tuple(map(tuple, draw)) for draw in np.transpose(counts, (1, 0, 2)).tolist()]
+
+
+@pytest.mark.parametrize("kind, values, sizes", _LAW_CASES, ids=_LAW_IDS)
+def test_index_draw_bin_counts_have_the_exact_law(kind, values, sizes):
+    # every permutation, or every one of the N^N bootstrap assignments,
+    # counted by bin: the frequency of each outcome is its exact pmf
+    counter, pooled_bins = _pooled_bins(values)
+    assert pooled_bins[0] == 0 and pooled_bins[2] == 0 and pooled_bins[-1] == 0
+    N = len(values)
+    if kind is ResampleKind.PERMUTATION:
+        draws = all_permutations(N)
+    else:
+        draws = np.array(list(itertools.product(range(N), repeat=N)), dtype=np.intp)
+    cum = np.cumsum([0, *sizes])
+    counts = np.stack([counter.binned(draws[:, a:b]) for a, b in zip(cum, cum[1:])])
+    tally = Counter(_outcomes(counts))
+    total = sum(_law(kind, pooled_bins, sizes, x) for x in tally)
+    assert total == 1
+    for outcome, freq in tally.items():
+        assert Fraction(freq, len(draws)) == _law(kind, pooled_bins, sizes, outcome)
+
+
+# A correct sampler fails one case at a fresh seed with probability 1e-6;
+# at the fixed seeds below the test is deterministic.
+_CHI2_ALPHA = 1e-6
+_CHI2_DRAWS = 20000
+
+
+def _misfit(kind, pooled_bins, sizes, counts):
+    """Chi-square statistic of drawn counts against their exact law, and
+    its 1 - _CHI2_ALPHA quantile; outcomes with expected count below 5
+    are pooled into one cell, and an impossible outcome is an infinite
+    misfit."""
+    tally = Counter(_outcomes(counts))
+    if any(_law(kind, pooled_bins, sizes, x) == 0 for x in tally):
+        return math.inf, 0.0
+    # the support: every split of each group's size over the bins
+    nbins = len(pooled_bins)
+    splits = [
+        [x for x in itertools.product(range(n + 1), repeat=nbins) if sum(x) == n]
+        for n in sizes
+    ]
+    expected = {
+        x: float(p) * _CHI2_DRAWS
+        for x in itertools.product(*splits)
+        if (p := _law(kind, pooled_bins, sizes, x)) > 0
+    }
+    big = [x for x, e in expected.items() if e >= 5]
+    observed = [tally[x] for x in big]
+    cells = [expected[x] for x in big]
+    if len(big) < len(expected):
+        observed.append(_CHI2_DRAWS - sum(observed))
+        cells.append(sum(e for x, e in expected.items() if e < 5))
+    chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, cells))
+    return chi2, stats.chi2.isf(_CHI2_ALPHA, len(cells) - 1)
+
+
+@pytest.mark.parametrize("kind, values, sizes", _LAW_CASES, ids=_LAW_IDS)
+def test_draw_counts_fit_the_exact_law(kind, values, sizes):
+    _counter, pooled_bins = _pooled_bins(values)
+    counts = draw_counts(kind, pooled_bins, sizes, _CHI2_DRAWS, SeedSpec(31).rng())
+    assert counts.shape == (len(sizes), _CHI2_DRAWS, len(pooled_bins))
+    assert np.array_equal(counts.sum(axis=2), np.repeat(np.array(sizes)[:, None], _CHI2_DRAWS, 1))
+    chi2, threshold = _misfit(kind, pooled_bins, sizes, counts)
+    assert chi2 <= threshold
+
+
+def _multinomial_for_permutation(kind, pooled_bins, sizes, B, rng):
+    return draw_counts(ResampleKind.POOLED_BOOTSTRAP, pooled_bins, sizes, B, rng)
+
+
+def _last_group_drawn_afresh(kind, pooled_bins, sizes, B, rng):
+    out = draw_counts(kind, pooled_bins, sizes, B, rng)
+    rest = sum(sizes) - sizes[-1]
+    out[-1] = draw_counts(kind, pooled_bins, (sizes[-1], rest), B, rng)[0]
+    return out
+
+
+def _bins_shifted_by_one(kind, pooled_bins, sizes, B, rng):
+    return np.roll(draw_counts(kind, pooled_bins, sizes, B, rng), 1, axis=2)
+
+
+def _two_bins_swapped(kind, pooled_bins, sizes, B, rng):
+    # bins 3 and 4 are both occupied, so every outcome stays possible and
+    # only the chi-square statistic can tell
+    swapped = pooled_bins[[0, 1, 2, 4, 3, 5]]
+    return draw_counts(kind, swapped, sizes, B, rng)
+
+
+_MUTANT_CASES = [
+    (mutant, case, f"{mutant.__name__[1:]}-{case_id}")
+    for case, case_id in zip(_LAW_CASES, _LAW_IDS)
+    for mutant in (
+        [_multinomial_for_permutation, _last_group_drawn_afresh, _bins_shifted_by_one]
+        if case[0] is ResampleKind.PERMUTATION
+        else [_bins_shifted_by_one, _two_bins_swapped]
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "mutant, case", [c[:2] for c in _MUTANT_CASES], ids=[c[2] for c in _MUTANT_CASES]
+)
+def test_law_check_rejects_mutant_samplers(mutant, case):
+    kind, values, sizes = case
+    _counter, pooled_bins = _pooled_bins(values)
+    counts = mutant(kind, pooled_bins, sizes, _CHI2_DRAWS, SeedSpec(31).rng())
+    chi2, threshold = _misfit(kind, pooled_bins, sizes, counts)
+    assert chi2 > threshold
+
+
+@pytest.mark.parametrize("kind", list(ResampleKind))
+def test_draw_counts_deterministic_and_conserving(kind):
+    bins = np.array([0, 4, 0, 7, 9, 0])
+    a = draw_counts(kind, bins, (6, 5, 9), 50, SeedSpec(8).rng())
+    assert np.array_equal(a, draw_counts(kind, bins, (6, 5, 9), 50, SeedSpec(8).rng()))
+    assert np.all(a >= 0) and np.all(a[:, :, bins == 0] == 0)
+    if kind is ResampleKind.PERMUTATION:
+        assert np.array_equal(a.sum(axis=0), np.tile(bins, (50, 1)))
+    with pytest.raises(ContractError):
+        draw_counts(kind, bins, (6, 5), 50, SeedSpec(8).rng())

@@ -26,6 +26,7 @@ from permboot.resampling import (
     SeedSpec,
     all_permutations,
     centered_process,
+    draw_counts,
     draw_matrix,
     resampled_group_fns,
 )
@@ -343,26 +344,35 @@ def test_survival_plugin_kernel_matches_count_formula(scenario, resample_kind):
 def _one_shot_replicate(config, r):
     """Covariance and conditional mean of replicate r from all draws at
     once: every group counted directly on the whole (B, N) draw matrix
-    and one (B, m*G) matrix X, the oracle of the blocked ``_replicate``."""
+    (plain Monte Carlo: its bins from one ``draw_counts`` call) and one
+    (B, m*G) matrix X, the oracle of the blocked ``_replicate``."""
     seed = config.seed.child(r)
     plain = config.scenario is Scenario.PLAIN_INDICATOR
     _grid, counter, stat, _pop, _retries = (_plain_scenario if plain else _survival_scenario)(
         config, seed
     )
     N = sum(config.sizes)
-    draws = (
-        all_permutations(N) if config.exhaustive
-        else draw_matrix(config.resample_kind, N, config.draws, seed.child(1).rng())
-    )
-    pooled = stat(counter(np.arange(N)[None, :]), N)[0]
     cum = np.cumsum([0, *config.sizes])
+    if plain and not config.exhaustive:
+        pooled_bins = counter.binned(np.arange(N)[None, :])[0]
+        bins = draw_counts(
+            config.resample_kind, pooled_bins, config.sizes, config.draws, seed.child(1).rng()
+        )
+        counts = [counter.finish(b) for b in bins]
+    else:
+        draws = (
+            all_permutations(N) if config.exhaustive
+            else draw_matrix(config.resample_kind, N, config.draws, seed.child(1).rng())
+        )
+        counts = [counter(draws[:, a:b]) for a, b in zip(cum, cum[1:])]
+    pooled = stat(counter(np.arange(N)[None, :]), N)[0]
     X = math.sqrt(N) * np.concatenate(
-        [stat(counter(draws[:, a:b]), b - a) - pooled[None, :] for a, b in zip(cum, cum[1:])],
+        [stat(c, b - a) - pooled[None, :] for c, a, b in zip(counts, cum, cum[1:])],
         axis=1,
     )
     cond_mean = X.mean(axis=0)
     Xc = X - cond_mean[None, :]
-    return (Xc.T @ Xc) / draws.shape[0], cond_mean
+    return (Xc.T @ Xc) / X.shape[0], cond_mean
 
 
 _TIED_DICT = {"kind": "point-masses", "points": [[0.2, 0.3], [0.5, 0.4], [0.9, 0.3]]}

@@ -52,14 +52,23 @@ def _seed_override(args) -> int | None:
 
 
 def _threads_from(args) -> int:
+    """The thread count from --threads, else from PERMBOOT_THREADS, else
+    the number of CPUs this process may run on."""
     if getattr(args, "threads", None) is not None:
+        if args.threads < 1:
+            raise ContractError(f"--threads must be >= 1, got {args.threads}")
         return args.threads
     env = os.environ.get("PERMBOOT_THREADS")
     if env is not None:
         try:
-            return int(env)
+            threads = int(env)
         except ValueError as exc:
             raise DataError(f"PERMBOOT_THREADS must be an integer, got {env!r}") from exc
+        if threads < 1:
+            raise DataError(f"PERMBOOT_THREADS must be >= 1, got {env!r}")
+        return threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -3,7 +3,8 @@
 Every config document is checked against the one packaged JSON schema
 (the verify config at its root, the simulate and kernel configs and the
 shared law and seed definitions under ``$defs``) by one validator built
-once per process.  A schema violation is a ``DataError`` naming the
+once per process, on the first config parsed; ``jsonschema`` is imported
+only then.  A schema violation is a ``DataError`` naming the
 offending field; what the schema cannot express (one law per group,
 proportions summing to 1) is checked when the parsed objects are built.
 """
@@ -17,7 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
 
 from .empirical import LambdaVector, Mode, MultiSampleData
@@ -54,14 +54,20 @@ def load_config_schema() -> dict:
 
 
 @functools.cache
-def _validator() -> jsonschema.Draft202012Validator:
-    """The packaged schema's validator, built once per process."""
+def _validator():
+    """The packaged schema's ``jsonschema`` validator, built once per
+    process; jsonschema is imported here, so only parsing a config
+    loads it."""
+    import jsonschema
+
     return jsonschema.Draft202012Validator(load_config_schema())
 
 
 def validate(doc, definition: str | None = None) -> None:
     """Raise a DataError unless doc is valid against the packaged schema
     (the verify config) or against its ``$defs`` entry ``definition``."""
+    import jsonschema
+
     validator = _validator()
     if definition is not None:
         # evolve keeps the root's $ref resolution, so "#/$defs/law" resolves

@@ -11,6 +11,9 @@ Population objects come in two flavours sharing one evaluation path:
 plug-in (built from pooled empirical step functions, what the
 conditional statements compare against at finite N) and analytic
 (closed forms or adaptive quadrature with a 1e-10 absolute target).
+Only the analytic quadratures need scipy, so ``quad`` imports
+``scipy.integrate`` on its first call rather than when the package is
+imported: scipy's import costs several times the rest of the package's.
 ``permboot.verify`` builds its targets here too: ``PlainPopulation``
 for indicator classes and ``EmpiricalSurvivalPopulation`` (plug-in) or
 ``exponential_survival_population`` (analytic) for survival classes.
@@ -33,7 +36,6 @@ import enum
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .empirical import LambdaVector
 from .errors import ContractError, SingularityError
@@ -57,6 +59,13 @@ __all__ = [
 ]
 
 QUAD_ABS_TOL = 1e-10
+
+
+def quad(func, a, b, **kwargs):
+    """``scipy.integrate.quad``, with scipy imported on the first call."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
 
 
 class KernelKind(enum.Enum):

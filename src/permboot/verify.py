@@ -372,6 +372,8 @@ def _replicate(config: ExperimentConfig, r: int):
 def conditional_cov_experiment(config: ExperimentConfig, threads: int = 1) -> VerifyReport:
     """Estimate the conditional resampling covariance on a grid and
     compare it cellwise against the matching limit kernel."""
+    if threads < 1:
+        raise ContractError(f"threads must be >= 1, got {threads}")
     R = config.outer_reps
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:

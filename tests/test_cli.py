@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permboot.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from permboot.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, _threads_from, main
 from permboot.limits import KernelKind
 from permboot.stepfn import StepFn
 
@@ -312,6 +313,34 @@ def test_verify_bad_env_seed_is_data_error(tmp_path, monkeypatch, capsys):
     assert run(["verify", "--config", cfg, "--output", tmp_path / "r.json"]) == EXIT_DATA
     assert "PERMBOOT_SEED" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_verify_rejects_nonpositive_threads(tmp_path, monkeypatch, capsys, threads):
+    cfg = _verify_config(tmp_path)
+    out = tmp_path / "r.json"
+    assert run(["verify", "--config", cfg, "--output", out, "--threads", threads]) == EXIT_USAGE
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    monkeypatch.setenv("PERMBOOT_THREADS", str(threads))
+    assert run(["verify", "--config", cfg, "--output", out]) == EXIT_DATA
+    assert "PERMBOOT_THREADS must be >= 1" in capsys.readouterr().err
+    monkeypatch.setenv("PERMBOOT_THREADS", "two")
+    assert run(["verify", "--config", cfg, "--output", out]) == EXIT_DATA
+    assert not out.exists()
+
+
+def test_default_threads_follow_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("PERMBOOT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    args = argparse.Namespace(threads=None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert _threads_from(args) == 3
+    monkeypatch.setenv("PERMBOOT_THREADS", "2")
+    assert _threads_from(args) == 2
+    assert _threads_from(argparse.Namespace(threads=1)) == 1
+    monkeypatch.delenv("PERMBOOT_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")  # platforms without it
+    assert _threads_from(args) == 64
 
 
 def test_verify_seed_flag_keeps_stream_id(tmp_path):

@@ -1,15 +1,28 @@
-"""Every module-level import and private name in the package is used.
+"""Every module-level import and private name in the package is used,
+and the heavy optional dependencies load only when they are needed.
 
 A name counts as used only where the code refers to it (a mention in a
 docstring or comment does not count) or where the module re-exports it
 through ``__all__``.  A private module-level function, class or
 constant (``_name``) must be referred to somewhere in the package.
+
+scipy is imported by the first quadrature of an analytic survival
+population and jsonschema by the first config parsed.  Which modules an
+import loads depends on everything the process imported before, so
+those checks run in a fresh interpreter.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from permboot.config import KernelConfig
+from permboot.limits import assemble_kernel_matrix
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "permboot"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -103,3 +116,70 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     for name, bindings in before.items():
         mod = vars(sys.modules[name])
         assert all(mod[k] is v for k, v in bindings.items()), name
+
+
+# -- lazy imports, each in a fresh interpreter ---------------------------
+
+def _fresh_python(*args):
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *map(str, args)], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def _fresh_cli(*args):
+    # what the installed console script runs
+    return _fresh_python("-c", "import sys; from permboot.cli import main; sys.exit(main())", *args)
+
+
+_LOADED = "print(sorted(m for m in ('scipy', 'jsonschema') if m in sys.modules))"
+
+
+def test_package_import_loads_neither_scipy_nor_jsonschema():
+    proc = _fresh_python("-c", "; ".join([
+        "import sys, permboot, permboot.cli",
+        _LOADED,
+        "permboot.config.validate({'kind': 'exponential', 'rate': 1.0}, 'law')",
+        _LOADED,
+        "permboot.limits.quad(abs, 0.0, 1.0)",
+        _LOADED,
+    ]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['jsonschema']", "['jsonschema', 'scipy']"]
+
+
+def test_analytic_survival_verify_thread_invariant_in_fresh_process(tmp_path):
+    # at --threads 2 two replicates race to the first quadrature, which
+    # imports scipy
+    cfg = tmp_path / "km.json"
+    cfg.write_text(json.dumps({
+        "scenario": "survival-km",
+        "group_laws": [{"kind": "exponential", "rate": 1.0}, {"kind": "exponential", "rate": 1.5}],
+        "censoring_laws": [{"kind": "exponential", "rate": 0.5}] * 2,
+        "sizes": [30, 30], "draws": 100, "outer_reps": 4,
+        "resample_kind": "permutation", "target": "analytic",
+        "seed": {"master_seed": 5},
+    }))
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"r{threads}.json"
+        proc = _fresh_cli("verify", "--config", cfg, "--output", out, "--threads", threads)
+        assert proc.returncode in (0, 4), proc.stderr
+        runs.append((proc.returncode, out.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+def test_analytic_kernel_cli_in_fresh_process_matches_in_process(tmp_path):
+    doc = {
+        "kind": "boot-km", "lambdas": [0.4, 0.6], "grid": [0.3, 0.8, 1.5], "tau": 2.0,
+        "population": {"survival_exponential": {"fail_rates": [1.0, 1.5], "cens_rates": [0.5, 0.5]}},
+    }
+    cfg, mat = tmp_path / "k.json", tmp_path / "k.csv"
+    cfg.write_text(json.dumps(doc))
+    proc = _fresh_cli("kernel", "--config", cfg, "--output-matrix", mat,
+                      "--output-meta", tmp_path / "k-meta.json")
+    assert proc.returncode == 0, proc.stderr
+    config = KernelConfig.from_dict(doc)
+    matrix = assemble_kernel_matrix(config.kind, config.population, config.lambdas, config.grid)
+    assert mat.read_text() == "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in matrix)

@@ -200,6 +200,13 @@ def test_report_byte_reproducible_and_thread_invariant():
     assert a.to_json() == b.to_json() == c.to_json()
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_nonpositive_threads_rejected(threads):
+    cfg = ExperimentConfig.from_dict(_base_config())
+    with pytest.raises(ContractError, match="threads must be >= 1"):
+        conditional_cov_experiment(cfg, threads=threads)
+
+
 def test_exhaustive_matches_manual_enumeration():
     master = 321
     cfg = ExperimentConfig.from_dict(

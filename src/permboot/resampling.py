@@ -11,17 +11,22 @@ those counts from their law.  Under permutation, group 1's counts are
 multivariate hypergeometric over the pooled bin counts, each later group
 is hypergeometric on what is left, and the last group takes the rest;
 under the pooled bootstrap, group j's counts are multinomial(n_j,
-pooled bins / N).  The cost grows with the number of bins, not with N.
-``verify``'s plain-indicator Monte Carlo (K + 1 bins for K grid points)
-draws counts: at 200 + 200, K = 9 and B = 2000, drawing and counting a
-replicate takes ~4 ms instead of ~25 ms for permutation and ~10 ms
-instead of ~14 ms for the bootstrap (2-vCPU host).  Survival scenarios,
-the linearization ladder and exhaustive enumeration keep index draws: a
-survival counter has about 2N bins (632 at 300 + 300), where counts
-drawn from their law take ~6x as long as drawing and counting indices.
-Counts from their law have the law of counted index draws but are other
-numbers, so plain reports agree with those of versions that counted
-index draws in law, not in bytes.
+pooled bins / N).  Those chains cost one numpy call per bin.  With two
+groups and more than N / 16 bins, group 1 comes instead from numpy's C
+sampler (``multivariate_hypergeometric``, method "count"), whose cost
+grows with N, and group 2 is the rest.  ``verify``'s plain-indicator
+Monte Carlo (K + 1 bins for K grid points) draws counts: at 200 + 200,
+K = 9 and B = 2000, drawing and counting a replicate takes ~4 ms instead
+of ~25 ms for permutation and ~10 ms instead of ~14 ms for the
+bootstrap (2-vCPU host).  So does a two-group survival permutation,
+whose bins (~550 at 300 + 300) the C sampler draws in ~15 ms for
+B = 2000, against ~37 ms to draw and count index draws.  Survival
+bootstraps and permutations of three or more groups keep index draws,
+where a chain over ~550 bins would take ~10x as long, and so do the
+linearization ladder and exhaustive enumeration.  Counts from their law
+have the law of counted index draws but are other numbers, so reports
+agree with those of versions that counted index draws in law, not in
+bytes.
 
 Seeding is counter-based: a ``SeedSpec`` plus a child path fully
 determines every draw, so experiments parallelize with bit-reproducible
@@ -139,6 +144,19 @@ def draw_counts(kind: ResampleKind, pooled_bins, sizes, B: int,
     if kind is ResampleKind.POOLED_BOOTSTRAP:
         for j, n in enumerate(sizes):
             out[j] = rng.multinomial(n, pooled_bins / N, size=B)
+        return out
+    # two groups: numpy's C "count" sampler (a partial shuffle of the N
+    # pooled values per draw) draws group 1, and group 2 is the rest.
+    # Its cost grows with N, the chain's below (one broadcast
+    # hypergeometric call per bin) with the bins.  For B = 2000 on a
+    # 2-vCPU host: 10 bins at N = 400 take 4.3 ms by the chain and 7-8
+    # ms by "count"; 548 bins at N = 600 take 354 ms and 12-15 ms
+    # ("marginals", per-bin C draws, 193 ms).  Above N / 16 bins "count"
+    # was faster in every case measured (N = 400 to 10^4, B = 200 and
+    # 2000); at B = 2000 the two break even near N / 24 bins.
+    if len(sizes) == 2 and 16 * pooled_bins.size > N:
+        out[0] = rng.multivariate_hypergeometric(pooled_bins, sizes[0], size=B, method="count")
+        out[1] = pooled_bins - out[0]
         return out
     # per draw, the pooled values not yet assigned in each bin and in all
     # bins after it; each bin takes its hypergeometric share of what the

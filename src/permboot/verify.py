@@ -13,10 +13,12 @@ whose limit kernel the covariance is compared with.  A linearization
 rung counts every draw the same way and evaluates a functional and its
 derivative on those counts.  Both make, count and evaluate draws through
 one driver, in blocks of a fixed size, so a block's memory does not
-grow with N or B.  The plain indicator's K + 1 bins per group are few,
-so its Monte Carlo draws them from their law in one block
-(``resampling.draw_counts``); survival counters have about 2N bins, and
-they, the ladder and exhaustive enumeration count index draws.
+grow with N or B.  Two Monte Carlo counters skip the index draws and
+draw each block's per-group bins from their law
+(``resampling.draw_counts``): the plain indicator's K + 1 bins, and the
+two bins per event time of a two-group survival permutation, which
+numpy's C sampler draws.  Survival bootstraps and permutations of three
+or more groups, the ladder and exhaustive enumeration count index draws.
 
 Everything is deterministic given (config, seed): datasets and draws
 use counter-based child seeds, and reductions are order-independent, so
@@ -31,7 +33,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -131,7 +133,8 @@ class _Counter:
     those bins into the counts a statistic reads, and calling the counter
     does both.  With ``by_law``, Monte Carlo draws skip the indices and
     take each group's bins from their law (``draw_counts``), which pays
-    only where the bins are few."""
+    where the bins are few, or where numpy's C sampler draws two groups'
+    many bins."""
 
     labels: np.ndarray
     nbins: int
@@ -189,27 +192,31 @@ def _over_draws(fn, counter: _Counter, sizes, kind: ResampleKind, draws: int,
     """``fn`` of each block of draws' per-group bins, joined along the
     draws: ``draws`` rows of ``kind`` from seed.child(1), or every
     permutation when ``exhaustive``, group j assigned the j-th run of
-    ``sizes`` columns.  A ``by_law`` counter's bins are drawn from
-    seed.child(1) in one block, as large as the statistic fn returns."""
+    ``sizes`` columns.  A ``by_law`` counter's bins are drawn from their
+    law, block after block from seed.child(1), instead."""
     cum = np.cumsum([0, *sizes])
     N = int(cum[-1])
     pooled = counter.binned(np.arange(N)[None, :])
-    if counter.by_law and not exhaustive:
-        return fn(draw_counts(kind, pooled[0], sizes, draws, seed.child(1).rng()))
+    by_law = counter.by_law and not exhaustive
     # at least two rows: a one-row block is both C- and F-ordered, and
     # the joined blocks must keep fn's memory order, which fixes the
     # summation order of their mean
-    rows = max(2, _BLOCK_CELLS // max(N, counter.nbins))
-    if exhaustive:
-        perms = all_permutations(N)
-        blocks = (perms[i:i + rows] for i in range(0, len(perms), rows))
-    else:
-        blocks = draw_blocks(kind, N, draws, seed.child(1).rng(), rows)
+    rows = max(2, _BLOCK_CELLS // (counter.nbins if by_law else max(N, counter.nbins)))
     # a permutation assigns every pooled index once: the last group's
     # bins are the pooled bins minus the others'
     complement = kind is ResampleKind.PERMUTATION
 
     def group_bins():
+        if by_law:
+            rng = seed.child(1).rng()
+            for start in range(0, draws, rows):
+                yield draw_counts(kind, pooled[0], sizes, min(rows, draws - start), rng)
+            return
+        if exhaustive:
+            perms = all_permutations(N)
+            blocks = (perms[i:i + rows] for i in range(0, len(perms), rows))
+        else:
+            blocks = draw_blocks(kind, N, draws, seed.child(1).rng(), rows)
         for idx in blocks:
             bins = [counter.binned(idx[:, a:b]) for a, b in zip(cum[:-2], cum[1:-1])]
             bins.append(pooled - sum(bins) if complement else counter.binned(idx[:, cum[-2]:]))
@@ -303,14 +310,17 @@ def _survival_scenario(config: ExperimentConfig, seed: SeedSpec):
     delta = np.array([d for _z, d in obs])
     grid = _resolve_grid(config, z, np.linspace(0.1, 0.7, 5), tau)
     events, counter = _survival_counter(z, delta, grid.max())
+    if len(config.sizes) == 2 and config.resample_kind is ResampleKind.PERMUTATION:
+        # numpy's C sampler draws two groups' bins faster than index
+        # draws are made and counted
+        counter = replace(counter, by_law=True)
     pos = np.searchsorted(events, grid, side="right")
     km_mode = config.scenario is Scenario.SURVIVAL_KM
 
+    # a death at events[k] is in its own risk set (risk bin k + 1), so no
+    # draw has deaths where nobody is at risk
     def curve(counts, _n):
-        deaths, at_risk = counts
-        if np.any((at_risk == 0) & (deaths > 0)):
-            raise SingularityError("empty risk set in a resampled group")
-        return _at_grid(_survival_curve(deaths, at_risk, km_mode), pos, float(km_mode))
+        return _at_grid(_survival_curve(*counts, km_mode), pos, float(km_mode))
 
     if config.target == "plugin":
         pop = EmpiricalSurvivalPopulation(

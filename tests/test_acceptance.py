@@ -81,6 +81,8 @@ _NA_CFG = {
     "tolerance": {"abs_tol": 0.05, "se_multiplier": 4.0},
 }
 
+_KM_CFG = dict(_NA_CFG, scenario="survival-km")
+
 
 def _run(cfg, threads):
     return conditional_cov_experiment(ExperimentConfig.from_dict(cfg), threads=threads)
@@ -99,6 +101,11 @@ def boot_reports():
 @pytest.fixture(scope="module")
 def na_reports():
     return _run(_NA_CFG, 1), _run(_NA_CFG, 4)
+
+
+@pytest.fixture(scope="module")
+def km_reports():
+    return _run(_KM_CFG, 1), _run(_KM_CFG, 4)
 
 
 def test_criterion_1_permutation_covariance(perm_reports):
@@ -175,6 +182,18 @@ def test_criterion_4_nelson_aalen_covariance(na_reports):
         4,
         report.passed,
         f"Nelson-Aalen permutation covariance: max|dev|="
+        f"{report.aggregates['max_abs_dev']:.4g} over "
+        f"{report.aggregates['n_cells']} cells (tol max(0.05, 4*SE)), "
+        f"dataset retries={report.aggregates['dataset_retries']}",
+    )
+
+
+def test_criterion_4_kaplan_meier_covariance(km_reports):
+    report = km_reports[0]
+    _verdict(
+        "4b",
+        report.passed,
+        f"Kaplan-Meier permutation covariance: max|dev|="
         f"{report.aggregates['max_abs_dev']:.4g} over "
         f"{report.aggregates['n_cells']} cells (tol max(0.05, 4*SE)), "
         f"dataset retries={report.aggregates['dataset_retries']}",
@@ -294,13 +313,13 @@ def test_criterion_9_hadamard_ratio_convergence():
     )
 
 
-def test_criterion_10_determinism(perm_reports, boot_reports, na_reports):
+def test_criterion_10_determinism(perm_reports, boot_reports, na_reports, km_reports):
     same = [
         a.to_json() == b.to_json()
-        for a, b in (perm_reports, boot_reports, na_reports)
+        for a, b in (perm_reports, boot_reports, na_reports, km_reports)
     ]
     _verdict(
         10,
         all(same),
-        f"criteria 1/2/4 reports byte-identical across thread counts 1 vs 4: {same}",
+        f"criteria 1/2/4/4b reports byte-identical across thread counts 1 vs 4: {same}",
     )

@@ -169,9 +169,13 @@ def test_draw_blocks_match_draw_matrix(kind, rows):
 # (bin 0 empty), 1.0 is repeated (the bin between its copies is empty)
 # and 5.0 lies above all the data (the last bin is empty).
 _GRID = np.array([1.0, 0.1, 5.0, 1.0, 3.0])
+# Two-group permutations have 6 bins for N = 8 values, so they take
+# numpy's "count" sampler: group 1 more than half of N (drawn as the
+# complement of a partial shuffle), at most half, and a single value.
+# Three groups take the chain of hypergeometric draws.
 _LAW_CASES = [
     (ResampleKind.PERMUTATION, (0.3, 0.7, 0.7, 1.2, 2.0, 2.5, 3.1, 4.0), sizes)
-    for sizes in ((5, 3), (3, 3, 2))
+    for sizes in ((5, 3), (3, 5), (1, 7), (3, 3, 2))
 ] + [
     (ResampleKind.POOLED_BOOTSTRAP, (0.3, 0.7, 0.7, 2.0, 2.5, 4.0), sizes)
     for sizes in ((4, 2), (2, 2, 2))
@@ -265,10 +269,30 @@ def _misfit(kind, pooled_bins, sizes, counts):
     return chi2, stats.chi2.isf(_CHI2_ALPHA, len(cells) - 1)
 
 
+class _RngRecorder:
+    """A generator that counts the names of the methods called on it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.rng, name)
+
+
+def _sampler(kind, sizes):
+    if kind is ResampleKind.POOLED_BOOTSTRAP:
+        return "multinomial"
+    return "multivariate_hypergeometric" if len(sizes) == 2 else "hypergeometric"
+
+
 @pytest.mark.parametrize("kind, values, sizes", _LAW_CASES, ids=_LAW_IDS)
 def test_draw_counts_fit_the_exact_law(kind, values, sizes):
     _counter, pooled_bins = _pooled_bins(values)
-    counts = draw_counts(kind, pooled_bins, sizes, _CHI2_DRAWS, SeedSpec(31).rng())
+    rng = _RngRecorder(SeedSpec(31).rng())
+    counts = draw_counts(kind, pooled_bins, sizes, _CHI2_DRAWS, rng)
+    assert set(rng.calls) == {_sampler(kind, sizes)}
     assert counts.shape == (len(sizes), _CHI2_DRAWS, len(pooled_bins))
     assert np.array_equal(counts.sum(axis=2), np.repeat(np.array(sizes)[:, None], _CHI2_DRAWS, 1))
     chi2, threshold = _misfit(kind, pooled_bins, sizes, counts)
@@ -317,6 +341,22 @@ def test_law_check_rejects_mutant_samplers(mutant, case):
     counts = mutant(kind, pooled_bins, sizes, _CHI2_DRAWS, SeedSpec(31).rng())
     chi2, threshold = _misfit(kind, pooled_bins, sizes, counts)
     assert chi2 > threshold
+
+
+@pytest.mark.parametrize("nbins, N, sampler", [
+    (10, 400, "hypergeometric"),
+    (26, 400, "multivariate_hypergeometric"),
+    (548, 600, "multivariate_hypergeometric"),
+])
+def test_two_group_permutation_sampler_follows_bins_per_value(nbins, N, sampler):
+    # the C "count" sampler's cost grows with N, the chain's with the
+    # bins: the plain indicator's 10 bins at 200 + 200 keep the chain
+    rng = _RngRecorder(SeedSpec(3).rng())
+    bins = np.bincount(np.arange(N) % nbins)
+    out = draw_counts(ResampleKind.PERMUTATION, bins, (N // 2, N - N // 2), 7, rng)
+    assert set(rng.calls) == {sampler}
+    assert np.array_equal(out.sum(axis=0), np.tile(bins, (7, 1)))
+    assert np.array_equal(out.sum(axis=2), np.tile([[N // 2], [N - N // 2]], (1, 7)))
 
 
 @pytest.mark.parametrize("kind", list(ResampleKind))

@@ -1,5 +1,7 @@
 import json
 import math
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -59,6 +61,7 @@ from permboot.verify import (
     _survival_scenario,
 )
 import permboot.verify as verify_module
+from test_resampling import _RngRecorder
 
 
 def _base_config(**over):
@@ -351,8 +354,11 @@ def test_survival_plugin_kernel_matches_count_formula(scenario, resample_kind):
 def _one_shot_replicate(config, r):
     """Covariance and conditional mean of replicate r from all draws at
     once: every group counted directly on the whole (B, N) draw matrix
-    (plain Monte Carlo: its bins from one ``draw_counts`` call) and one
-    (B, m*G) matrix X, the oracle of the blocked ``_replicate``."""
+    and one (B, m*G) matrix X, the oracle of the blocked ``_replicate``.
+    Bins drawn from their law (plain Monte Carlo, two-group survival
+    permutation) come from ``draw_counts`` calls of the replicate's block
+    size, since numpy's "count" sampler gives other draws for other
+    call sizes; they are joined and counted at once."""
     seed = config.seed.child(r)
     plain = config.scenario is Scenario.PLAIN_INDICATOR
     _grid, counter, stat, _pop, _retries = (_plain_scenario if plain else _survival_scenario)(
@@ -360,11 +366,15 @@ def _one_shot_replicate(config, r):
     )
     N = sum(config.sizes)
     cum = np.cumsum([0, *config.sizes])
-    if plain and not config.exhaustive:
+    if counter.by_law and not config.exhaustive:
         pooled_bins = counter.binned(np.arange(N)[None, :])[0]
-        bins = draw_counts(
-            config.resample_kind, pooled_bins, config.sizes, config.draws, seed.child(1).rng()
-        )
+        rows = max(2, verify_module._BLOCK_CELLS // counter.nbins)
+        rng = seed.child(1).rng()
+        bins = np.concatenate([
+            draw_counts(config.resample_kind, pooled_bins, config.sizes,
+                        min(rows, config.draws - start), rng)
+            for start in range(0, config.draws, rows)
+        ], axis=1)
         counts = [counter.finish(b) for b in bins]
     else:
         draws = (
@@ -409,6 +419,13 @@ _BLOCK_CASES = [
      f"{scenario}-exhaustive-{len(sizes)}")
     for scenario in ("plain-indicator", "survival-na")
     for sizes in ([3, 2], [2, 3, 2])
+] + [
+    # group 1 is the larger one, which numpy's "count" sampler draws as
+    # the complement of a partial shuffle
+    (dict(scenario=scenario, sizes=[120, 80],
+          censoring_laws=[{"kind": "exponential", "rate": 0.5}] * 2),
+     f"{scenario}-permutation-2-count")
+    for scenario in ("survival-na", "survival-km")
 ]
 
 
@@ -425,7 +442,17 @@ def test_blocked_replicate_equals_whole_matrix(over, cells, monkeypatch):
         block_rows.append(rows)
         return blocks(kind, N, B, rng, rows)
 
+    law_rows, sampler = [], Counter()
+
+    def counts_spy(kind, pooled_bins, sizes, B, rng):
+        law_rows.append(B)
+        recorder = _RngRecorder(rng)
+        out = draw_counts(kind, pooled_bins, sizes, B, recorder)
+        sampler.update(recorder.calls)
+        return out
+
     monkeypatch.setattr(verify_module, "draw_blocks", spy)
+    monkeypatch.setattr(verify_module, "draw_counts", counts_spy)
     cfg = ExperimentConfig.from_dict(_base_config(**dict(dict(draws=211, outer_reps=2), **over)))
     for r in range(cfg.outer_reps):
         cov, _kernel, cond_mean, _retries = _replicate(cfg, r)
@@ -434,6 +461,17 @@ def test_blocked_replicate_equals_whole_matrix(over, cells, monkeypatch):
         assert np.array_equal(cond_mean, oracle_mean)
     if not cfg.exhaustive:
         assert all(1 < rows < cfg.draws and cfg.draws % rows for rows in block_rows)
+        # law draws: per replicate, full blocks and then a short one
+        assert sum(law_rows) in (0, cfg.outer_reps * cfg.draws)
+        assert all(0 < B < cfg.draws for B in law_rows)
+    two_group_survival_permutation = (
+        cfg.scenario is not Scenario.PLAIN_INDICATOR and len(cfg.sizes) == 2
+        and cfg.resample_kind is ResampleKind.PERMUTATION and not cfg.exhaustive
+    )
+    if two_group_survival_permutation:
+        assert sampler["multivariate_hypergeometric"] == len(law_rows) and not block_rows
+    elif cfg.scenario is not Scenario.PLAIN_INDICATOR:
+        assert not law_rows
 
 
 def test_survival_memory_does_not_grow_with_draws():
@@ -529,8 +567,8 @@ def test_survival_counts_match_dense_products(kind, sizes, last):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_survival_counts_deaths_within_risk_sets(data):
-    # why the empty-risk-set guard in the covariance experiment cannot
-    # fire: a death at an event time is also at risk there
+    # why the covariance experiment needs no empty-risk-set guard: a
+    # death at an event time is also at risk there
     N = data.draw(st.integers(1, 10))
     z = np.array(data.draw(st.lists(st.integers(0, 4), min_size=N, max_size=N)), float)
     delta = np.array(data.draw(st.lists(st.integers(0, 1), min_size=N, max_size=N)))
@@ -542,6 +580,85 @@ def test_survival_counts_deaths_within_risk_sets(data):
     dj, rj = counts(np.array(flat).reshape(B, n))
     assert np.all(dj >= 0) and np.all(dj <= rj)
     assert np.all(np.diff(rj, axis=1) <= 0)
+
+
+def _risk_bin_at_event_counter(z, delta, t_max):
+    """A broken ``_survival_counter``: a death's risk bin is its event
+    index instead of one past it, so a death is counted at its event
+    time but left out of that time's risk set."""
+    death = (delta == 1) & (z <= t_max)
+    events = np.unique(z[death])
+    K = events.size
+    labels = 2 * (np.searchsorted(events, z, side="right") - death) + death
+
+    def finish(binned):
+        per_bin = binned.reshape(-1, K + 1, 2)
+        down = per_bin[:, :0:-1, 0] + per_bin[:, :0:-1, 1]
+        return per_bin[:, :-1, 1], np.cumsum(down, axis=1)[:, ::-1]
+
+    return events, verify_module._Counter(labels, 2 * (K + 1), finish)
+
+
+def _blocks_over_risk_sets(monkeypatch, make_counter, **over):
+    """Run a tied survival config's replicates in blocks of a few draws
+    with counters from ``make_counter``: per counted block, whether it
+    has more deaths than times at risk at some event time, and the draws
+    of each block whose bins were drawn from their law."""
+    monkeypatch.setattr(verify_module, "_BLOCK_CELLS", 300)
+    blocks = []
+
+    def watched(z, delta, t_max):
+        events, counter = make_counter(z, delta, t_max)
+
+        def finish(binned):
+            deaths, at_risk = counter.finish(binned)
+            blocks.append(bool(np.any(deaths > at_risk)))
+            return deaths, at_risk
+
+        return events, replace(counter, finish=finish)
+
+    law_blocks = []
+
+    def counts_spy(kind, pooled_bins, sizes, B, rng):
+        law_blocks.append(B)
+        return draw_counts(kind, pooled_bins, sizes, B, rng)
+
+    monkeypatch.setattr(verify_module, "_survival_counter", watched)
+    monkeypatch.setattr(verify_module, "draw_counts", counts_spy)
+    atoms = {"kind": "point-masses", "points": [[0.2, 0.3], [0.5, 0.4], [0.9, 0.3]]}
+    m = len(over["sizes"])
+    cfg = ExperimentConfig.from_dict(_base_config(**dict(
+        dict(scenario="survival-na", group_laws=[atoms] * m, censoring_laws=[atoms] * m,
+             tau=0.5, grid=[0.1, 0.2, 0.5], draws=211, outer_reps=2), **over)))
+    for r in range(cfg.outer_reps):
+        _replicate(cfg, r)
+    return blocks, law_blocks
+
+
+@pytest.mark.parametrize("scenario", ["survival-na", "survival-km"])
+@pytest.mark.parametrize("resample_kind", ["permutation", "bootstrap"])
+@pytest.mark.parametrize("sizes", [[30, 27], [30, 27, 22]])
+def test_no_counted_block_has_deaths_outside_the_risk_set(
+    scenario, resample_kind, sizes, monkeypatch
+):
+    # a death at events[k] has risk bin k + 1, so it is at risk at
+    # events[k]: the statistic needs no empty-risk-set check, for index
+    # draws and for bins drawn from their law (two-group permutation)
+    blocks, law_blocks = _blocks_over_risk_sets(
+        monkeypatch, _survival_counter,
+        scenario=scenario, resample_kind=resample_kind, sizes=sizes,
+    )
+    # more than one block per group and replicate
+    assert len(blocks) > 2 * (len(sizes) + 1) and not any(blocks)
+    assert bool(law_blocks) == (resample_kind == "permutation" and len(sizes) == 2)
+
+
+@pytest.mark.parametrize("resample_kind", ["permutation", "bootstrap"])
+def test_risk_set_check_catches_a_death_left_out_of_its_risk_set(resample_kind, monkeypatch):
+    blocks, _law = _blocks_over_risk_sets(
+        monkeypatch, _risk_bin_at_event_counter, resample_kind=resample_kind, sizes=[30, 27],
+    )
+    assert any(blocks)
 
 
 @pytest.mark.parametrize("scenario", ["survival-na", "survival-km"])

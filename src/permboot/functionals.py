@@ -143,9 +143,13 @@ def wilcoxon_derivative(A: StepFn, B: StepFn, alpha: StepFn, beta: StepFn) -> St
 
 # -- Nelson-Aalen ------------------------------------------------------
 
-def _safe_at_risk(at_risk: StepFn):
+def _safe_at_risk(at_risk: StepFn, points=()):
+    """u -> 1 / at_risk(u), SingularityError where nobody is at risk; the
+    at-risk levels at ``points`` come from one ``evaluate``."""
+    known = dict(zip(points, at_risk.evaluate(points)))
+
     def g(u):
-        r = at_risk(u)
+        r = known[u] if u in known else at_risk(u)
         if r <= 0:
             raise SingularityError(f"empty risk set at time {u}", at=u)
         return 1 / r
@@ -156,7 +160,7 @@ def _safe_at_risk(at_risk: StepFn):
 def nelson_aalen(bundle: HazardBundle) -> StepFn:
     """Cumulative hazard with jump d(u)/r(u) at each event time u <= tau."""
     huc = restrict(bundle.uncensored, bundle.tau)
-    return integral_curve(_safe_at_risk(bundle.at_risk), huc, jump_at_zero=True)
+    return integral_curve(_safe_at_risk(bundle.at_risk, huc.breakpoints), huc, jump_at_zero=True)
 
 
 def na_derivative(bundle: HazardBundle, alpha: StepFn, beta: StepFn) -> StepFn:

@@ -137,8 +137,7 @@ class EmpiricalSurvivalPopulation:
         events = []
         if lam.base != 0:
             events.append((0.0, lam.base, bundle.at_risk(0)))
-        for u, dj in zip(lam.breakpoints, lam.jumps):
-            events.append((u, dj, bundle.at_risk(u)))
+        events += zip(lam.breakpoints, lam.jumps, bundle.at_risk.evaluate(lam.breakpoints))
         self._events = events
         self._cum_hazard = lam
 

@@ -12,21 +12,22 @@ multivariate hypergeometric over the pooled bin counts, each later group
 is hypergeometric on what is left, and the last group takes the rest;
 under the pooled bootstrap, group j's counts are multinomial(n_j,
 pooled bins / N).  Those chains cost one numpy call per bin.  With two
-groups and more than N / 16 bins, group 1 comes instead from numpy's C
-sampler (``multivariate_hypergeometric``, method "count"), whose cost
-grows with N, and group 2 is the rest.  ``verify``'s plain-indicator
-Monte Carlo (K + 1 bins for K grid points) draws counts: at 200 + 200,
-K = 9 and B = 2000, drawing and counting a replicate takes ~4 ms instead
-of ~25 ms for permutation and ~10 ms instead of ~14 ms for the
-bootstrap (2-vCPU host).  So does a two-group survival permutation,
-whose bins (~550 at 300 + 300) the C sampler draws in ~15 ms for
-B = 2000, against ~37 ms to draw and count index draws.  Survival
-bootstraps and permutations of three or more groups keep index draws,
-where a chain over ~550 bins would take ~10x as long, and so do the
-linearization ladder and exhaustive enumeration.  Counts from their law
-have the law of counted index draws but are other numbers, so reports
-agree with those of versions that counted index draws in law, not in
-bytes.
+groups, group 1 comes instead from numpy's C sampler
+(``multivariate_hypergeometric``), and group 2 is the rest: its
+"marginals" method (C draws bin by bin) up to N / 16 bins, its "count"
+method (a partial shuffle, whose cost grows with N) above.  ``verify``'s
+plain-indicator Monte Carlo (K + 1 bins for K grid points) draws counts:
+at 200 + 200, K = 9 and B = 2000, drawing and counting a replicate takes
+a few ms instead of ~25 ms for permutation and ~10 ms instead of ~14 ms
+for the bootstrap (2-vCPU host).  So does a two-group survival
+permutation, whose bins (~550 at 300 + 300) the "count" sampler draws in
+~15 ms for B = 2000, against ~37 ms to draw and count index draws.
+Survival bootstraps and permutations of three or more groups keep index
+draws, where a chain over ~550 bins would take ~10x as long, and so do
+the linearization ladder and exhaustive enumeration.  Counts from their
+law have the law of counted index draws but are other numbers, so
+reports agree with those of versions that counted index draws in law,
+not in bytes.
 
 Seeding is counter-based: a ``SeedSpec`` plus a child path fully
 determines every draw, so experiments parallelize with bit-reproducible
@@ -107,56 +108,76 @@ def all_permutations(N: int) -> np.ndarray:
     return np.array(list(_iter_permutations(range(N))), dtype=np.intp)
 
 
-def permutation_matrix(N: int, B: int, rng: np.random.Generator) -> np.ndarray:
-    """B independent uniform permutations, one per row."""
-    out = np.tile(np.arange(N, dtype=np.intp), (B, 1))
-    return rng.permuted(out, axis=1)
+def permutation_matrix(N: int, B: int, rng: np.random.Generator, out=None) -> np.ndarray:
+    """B independent uniform permutations, one per row; into ``out`` when given."""
+    if out is None:
+        out = np.empty((B, N), dtype=np.intp)
+    out[...] = np.arange(N)
+    return rng.permuted(out, axis=1, out=out)
 
 
-def bootstrap_matrix(N: int, B: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.integers(0, N, size=(B, N), dtype=np.intp)
+def bootstrap_matrix(N: int, B: int, rng: np.random.Generator, out=None) -> np.ndarray:
+    """B bootstrap draws, one per row; into ``out`` when given."""
+    draws = rng.integers(0, N, size=(B, N), dtype=np.intp)
+    if out is None:
+        return draws
+    out[...] = draws
+    return out
 
 
-def draw_matrix(kind: ResampleKind, N: int, B: int, rng: np.random.Generator) -> np.ndarray:
-    """B draws of the given kind, one assignment per row."""
+def draw_matrix(kind: ResampleKind, N: int, B: int, rng: np.random.Generator,
+                out=None) -> np.ndarray:
+    """B draws of the given kind, one assignment per row; into ``out``
+    when given."""
     if kind is ResampleKind.PERMUTATION:
-        return permutation_matrix(N, B, rng)
-    return bootstrap_matrix(N, B, rng)
+        return permutation_matrix(N, B, rng, out)
+    return bootstrap_matrix(N, B, rng, out)
 
 
-def draw_blocks(kind: ResampleKind, N: int, B: int, rng: np.random.Generator, rows: int):
+def draw_blocks(kind: ResampleKind, N: int, B: int, rng: np.random.Generator, rows: int,
+                out=None):
     """The rows of ``draw_matrix(kind, N, B, rng)`` in blocks of at most
-    ``rows`` draws, each block drawn from rng only when it is needed."""
+    ``rows`` draws, each block drawn from rng only when it is needed.
+    Given ``out`` (at least ``rows`` rows), every block is drawn into its
+    first rows, so a block holds only until the next one is drawn."""
     for start in range(0, B, rows):
-        yield draw_matrix(kind, N, min(rows, B - start), rng)
+        b = min(rows, B - start)
+        yield draw_matrix(kind, N, b, rng, None if out is None else out[:b])
 
 
 def draw_counts(kind: ResampleKind, pooled_bins, sizes, B: int,
-                rng: np.random.Generator) -> np.ndarray:
+                rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """B draws of every group's counts per bin, (m, B, nbins), for a
     pooled sample with ``pooled_bins`` values in each bin: the law of
-    counting the assigned pooled values of B draws of ``kind`` by bin."""
+    counting the assigned pooled values of B draws of ``kind`` by bin.
+    The counts are written into ``out`` when it is given."""
     pooled_bins = np.asarray(pooled_bins, dtype=np.intp)
     N = int(pooled_bins.sum())
     if sum(sizes) != N:
         raise ContractError(f"group sizes {tuple(sizes)} do not add up to N={N}")
-    out = np.empty((len(sizes), B, pooled_bins.size), dtype=np.intp)
+    shape = (len(sizes), B, pooled_bins.size)
+    if out is None:
+        out = np.empty(shape, dtype=np.intp)
+    elif out.shape != shape:
+        raise ContractError(f"out has shape {out.shape}, the counts {shape}")
     if kind is ResampleKind.POOLED_BOOTSTRAP:
         for j, n in enumerate(sizes):
             out[j] = rng.multinomial(n, pooled_bins / N, size=B)
         return out
-    # two groups: numpy's C "count" sampler (a partial shuffle of the N
-    # pooled values per draw) draws group 1, and group 2 is the rest.
-    # Its cost grows with N, the chain's below (one broadcast
-    # hypergeometric call per bin) with the bins.  For B = 2000 on a
-    # 2-vCPU host: 10 bins at N = 400 take 4.3 ms by the chain and 7-8
-    # ms by "count"; 548 bins at N = 600 take 354 ms and 12-15 ms
-    # ("marginals", per-bin C draws, 193 ms).  Above N / 16 bins "count"
-    # was faster in every case measured (N = 400 to 10^4, B = 200 and
-    # 2000); at B = 2000 the two break even near N / 24 bins.
-    if len(sizes) == 2 and 16 * pooled_bins.size > N:
-        out[0] = rng.multivariate_hypergeometric(pooled_bins, sizes[0], size=B, method="count")
-        out[1] = pooled_bins - out[0]
+    # two groups: numpy's C sampler draws group 1, and group 2 is the
+    # rest.  Its "count" method (a partial shuffle of the N pooled values
+    # per draw) costs in N, its "marginals" method (one hypergeometric
+    # draw per bin and draw) and the chain below (one broadcast
+    # hypergeometric call per bin) in the bins.  For B = 2000 on a 2-vCPU
+    # host: 10 bins at N = 400 take 2.2-2.6 ms by "marginals", 4.3 ms by
+    # the chain and 7-8 ms by "count"; 548 bins at N = 600 take 12-15 ms
+    # by "count", 193 ms by "marginals" and 354 ms by the chain.  With
+    # group 1 half of N, "marginals" and "count" break even at N / 16
+    # bins: 5.3 ms each at N = 400, ~31 ms each at N = 2000.
+    if len(sizes) == 2:
+        method = "count" if 16 * pooled_bins.size > N else "marginals"
+        out[0] = rng.multivariate_hypergeometric(pooled_bins, sizes[0], size=B, method=method)
+        np.subtract(pooled_bins, out[0], out=out[1])
         return out
     # per draw, the pooled values not yet assigned in each bin and in all
     # bins after it; each bin takes its hypergeometric share of what the

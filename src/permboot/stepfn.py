@@ -18,6 +18,7 @@ import enum
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -143,6 +144,11 @@ class StepFn:
 
     def levels(self):
         """Values taken after each breakpoint, starting with base."""
+        return self._levels
+
+    @cached_property
+    def _levels(self):
+        # built on first use and kept: the function is immutable
         return tuple(self.base + c for c in self._cum)
 
     def sup_norm(self):

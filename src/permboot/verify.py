@@ -16,9 +16,18 @@ one driver, in blocks of a fixed size, so a block's memory does not
 grow with N or B.  Two Monte Carlo counters skip the index draws and
 draw each block's per-group bins from their law
 (``resampling.draw_counts``): the plain indicator's K + 1 bins, and the
-two bins per event time of a two-group survival permutation, which
-numpy's C sampler draws.  Survival bootstraps and permutations of three
-or more groups, the ladder and exhaustive enumeration count index draws.
+two bins per event time of a two-group survival permutation; numpy's C
+sampler draws both groups' bins of every two-group permutation.
+Survival bootstraps and permutations of three or more groups, the
+ladder and exhaustive enumeration count index draws.
+
+A running replicate takes a workspace from a module-level pool and
+hands it back when it is done: every block's draws, counts and curves,
+and the replicate's centred statistic, are written into its buffers.
+The pool holds one workspace per replicate that ever ran concurrently,
+kept between calls, each O(block) plus the (draws, m * grid points)
+statistic.  So later replicates allocate no large arrays, and the
+allocator has no block memory to return and fault back in.
 
 Everything is deterministic given (config, seed): datasets and draws
 use counter-based child seeds, and reductions are order-independent, so
@@ -31,6 +40,8 @@ re-exports them under their old names.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -90,7 +101,8 @@ __all__ = [
 _MAX_DATASET_RETRIES = 100
 # integers per block of draws: draws are made and counted in blocks of
 # this many entries of the widest per-draw array (the pooled indices or
-# the count labels), so a block's memory depends on neither N nor B
+# the count labels), so a block's memory depends on neither N nor B.  A
+# replicate's blocks live in the buffers of its workspace (``_workspace``)
 _BLOCK_CELLS = 1 << 17
 
 
@@ -125,29 +137,70 @@ class VerifyReport:
 
 # -- conditional covariance experiment ---------------------------------
 
+def _buffer(ws: dict | None, name: str, shape, dtype=np.intp, order="C") -> np.ndarray:
+    """Buffer ``name`` of the workspace ws as an array of this shape: ws
+    keeps one flat byte buffer per name and replaces it when a larger
+    array is asked for.  Without a workspace, a new array."""
+    dtype = np.dtype(dtype)
+    if ws is None:
+        return np.empty(shape, dtype=dtype, order=order)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if name not in ws or ws[name].size < nbytes:
+        # a power of two: block sizes vary a little with the data, and
+        # the pages of a buffer that are never written take no memory
+        ws[name] = np.empty(1 << max(nbytes - 1, 0).bit_length(), dtype=np.uint8)
+    return ws[name][:nbytes].view(dtype).reshape(shape, order=order)
+
+
+# workspaces of replicates that have finished, for the next ones to reuse
+_WORKSPACES: list[dict] = []
+
+
+@contextlib.contextmanager
+def _workspace():
+    """A workspace for one running replicate, taken from the pool (or new)
+    and handed back when the replicate is done."""
+    try:
+        ws = _WORKSPACES.pop()
+    except IndexError:
+        ws = {}
+    try:
+        yield ws
+    finally:
+        _WORKSPACES.append(ws)
+
+
 @dataclass(frozen=True)
 class _Counter:
     """Per-draw counts of assigned pooled indices, from one label in
     0..nbins-1 per pooled index: ``binned(idx)`` counts each label for
     the indices idx (B, n) (exact integers, (B, nbins)), ``finish`` turns
     those bins into the counts a statistic reads, and calling the counter
-    does both.  With ``by_law``, Monte Carlo draws skip the indices and
-    take each group's bins from their law (``draw_counts``), which pays
-    where the bins are few, or where numpy's C sampler draws two groups'
-    many bins."""
+    does both; given a workspace, both write into its buffers.  With
+    ``by_law``, Monte Carlo draws skip the indices and take each group's
+    bins from their law (``draw_counts``), which pays where the bins are
+    few, or where numpy's C sampler draws two groups' many bins."""
 
     labels: np.ndarray
     nbins: int
-    finish: Callable = lambda bins: bins
+    finish: Callable = lambda bins, ws=None: bins
     by_law: bool = False
 
-    def binned(self, idx: np.ndarray) -> np.ndarray:
-        B = idx.shape[0]
-        flat = self.labels[idx] + self.nbins * np.arange(B, dtype=np.intp)[:, None]
-        return np.bincount(flat.ravel(), minlength=B * self.nbins).reshape(B, self.nbins)
+    def binned(self, idx: np.ndarray, ws: dict | None = None, sizes=None) -> np.ndarray:
+        """The counts of idx's rows, (B, nbins); with ``sizes``, of each
+        run of ``sizes`` columns of them, (m, B, nbins)."""
+        runs = (idx.shape[1],) if sizes is None else sizes
+        B, width = idx.shape[0], len(runs) * self.nbins
+        flat = np.take(self.labels, idx, out=_buffer(ws, "draws", idx.shape, self.labels.dtype),
+                       mode="clip")
+        # run j of row b counts into bins (b m + j) nbins + label
+        flat += np.repeat(self.nbins * np.arange(len(runs)), runs)
+        flat += width * np.arange(B)[:, None]
+        counts = np.bincount(flat.ravel(), minlength=B * width).reshape(B, len(runs), self.nbins)
+        return counts[:, 0] if sizes is None else counts.transpose(1, 0, 2)
 
-    def __call__(self, idx: np.ndarray):
-        return self.finish(self.binned(idx))
+    def __call__(self, idx: np.ndarray, ws: dict | None = None):
+        return self.finish(self.binned(idx, ws), ws)
 
 
 def _indicator_counter(pooled: np.ndarray, grid: np.ndarray) -> _Counter:
@@ -158,9 +211,10 @@ def _indicator_counter(pooled: np.ndarray, grid: np.ndarray) -> _Counter:
     bins = np.searchsorted(grid[order], pooled, side="left")
     K = grid.size
 
-    def finish(binned):
-        out = np.empty((binned.shape[0], K), dtype=np.intp)
-        out[:, order] = np.cumsum(binned[:, :K], axis=1)
+    def finish(binned, ws=None):
+        shape = (binned.shape[0], K)
+        out = _buffer(ws, "counts", shape)
+        out[:, order] = np.cumsum(binned[:, :K], axis=1, out=_buffer(ws, "cumsum", shape))
         return out
 
     # K + 1 bins: drawn from their law, not counted from index draws
@@ -178,76 +232,84 @@ def _survival_counter(z: np.ndarray, delta: np.ndarray, t_max: float):
     # 2 * risk bin + death carries both counts
     labels = 2 * np.searchsorted(events, z, side="right") + death
 
-    def finish(binned):
+    def finish(binned, ws=None):
         per_bin = binned.reshape(-1, K + 1, 2)
-        # times per risk bin, from bin K down to bin 1
-        down = per_bin[:, :0:-1, 0] + per_bin[:, :0:-1, 1]
-        return per_bin[:, 1:, 1], np.cumsum(down, axis=1)[:, ::-1]
+        # times per risk bin, from bin K down to bin 1, summed downwards
+        at_risk = np.add(per_bin[:, :0:-1, 0], per_bin[:, :0:-1, 1],
+                         out=_buffer(ws, "at_risk", (per_bin.shape[0], K)))
+        np.cumsum(at_risk, axis=1, out=at_risk)
+        return per_bin[:, 1:, 1], at_risk[:, ::-1]
 
     return events, _Counter(labels, 2 * (K + 1), finish)
 
 
-def _over_draws(fn, counter: _Counter, sizes, kind: ResampleKind, draws: int,
-                seed: SeedSpec, exhaustive: bool = False) -> np.ndarray:
-    """``fn`` of each block of draws' per-group bins, joined along the
-    draws: ``draws`` rows of ``kind`` from seed.child(1), or every
-    permutation when ``exhaustive``, group j assigned the j-th run of
-    ``sizes`` columns.  A ``by_law`` counter's bins are drawn from their
-    law, block after block from seed.child(1), instead."""
-    cum = np.cumsum([0, *sizes])
-    N = int(cum[-1])
-    pooled = counter.binned(np.arange(N)[None, :])
+def _over_draws(fn, counter: _Counter, sizes, kind: ResampleKind, draws: int, seed: SeedSpec,
+                exhaustive: bool = False, ws: dict | None = None) -> list:
+    """``fn(first, bins)`` of each block of draws, in order: ``first`` is
+    the index of the block's first draw and ``bins`` its per-group bins,
+    (m, rows, nbins).  The draws are ``draws`` rows of ``kind`` from
+    seed.child(1), or every permutation when ``exhaustive``, group j
+    assigned the j-th run of ``sizes`` columns.  A ``by_law`` counter's
+    bins are drawn from their law, block after block from seed.child(1),
+    instead.  Given a workspace, a block lives in its buffers, which the
+    next block overwrites."""
+    N = sum(sizes)
     by_law = counter.by_law and not exhaustive
-    # at least two rows: a one-row block is both C- and F-ordered, and
-    # the joined blocks must keep fn's memory order, which fixes the
-    # summation order of their mean
+    # at least two rows; the law draws of a block depend on its rows, so
+    # this rule is part of what fixes a report's bytes
     rows = max(2, _BLOCK_CELLS // (counter.nbins if by_law else max(N, counter.nbins)))
-    # a permutation assigns every pooled index once: the last group's
-    # bins are the pooled bins minus the others'
-    complement = kind is ResampleKind.PERMUTATION
+    if by_law:
+        pooled = counter.binned(np.arange(N)[None, :])[0]
+        rng = seed.child(1).rng()
 
-    def group_bins():
-        if by_law:
-            rng = seed.child(1).rng()
-            for start in range(0, draws, rows):
-                yield draw_counts(kind, pooled[0], sizes, min(rows, draws - start), rng)
-            return
-        if exhaustive:
-            perms = all_permutations(N)
-            blocks = (perms[i:i + rows] for i in range(0, len(perms), rows))
-        else:
-            blocks = draw_blocks(kind, N, draws, seed.child(1).rng(), rows)
-        for idx in blocks:
-            bins = [counter.binned(idx[:, a:b]) for a, b in zip(cum[:-2], cum[1:-1])]
-            bins.append(pooled - sum(bins) if complement else counter.binned(idx[:, cum[-2]:]))
-            yield bins
+        def law_block(first):
+            shape = (len(sizes), min(rows, draws - first), counter.nbins)
+            return draw_counts(kind, pooled, sizes, shape[1], rng, out=_buffer(ws, "draws", shape))
 
-    # the comprehension holds a block's bins until the next block's are
-    # all counted; a plain loop drops them one group earlier, and glibc
-    # then returns and re-faults that memory every block (2.5x the minor
-    # page faults of a survival-KM bootstrap replicate at 300 + 300)
-    return np.concatenate([fn(bins) for bins in group_bins()])
+        return [fn(first, law_block(first)) for first in range(0, draws, rows)]
+    if exhaustive:
+        perms = all_permutations(N)
+        blocks = (perms[i:i + rows] for i in range(0, len(perms), rows))
+    else:
+        blocks = draw_blocks(kind, N, draws, seed.child(1).rng(), rows,
+                             _buffer(ws, "index", (rows, N)))
+    return [
+        fn(first, counter.binned(idx, ws, sizes))
+        for first, idx in zip(itertools.count(0, rows), blocks)
+    ]
 
 
-def _hazard(deaths: np.ndarray, at_risk: np.ndarray) -> np.ndarray:
-    """Hazard increments deaths / at risk, 0 where nobody is at risk."""
-    return np.divide(deaths, at_risk, out=np.zeros(np.shape(deaths)), where=at_risk > 0)
+def _hazard(deaths: np.ndarray, at_risk: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Hazard increments deaths / at risk, into ``out`` when given.  A
+    death is in its own risk set, so where nobody is at risk nobody dies
+    either, and deaths / max(at risk, 1) is 0 there."""
+    return np.divide(deaths, np.maximum(at_risk, 1, out=out), out=out)
 
 
-def _survival_curve(deaths: np.ndarray, at_risk: np.ndarray, km: bool) -> np.ndarray:
+def _survival_curve(deaths: np.ndarray, at_risk: np.ndarray, km: bool,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Nelson-Aalen (running sum of the hazard increments) or, with
-    ``km``, Kaplan-Meier (running product of 1 - increment) curves."""
-    h = _hazard(deaths, at_risk)
-    return np.cumprod(1.0 - h, axis=-1) if km else np.cumsum(h, axis=-1)
+    ``km``, Kaplan-Meier (running product of 1 - increment) curves,
+    computed in ``out`` when given."""
+    h = _hazard(deaths, at_risk, out)
+    if km:
+        return np.cumprod(np.subtract(1.0, h, out=h), axis=-1, out=h)
+    return np.cumsum(h, axis=-1, out=h)
 
 
-def _at_grid(curves: np.ndarray, positions: np.ndarray, start: float = 0.0) -> np.ndarray:
+def _at_grid(curves: np.ndarray, positions: np.ndarray, start: float = 0.0,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Running curves (B, K) over K sorted points read after the first
-    ``positions`` points of each grid point; ``start`` before the first."""
+    ``positions`` points of each grid point; ``start`` before the first.
+    Written into ``out`` when given."""
     if curves.shape[1] == 0:
-        return np.full((curves.shape[0], positions.size), start)
-    out = curves[:, np.maximum(positions - 1, 0)]
-    out[:, positions == 0] = start
+        read = np.full((curves.shape[0], positions.size), start)
+    else:
+        read = curves[:, np.maximum(positions - 1, 0)]
+        read[:, positions == 0] = start
+    if out is None:
+        return read
+    out[...] = read
     return out
 
 
@@ -267,8 +329,8 @@ def _resolve_grid(config: ExperimentConfig, z: np.ndarray, default_probs, tau=No
 
 def _plain_scenario(config: ExperimentConfig, seed: SeedSpec):
     """Indicator scenario: the grid, the counter, the statistic (the
-    ECDF at the grid of n assigned values, (B, K), from their counts),
-    the population, the retries."""
+    ECDF at the grid of n assigned values, (B, K), from their counts,
+    into ``out`` when given), the population, the retries."""
     data = simulate_plain_groups(config.group_laws, config.sizes, seed.child(0).rng())
     pooled = np.array(data.pooled().pooled)
     grid = _resolve_grid(config, pooled, np.linspace(0.1, 0.9, 9))
@@ -278,7 +340,11 @@ def _plain_scenario(config: ExperimentConfig, seed: SeedSpec):
     else:
         mix = [(n / pooled.size, law) for law, n in zip(config.group_laws, config.sizes)]
         pop = PlainPopulation(lambda t: sum(w * law.cdf(t) for w, law in mix))
-    return grid, counter, lambda counts, n: counts / n, pop, 0
+
+    def ecdf_at_grid(counts, n, out=None, ws=None):
+        return np.divide(counts, n, out=out)
+
+    return grid, counter, ecdf_at_grid, pop, 0
 
 
 def _at_risk_dataset(config, sizes, seed: SeedSpec, tau=None):
@@ -304,7 +370,8 @@ def _survival_scenario(config: ExperimentConfig, seed: SeedSpec):
     """Nelson-Aalen or Kaplan-Meier scenario: the grid, the counter, the
     statistic (the curve at the grid of the assigned observations, the
     cumsum or cumprod of deaths / at risk over the pooled event times,
-    from their counts), the population, the retries."""
+    from their counts, into ``out`` when given), the population, the
+    retries."""
     data, z, tau, retries = _at_risk_dataset(config, config.sizes, seed, config.tau)
     obs = data.pooled
     delta = np.array([d for _z, d in obs])
@@ -319,8 +386,11 @@ def _survival_scenario(config: ExperimentConfig, seed: SeedSpec):
 
     # a death at events[k] is in its own risk set (risk bin k + 1), so no
     # draw has deaths where nobody is at risk
-    def curve(counts, _n):
-        return _at_grid(_survival_curve(*counts, km_mode), pos, float(km_mode))
+    def curve(counts, _n, out=None, ws=None):
+        deaths, at_risk = counts
+        curves = _survival_curve(deaths, at_risk, km_mode,
+                                 _buffer(ws, "curves", deaths.shape, float))
+        return _at_grid(curves, pos, float(km_mode), out)
 
     if config.target == "plugin":
         pop = EmpiricalSurvivalPopulation(
@@ -360,19 +430,29 @@ def _replicate(config: ExperimentConfig, r: int):
     )
     sizes = config.sizes
     N = sum(sizes)
+    G = grid.size
+    root = math.sqrt(N)
     pooled = stat(counter(np.arange(N)[None, :]), N)[0]
+    draws = math.factorial(N) if config.exhaustive else config.draws
+    with _workspace() as ws:
+        # X is filled block by block.  Its memory order fixes the
+        # summation order of its column means, and so a report's bytes:
+        # row-major for the plain indicator, column-major for survival
+        # (the order of a fancy-indexed read at the grid)
+        X = _buffer(ws, "X", (draws, len(sizes) * G), float, "C" if plain else "F")
 
-    def block(bins):
-        return math.sqrt(N) * np.concatenate(
-            [stat(counter.finish(c), n) - pooled[None, :] for c, n in zip(bins, sizes)], axis=1
-        )
+        def fill(first, bins):
+            block = X[first:first + bins.shape[1]]
+            for j, (group_bins, n) in enumerate(zip(bins, sizes)):
+                cells = stat(counter.finish(group_bins, ws), n, block[:, j * G:(j + 1) * G], ws)
+                cells -= pooled
+                cells *= root
 
-    X = _over_draws(
-        block, counter, sizes, config.resample_kind, config.draws, seed, config.exhaustive
-    )
-    cond_mean = X.mean(axis=0)
-    Xc = X - cond_mean[None, :]
-    cov = (Xc.T @ Xc) / X.shape[0]
+        _over_draws(fill, counter, sizes, config.resample_kind, config.draws, seed,
+                    config.exhaustive, ws)
+        cond_mean = X.mean(axis=0)
+        X -= cond_mean
+        cov = (X.T @ X) / draws
     kernel = assemble_kernel_matrix(
         config.kernel_kind(), pop, LambdaVector.from_sizes(sizes), grid
     )
@@ -566,7 +646,10 @@ def _ladder_residuals(config: LinearizationConfig, sizes, seed: SeedSpec) -> np.
         delta = np.array([d for _z, d in data.pooled])
         counter, residuals = _survival_residuals(config.scenario, z, delta, sizes, tau, grid)
     # rows are independent, so blocks of them change no result
-    return _over_draws(residuals, counter, sizes, config.resample_kind, config.draws, seed)
+    return np.concatenate(_over_draws(
+        lambda _first, bins: residuals(bins),
+        counter, sizes, config.resample_kind, config.draws, seed,
+    ))
 
 
 def linearization_residual_experiment(config: LinearizationConfig) -> dict:

@@ -169,22 +169,37 @@ def test_draw_blocks_match_draw_matrix(kind, rows):
 # (bin 0 empty), 1.0 is repeated (the bin between its copies is empty)
 # and 5.0 lies above all the data (the last bin is empty).
 _GRID = np.array([1.0, 0.1, 5.0, 1.0, 3.0])
+# Larger cases bin on two points: 3 bins, all occupied.
+_COARSE_GRID = np.array([1.0, 2.5])
 # Two-group permutations have 6 bins for N = 8 values, so they take
 # numpy's "count" sampler: group 1 more than half of N (drawn as the
 # complement of a partial shuffle), at most half, and a single value.
-# Three groups take the chain of hypergeometric draws.
+# With N = 48 = 16 x 3 bins, they take its "marginals" sampler.  Three
+# groups take the chain of hypergeometric draws.
 _LAW_CASES = [
     (ResampleKind.PERMUTATION, (0.3, 0.7, 0.7, 1.2, 2.0, 2.5, 3.1, 4.0), sizes)
     for sizes in ((5, 3), (3, 5), (1, 7), (3, 3, 2))
 ] + [
+    (ResampleKind.PERMUTATION, (0.5,) * 20 + (1.5,) * 12 + (3.0,) * 16, (6, 42)),
+] + [
     (ResampleKind.POOLED_BOOTSTRAP, (0.3, 0.7, 0.7, 2.0, 2.5, 4.0), sizes)
     for sizes in ((4, 2), (2, 2, 2))
 ]
-_LAW_IDS = [f"{kind.value}-{'-'.join(map(str, sizes))}" for kind, _v, sizes in _LAW_CASES]
+
+
+def _law_id(case):
+    kind, _values, sizes = case
+    return f"{kind.value}-{'-'.join(map(str, sizes))}"
+
+
+_LAW_IDS = [_law_id(case) for case in _LAW_CASES]
+# the cases small enough to enumerate every draw
+_EXHAUSTIVE_LAW_CASES = [case for case in _LAW_CASES if len(case[1]) <= 8]
 
 
 def _pooled_bins(values):
-    counter = _indicator_counter(np.array(values), _GRID)
+    grid = _GRID if len(values) <= 8 else _COARSE_GRID
+    counter = _indicator_counter(np.array(values), grid)
     return counter, counter.binned(np.arange(len(values))[None, :])[0]
 
 
@@ -214,7 +229,9 @@ def _outcomes(counts):
     return [tuple(map(tuple, draw)) for draw in np.transpose(counts, (1, 0, 2)).tolist()]
 
 
-@pytest.mark.parametrize("kind, values, sizes", _LAW_CASES, ids=_LAW_IDS)
+@pytest.mark.parametrize(
+    "kind, values, sizes", _EXHAUSTIVE_LAW_CASES, ids=[_law_id(c) for c in _EXHAUSTIVE_LAW_CASES]
+)
 def test_index_draw_bin_counts_have_the_exact_law(kind, values, sizes):
     # every permutation, or every one of the N^N bootstrap assignments,
     # counted by bin: the frequency of each outcome is its exact pmf
@@ -270,15 +287,24 @@ def _misfit(kind, pooled_bins, sizes, counts):
 
 
 class _RngRecorder:
-    """A generator that counts the names of the methods called on it."""
+    """A generator that counts the names of the methods called on it and
+    lists the ``method`` argument of each call that passes one."""
 
     def __init__(self, rng):
         self.rng = rng
         self.calls = Counter()
+        self.methods = []
 
     def __getattr__(self, name):
         self.calls[name] += 1
-        return getattr(self.rng, name)
+        fn = getattr(self.rng, name)
+
+        def call(*args, **kwargs):
+            if "method" in kwargs:
+                self.methods.append(kwargs["method"])
+            return fn(*args, **kwargs)
+
+        return call
 
 
 def _sampler(kind, sizes):
@@ -343,18 +369,20 @@ def test_law_check_rejects_mutant_samplers(mutant, case):
     assert chi2 > threshold
 
 
-@pytest.mark.parametrize("nbins, N, sampler", [
-    (10, 400, "hypergeometric"),
-    (26, 400, "multivariate_hypergeometric"),
-    (548, 600, "multivariate_hypergeometric"),
+@pytest.mark.parametrize("nbins, N, method", [
+    (10, 400, "marginals"),
+    (25, 400, "marginals"),
+    (26, 400, "count"),
+    (548, 600, "count"),
 ])
-def test_two_group_permutation_sampler_follows_bins_per_value(nbins, N, sampler):
-    # the C "count" sampler's cost grows with N, the chain's with the
-    # bins: the plain indicator's 10 bins at 200 + 200 keep the chain
+def test_two_group_permutation_sampler_follows_bins_per_value(nbins, N, method):
+    # the C "count" sampler's cost grows with N, "marginals" with the
+    # bins: the plain indicator's 10 bins at 200 + 200 take "marginals"
     rng = _RngRecorder(SeedSpec(3).rng())
     bins = np.bincount(np.arange(N) % nbins)
     out = draw_counts(ResampleKind.PERMUTATION, bins, (N // 2, N - N // 2), 7, rng)
-    assert set(rng.calls) == {sampler}
+    assert set(rng.calls) == {"multivariate_hypergeometric"}
+    assert rng.methods == [method]
     assert np.array_equal(out.sum(axis=0), np.tile(bins, (7, 1)))
     assert np.array_equal(out.sum(axis=2), np.tile([[N // 2], [N - N // 2]], (1, 7)))
 

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -61,6 +62,7 @@ from permboot.verify import (
     _survival_scenario,
 )
 import permboot.verify as verify_module
+from test_imports import _fresh_python
 from test_resampling import _RngRecorder
 
 
@@ -438,16 +440,16 @@ def test_blocked_replicate_equals_whole_matrix(over, cells, monkeypatch):
     block_rows = []
     blocks = verify_module.draw_blocks
 
-    def spy(kind, N, B, rng, rows):
+    def spy(kind, N, B, rng, rows, out=None):
         block_rows.append(rows)
-        return blocks(kind, N, B, rng, rows)
+        return blocks(kind, N, B, rng, rows, out)
 
     law_rows, sampler = [], Counter()
 
-    def counts_spy(kind, pooled_bins, sizes, B, rng):
+    def counts_spy(kind, pooled_bins, sizes, B, rng, out=None):
         law_rows.append(B)
         recorder = _RngRecorder(rng)
-        out = draw_counts(kind, pooled_bins, sizes, B, recorder)
+        out = draw_counts(kind, pooled_bins, sizes, B, recorder, out)
         sampler.update(recorder.calls)
         return out
 
@@ -474,12 +476,14 @@ def test_blocked_replicate_equals_whole_matrix(over, cells, monkeypatch):
         assert not law_rows
 
 
-def test_survival_memory_does_not_grow_with_draws():
+def test_survival_memory_does_not_grow_with_draws(monkeypatch):
     # draws are made and counted in blocks: only the (B, m*G) centred
     # statistic grows with B (80 KB per 1000 draws here)
     import tracemalloc
 
     def peak(draws):
+        # from an empty workspace pool, so both runs make their buffers
+        monkeypatch.setattr(verify_module, "_WORKSPACES", [])
         cfg = ExperimentConfig.from_dict(_base_config(
             scenario="survival-km", resample_kind="bootstrap", sizes=[300, 300],
             draws=draws, outer_reps=1,
@@ -493,6 +497,72 @@ def test_survival_memory_does_not_grow_with_draws():
             tracemalloc.stop()
 
     assert peak(4000) <= peak(1000) + 2 * 2**20
+
+
+# -- reused block buffers ----------------------------------------------
+
+_SURVIVAL_LAWS = dict(censoring_laws=[{"kind": "exponential", "rate": 0.5}] * 2, tau_quantile=0.8)
+# plain two-group permutation ("marginals" sampler), survival law draws,
+# survival index draws, plain bootstrap, three-group chain: buffers of
+# other shapes, sizes and memory orders, several blocks each
+_REUSE_CONFIGS = {
+    "plain-permutation": _base_config(sizes=[200, 200], draws=700),
+    "na-permutation": _base_config(scenario="survival-na", sizes=[300, 300], draws=500,
+                                   **_SURVIVAL_LAWS),
+    "km-bootstrap": _base_config(scenario="survival-km", resample_kind="bootstrap",
+                                 sizes=[300, 300], draws=500, **_SURVIVAL_LAWS),
+    "plain-bootstrap": _base_config(resample_kind="bootstrap", sizes=[150, 120], draws=600),
+    "plain-3": _base_config(sizes=[60, 50, 40], draws=500, group_laws=[
+        {"kind": "exponential", "rate": r} for r in (1.0, 1.5, 0.8)
+    ]),
+}
+
+
+def _report(name, threads=1):
+    cfg = ExperimentConfig.from_dict(_REUSE_CONFIGS[name])
+    return conditional_cov_experiment(cfg, threads=threads).to_json()
+
+
+def test_reports_do_not_depend_on_reused_buffers(monkeypatch):
+    # one thread, so every replicate takes the workspace the one before
+    # it left, with another config's block shapes and stale values
+    monkeypatch.setattr(verify_module, "_WORKSPACES", [])
+    names = list(_REUSE_CONFIGS)
+    interleaved = {}
+    for name in names + names[::-1]:
+        assert interleaved.setdefault(name, _report(name)) == _report(name)
+    assert len(verify_module._WORKSPACES) == 1
+    # index draws at 4 threads, each replicate on a workspace of its own
+    assert _report("km-bootstrap", threads=4) == interleaved["km-bootstrap"]
+    for name, doc in _REUSE_CONFIGS.items():
+        proc = _fresh_python("-c", "; ".join([
+            "import json, sys",
+            "from permboot import ExperimentConfig, conditional_cov_experiment",
+            "cfg = ExperimentConfig.from_dict(json.loads(sys.argv[1]))",
+            "sys.stdout.write(conditional_cov_experiment(cfg).to_json())",
+        ]), json.dumps(doc))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == interleaved[name], name
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts minor page faults as Linux does")
+def test_steady_replicates_fault_in_no_block_memory():
+    # block memory that is freed and allocated again is faulted in again
+    # whenever the allocator returned it; reused buffers are not
+    proc = _fresh_python("-c", "; ".join([
+        "import json, resource, sys",
+        "from permboot import ExperimentConfig",
+        "from permboot.verify import _replicate",
+        "cfg = ExperimentConfig.from_dict(json.loads(sys.argv[1]))",
+        "_replicate(cfg, 0)",
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "[_replicate(cfg, r) for r in range(1, 5)]",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+    ]), json.dumps(_base_config(
+        scenario="survival-na", sizes=[300, 300], draws=2000, outer_reps=5, **_SURVIVAL_LAWS,
+    )))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 500
 
 
 # -- resampled counts against the dense products -----------------------
@@ -591,7 +661,7 @@ def _risk_bin_at_event_counter(z, delta, t_max):
     K = events.size
     labels = 2 * (np.searchsorted(events, z, side="right") - death) + death
 
-    def finish(binned):
+    def finish(binned, ws=None):
         per_bin = binned.reshape(-1, K + 1, 2)
         down = per_bin[:, :0:-1, 0] + per_bin[:, :0:-1, 1]
         return per_bin[:, :-1, 1], np.cumsum(down, axis=1)[:, ::-1]
@@ -610,8 +680,8 @@ def _blocks_over_risk_sets(monkeypatch, make_counter, **over):
     def watched(z, delta, t_max):
         events, counter = make_counter(z, delta, t_max)
 
-        def finish(binned):
-            deaths, at_risk = counter.finish(binned)
+        def finish(binned, ws=None):
+            deaths, at_risk = counter.finish(binned, ws)
             blocks.append(bool(np.any(deaths > at_risk)))
             return deaths, at_risk
 
@@ -619,9 +689,9 @@ def _blocks_over_risk_sets(monkeypatch, make_counter, **over):
 
     law_blocks = []
 
-    def counts_spy(kind, pooled_bins, sizes, B, rng):
+    def counts_spy(kind, pooled_bins, sizes, B, rng, out=None):
         law_blocks.append(B)
-        return draw_counts(kind, pooled_bins, sizes, B, rng)
+        return draw_counts(kind, pooled_bins, sizes, B, rng, out)
 
     monkeypatch.setattr(verify_module, "_survival_counter", watched)
     monkeypatch.setattr(verify_module, "draw_counts", counts_spy)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from dataclasses import asdict, is_dataclass
 from enum import Enum
 
@@ -78,9 +77,12 @@ def canonical_json(obj, indent: int = 0) -> str:
 
 
 def write_atomic(path, text: str):
-    """Write via temp file + rename in the destination directory."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    """Write via temp file + rename in the destination directory.  The
+    temp file is created with mode 0o666, so the file gets the mode the
+    umask leaves, as with ``open``; rename keeps it."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)

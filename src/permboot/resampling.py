@@ -108,58 +108,41 @@ def all_permutations(N: int) -> np.ndarray:
     return np.array(list(_iter_permutations(range(N))), dtype=np.intp)
 
 
-def permutation_matrix(N: int, B: int, rng: np.random.Generator, out=None) -> np.ndarray:
-    """B independent uniform permutations, one per row; into ``out`` when given."""
-    if out is None:
-        out = np.empty((B, N), dtype=np.intp)
-    out[...] = np.arange(N)
+def permutation_matrix(N: int, B: int, rng: np.random.Generator) -> np.ndarray:
+    """B independent uniform permutations, one per row."""
+    out = np.tile(np.arange(N, dtype=np.intp), (B, 1))
     return rng.permuted(out, axis=1, out=out)
 
 
-def bootstrap_matrix(N: int, B: int, rng: np.random.Generator, out=None) -> np.ndarray:
-    """B bootstrap draws, one per row; into ``out`` when given."""
-    draws = rng.integers(0, N, size=(B, N), dtype=np.intp)
-    if out is None:
-        return draws
-    out[...] = draws
-    return out
+def bootstrap_matrix(N: int, B: int, rng: np.random.Generator) -> np.ndarray:
+    """B bootstrap draws, one per row."""
+    return rng.integers(0, N, size=(B, N), dtype=np.intp)
 
 
-def draw_matrix(kind: ResampleKind, N: int, B: int, rng: np.random.Generator,
-                out=None) -> np.ndarray:
-    """B draws of the given kind, one assignment per row; into ``out``
-    when given."""
+def draw_matrix(kind: ResampleKind, N: int, B: int, rng: np.random.Generator) -> np.ndarray:
+    """B draws of the given kind, one assignment per row."""
     if kind is ResampleKind.PERMUTATION:
-        return permutation_matrix(N, B, rng, out)
-    return bootstrap_matrix(N, B, rng, out)
+        return permutation_matrix(N, B, rng)
+    return bootstrap_matrix(N, B, rng)
 
 
-def draw_blocks(kind: ResampleKind, N: int, B: int, rng: np.random.Generator, rows: int,
-                out=None):
+def draw_blocks(kind: ResampleKind, N: int, B: int, rng: np.random.Generator, rows: int):
     """The rows of ``draw_matrix(kind, N, B, rng)`` in blocks of at most
-    ``rows`` draws, each block drawn from rng only when it is needed.
-    Given ``out`` (at least ``rows`` rows), every block is drawn into its
-    first rows, so a block holds only until the next one is drawn."""
+    ``rows`` draws, each block drawn from rng only when it is needed."""
     for start in range(0, B, rows):
-        b = min(rows, B - start)
-        yield draw_matrix(kind, N, b, rng, None if out is None else out[:b])
+        yield draw_matrix(kind, N, min(rows, B - start), rng)
 
 
 def draw_counts(kind: ResampleKind, pooled_bins, sizes, B: int,
-                rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+                rng: np.random.Generator) -> np.ndarray:
     """B draws of every group's counts per bin, (m, B, nbins), for a
     pooled sample with ``pooled_bins`` values in each bin: the law of
-    counting the assigned pooled values of B draws of ``kind`` by bin.
-    The counts are written into ``out`` when it is given."""
+    counting the assigned pooled values of B draws of ``kind`` by bin."""
     pooled_bins = np.asarray(pooled_bins, dtype=np.intp)
     N = int(pooled_bins.sum())
     if sum(sizes) != N:
         raise ContractError(f"group sizes {tuple(sizes)} do not add up to N={N}")
-    shape = (len(sizes), B, pooled_bins.size)
-    if out is None:
-        out = np.empty(shape, dtype=np.intp)
-    elif out.shape != shape:
-        raise ContractError(f"out has shape {out.shape}, the counts {shape}")
+    out = np.empty((len(sizes), B, pooled_bins.size), dtype=np.intp)
     if kind is ResampleKind.POOLED_BOOTSTRAP:
         for j, n in enumerate(sizes):
             out[j] = rng.multinomial(n, pooled_bins / N, size=B)

@@ -19,15 +19,9 @@ draw each block's per-group bins from their law
 two bins per event time of a two-group survival permutation; numpy's C
 sampler draws both groups' bins of every two-group permutation.
 Survival bootstraps and permutations of three or more groups, the
-ladder and exhaustive enumeration count index draws.
-
-A running replicate takes a workspace from a module-level pool and
-hands it back when it is done: every block's draws, counts and curves,
-and the replicate's centred statistic, are written into its buffers.
-The pool holds one workspace per replicate that ever ran concurrently,
-kept between calls, each O(block) plus the (draws, m * grid points)
-statistic.  So later replicates allocate no large arrays, and the
-allocator has no block memory to return and fault back in.
+ladder and exhaustive enumeration count index draws.  A replicate's
+blocks are allocated as they are drawn, and its centred (draws, m * grid
+points) statistic is filled block by block; nothing outlives the call.
 
 Everything is deterministic given (config, seed): datasets and draws
 use counter-based child seeds, and reductions are order-independent, so
@@ -40,7 +34,6 @@ re-exports them under their old names.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import itertools
 import math
 from collections.abc import Callable
@@ -101,8 +94,7 @@ __all__ = [
 _MAX_DATASET_RETRIES = 100
 # integers per block of draws: draws are made and counted in blocks of
 # this many entries of the widest per-draw array (the pooled indices or
-# the count labels), so a block's memory depends on neither N nor B.  A
-# replicate's blocks live in the buffers of its workspace (``_workspace``)
+# the count labels), so a block's memory depends on neither N nor B
 _BLOCK_CELLS = 1 << 17
 
 
@@ -137,70 +129,36 @@ class VerifyReport:
 
 # -- conditional covariance experiment ---------------------------------
 
-def _buffer(ws: dict | None, name: str, shape, dtype=np.intp, order="C") -> np.ndarray:
-    """Buffer ``name`` of the workspace ws as an array of this shape: ws
-    keeps one flat byte buffer per name and replaces it when a larger
-    array is asked for.  Without a workspace, a new array."""
-    dtype = np.dtype(dtype)
-    if ws is None:
-        return np.empty(shape, dtype=dtype, order=order)
-    nbytes = math.prod(shape) * dtype.itemsize
-    if name not in ws or ws[name].size < nbytes:
-        # a power of two: block sizes vary a little with the data, and
-        # the pages of a buffer that are never written take no memory
-        ws[name] = np.empty(1 << max(nbytes - 1, 0).bit_length(), dtype=np.uint8)
-    return ws[name][:nbytes].view(dtype).reshape(shape, order=order)
-
-
-# workspaces of replicates that have finished, for the next ones to reuse
-_WORKSPACES: list[dict] = []
-
-
-@contextlib.contextmanager
-def _workspace():
-    """A workspace for one running replicate, taken from the pool (or new)
-    and handed back when the replicate is done."""
-    try:
-        ws = _WORKSPACES.pop()
-    except IndexError:
-        ws = {}
-    try:
-        yield ws
-    finally:
-        _WORKSPACES.append(ws)
-
-
 @dataclass(frozen=True)
 class _Counter:
     """Per-draw counts of assigned pooled indices, from one label in
     0..nbins-1 per pooled index: ``binned(idx)`` counts each label for
     the indices idx (B, n) (exact integers, (B, nbins)), ``finish`` turns
     those bins into the counts a statistic reads, and calling the counter
-    does both; given a workspace, both write into its buffers.  With
-    ``by_law``, Monte Carlo draws skip the indices and take each group's
-    bins from their law (``draw_counts``), which pays where the bins are
-    few, or where numpy's C sampler draws two groups' many bins."""
+    does both.  With ``by_law``, Monte Carlo draws skip the indices and
+    take each group's bins from their law (``draw_counts``), which pays
+    where the bins are few, or where numpy's C sampler draws two groups'
+    many bins."""
 
     labels: np.ndarray
     nbins: int
-    finish: Callable = lambda bins, ws=None: bins
+    finish: Callable = lambda bins: bins
     by_law: bool = False
 
-    def binned(self, idx: np.ndarray, ws: dict | None = None, sizes=None) -> np.ndarray:
+    def binned(self, idx: np.ndarray, sizes=None) -> np.ndarray:
         """The counts of idx's rows, (B, nbins); with ``sizes``, of each
         run of ``sizes`` columns of them, (m, B, nbins)."""
         runs = (idx.shape[1],) if sizes is None else sizes
         B, width = idx.shape[0], len(runs) * self.nbins
-        flat = np.take(self.labels, idx, out=_buffer(ws, "draws", idx.shape, self.labels.dtype),
-                       mode="clip")
+        flat = self.labels[idx]
         # run j of row b counts into bins (b m + j) nbins + label
         flat += np.repeat(self.nbins * np.arange(len(runs)), runs)
         flat += width * np.arange(B)[:, None]
         counts = np.bincount(flat.ravel(), minlength=B * width).reshape(B, len(runs), self.nbins)
         return counts[:, 0] if sizes is None else counts.transpose(1, 0, 2)
 
-    def __call__(self, idx: np.ndarray, ws: dict | None = None):
-        return self.finish(self.binned(idx, ws), ws)
+    def __call__(self, idx: np.ndarray):
+        return self.finish(self.binned(idx))
 
 
 def _indicator_counter(pooled: np.ndarray, grid: np.ndarray) -> _Counter:
@@ -211,10 +169,9 @@ def _indicator_counter(pooled: np.ndarray, grid: np.ndarray) -> _Counter:
     bins = np.searchsorted(grid[order], pooled, side="left")
     K = grid.size
 
-    def finish(binned, ws=None):
-        shape = (binned.shape[0], K)
-        out = _buffer(ws, "counts", shape)
-        out[:, order] = np.cumsum(binned[:, :K], axis=1, out=_buffer(ws, "cumsum", shape))
+    def finish(binned):
+        out = np.empty((binned.shape[0], K), dtype=np.intp)
+        out[:, order] = np.cumsum(binned[:, :K], axis=1)
         return out
 
     # K + 1 bins: drawn from their law, not counted from index draws
@@ -232,11 +189,10 @@ def _survival_counter(z: np.ndarray, delta: np.ndarray, t_max: float):
     # 2 * risk bin + death carries both counts
     labels = 2 * np.searchsorted(events, z, side="right") + death
 
-    def finish(binned, ws=None):
+    def finish(binned):
         per_bin = binned.reshape(-1, K + 1, 2)
         # times per risk bin, from bin K down to bin 1, summed downwards
-        at_risk = np.add(per_bin[:, :0:-1, 0], per_bin[:, :0:-1, 1],
-                         out=_buffer(ws, "at_risk", (per_bin.shape[0], K)))
+        at_risk = per_bin[:, :0:-1, 0] + per_bin[:, :0:-1, 1]
         np.cumsum(at_risk, axis=1, out=at_risk)
         return per_bin[:, 1:, 1], at_risk[:, ::-1]
 
@@ -244,15 +200,14 @@ def _survival_counter(z: np.ndarray, delta: np.ndarray, t_max: float):
 
 
 def _over_draws(fn, counter: _Counter, sizes, kind: ResampleKind, draws: int, seed: SeedSpec,
-                exhaustive: bool = False, ws: dict | None = None) -> list:
+                exhaustive: bool = False) -> list:
     """``fn(first, bins)`` of each block of draws, in order: ``first`` is
     the index of the block's first draw and ``bins`` its per-group bins,
     (m, rows, nbins).  The draws are ``draws`` rows of ``kind`` from
     seed.child(1), or every permutation when ``exhaustive``, group j
     assigned the j-th run of ``sizes`` columns.  A ``by_law`` counter's
     bins are drawn from their law, block after block from seed.child(1),
-    instead.  Given a workspace, a block lives in its buffers, which the
-    next block overwrites."""
+    instead."""
     N = sum(sizes)
     by_law = counter.by_law and not exhaustive
     # at least two rows; the law draws of a block depend on its rows, so
@@ -262,36 +217,32 @@ def _over_draws(fn, counter: _Counter, sizes, kind: ResampleKind, draws: int, se
         pooled = counter.binned(np.arange(N)[None, :])[0]
         rng = seed.child(1).rng()
 
-        def law_block(first):
-            shape = (len(sizes), min(rows, draws - first), counter.nbins)
-            return draw_counts(kind, pooled, sizes, shape[1], rng, out=_buffer(ws, "draws", shape))
-
-        return [fn(first, law_block(first)) for first in range(0, draws, rows)]
+        return [
+            fn(first, draw_counts(kind, pooled, sizes, min(rows, draws - first), rng))
+            for first in range(0, draws, rows)
+        ]
     if exhaustive:
         perms = all_permutations(N)
         blocks = (perms[i:i + rows] for i in range(0, len(perms), rows))
     else:
-        blocks = draw_blocks(kind, N, draws, seed.child(1).rng(), rows,
-                             _buffer(ws, "index", (rows, N)))
+        blocks = draw_blocks(kind, N, draws, seed.child(1).rng(), rows)
     return [
-        fn(first, counter.binned(idx, ws, sizes))
+        fn(first, counter.binned(idx, sizes))
         for first, idx in zip(itertools.count(0, rows), blocks)
     ]
 
 
-def _hazard(deaths: np.ndarray, at_risk: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Hazard increments deaths / at risk, into ``out`` when given.  A
-    death is in its own risk set, so where nobody is at risk nobody dies
-    either, and deaths / max(at risk, 1) is 0 there."""
-    return np.divide(deaths, np.maximum(at_risk, 1, out=out), out=out)
+def _hazard(deaths: np.ndarray, at_risk: np.ndarray) -> np.ndarray:
+    """Hazard increments deaths / at risk.  A death is in its own risk
+    set, so where nobody is at risk nobody dies either, and deaths /
+    max(at risk, 1) is 0 there."""
+    return np.divide(deaths, np.maximum(at_risk, 1))
 
 
-def _survival_curve(deaths: np.ndarray, at_risk: np.ndarray, km: bool,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def _survival_curve(deaths: np.ndarray, at_risk: np.ndarray, km: bool) -> np.ndarray:
     """Nelson-Aalen (running sum of the hazard increments) or, with
-    ``km``, Kaplan-Meier (running product of 1 - increment) curves,
-    computed in ``out`` when given."""
-    h = _hazard(deaths, at_risk, out)
+    ``km``, Kaplan-Meier (running product of 1 - increment) curves."""
+    h = _hazard(deaths, at_risk)
     if km:
         return np.cumprod(np.subtract(1.0, h, out=h), axis=-1, out=h)
     return np.cumsum(h, axis=-1, out=h)
@@ -341,7 +292,7 @@ def _plain_scenario(config: ExperimentConfig, seed: SeedSpec):
         mix = [(n / pooled.size, law) for law, n in zip(config.group_laws, config.sizes)]
         pop = PlainPopulation(lambda t: sum(w * law.cdf(t) for w, law in mix))
 
-    def ecdf_at_grid(counts, n, out=None, ws=None):
+    def ecdf_at_grid(counts, n, out=None):
         return np.divide(counts, n, out=out)
 
     return grid, counter, ecdf_at_grid, pop, 0
@@ -386,11 +337,8 @@ def _survival_scenario(config: ExperimentConfig, seed: SeedSpec):
 
     # a death at events[k] is in its own risk set (risk bin k + 1), so no
     # draw has deaths where nobody is at risk
-    def curve(counts, _n, out=None, ws=None):
-        deaths, at_risk = counts
-        curves = _survival_curve(deaths, at_risk, km_mode,
-                                 _buffer(ws, "curves", deaths.shape, float))
-        return _at_grid(curves, pos, float(km_mode), out)
+    def curve(counts, _n, out=None):
+        return _at_grid(_survival_curve(*counts, km_mode), pos, float(km_mode), out)
 
     if config.target == "plugin":
         pop = EmpiricalSurvivalPopulation(
@@ -434,25 +382,24 @@ def _replicate(config: ExperimentConfig, r: int):
     root = math.sqrt(N)
     pooled = stat(counter(np.arange(N)[None, :]), N)[0]
     draws = math.factorial(N) if config.exhaustive else config.draws
-    with _workspace() as ws:
-        # X is filled block by block.  Its memory order fixes the
-        # summation order of its column means, and so a report's bytes:
-        # row-major for the plain indicator, column-major for survival
-        # (the order of a fancy-indexed read at the grid)
-        X = _buffer(ws, "X", (draws, len(sizes) * G), float, "C" if plain else "F")
+    # X is filled block by block.  Its memory order fixes the summation
+    # order of its column means, and so a report's bytes: row-major for
+    # the plain indicator, column-major for survival (the order of a
+    # fancy-indexed read at the grid)
+    X = np.empty((draws, len(sizes) * G), order="C" if plain else "F")
 
-        def fill(first, bins):
-            block = X[first:first + bins.shape[1]]
-            for j, (group_bins, n) in enumerate(zip(bins, sizes)):
-                cells = stat(counter.finish(group_bins, ws), n, block[:, j * G:(j + 1) * G], ws)
-                cells -= pooled
-                cells *= root
+    def fill(first, bins):
+        block = X[first:first + bins.shape[1]]
+        for j, (group_bins, n) in enumerate(zip(bins, sizes)):
+            cells = stat(counter.finish(group_bins), n, block[:, j * G:(j + 1) * G])
+            cells -= pooled
+            cells *= root
 
-        _over_draws(fill, counter, sizes, config.resample_kind, config.draws, seed,
-                    config.exhaustive, ws)
-        cond_mean = X.mean(axis=0)
-        X -= cond_mean
-        cov = (X.T @ X) / draws
+    _over_draws(fill, counter, sizes, config.resample_kind, config.draws, seed,
+                config.exhaustive)
+    cond_mean = X.mean(axis=0)
+    X -= cond_mean
+    cov = (X.T @ X) / draws
     kernel = assemble_kernel_matrix(
         config.kernel_kind(), pop, LambdaVector.from_sizes(sizes), grid
     )
@@ -702,6 +649,11 @@ def hadamard_ratio_check(functional_id, theta_seq, h_seq, t_seq, derivative_ref)
     counterexample sequences) is asserted by the caller.
     """
     fn = functional_id if callable(functional_id) else _RATIO_FUNCTIONALS[functional_id]
+    if not len(theta_seq) == len(h_seq) == len(t_seq):
+        raise ContractError(
+            "theta_seq, h_seq and t_seq differ in length: "
+            f"{len(theta_seq)}, {len(h_seq)} and {len(t_seq)}"
+        )
     devs = []
     for idx, (theta_n, h_n, t_n) in enumerate(zip(theta_seq, h_seq, t_seq)):
         try:

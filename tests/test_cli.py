@@ -3,6 +3,7 @@ import csv
 import errno
 import json
 import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -165,6 +166,20 @@ def test_simulate_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     assert run(["simulate", "--config", cfg, "--output", data, "--seed", "1"]) == EXIT_DATA
     assert data.read_text() == "previous contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "sim.json"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes and umask")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_outputs_get_the_mode_the_umask_leaves(tmp_path, umask, mode):
+    # as open() would create it: 0o666 less the umask
+    out = tmp_path / "table.csv"
+    previous = os.umask(umask)
+    try:
+        assert run(["counterexample", "--n", "4", "--output", out]) == EXIT_OK
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
 def test_kernel_subcommand(tmp_path):

@@ -440,16 +440,16 @@ def test_blocked_replicate_equals_whole_matrix(over, cells, monkeypatch):
     block_rows = []
     blocks = verify_module.draw_blocks
 
-    def spy(kind, N, B, rng, rows, out=None):
+    def spy(kind, N, B, rng, rows):
         block_rows.append(rows)
-        return blocks(kind, N, B, rng, rows, out)
+        return blocks(kind, N, B, rng, rows)
 
     law_rows, sampler = [], Counter()
 
-    def counts_spy(kind, pooled_bins, sizes, B, rng, out=None):
+    def counts_spy(kind, pooled_bins, sizes, B, rng):
         law_rows.append(B)
         recorder = _RngRecorder(rng)
-        out = draw_counts(kind, pooled_bins, sizes, B, recorder, out)
+        out = draw_counts(kind, pooled_bins, sizes, B, recorder)
         sampler.update(recorder.calls)
         return out
 
@@ -476,14 +476,12 @@ def test_blocked_replicate_equals_whole_matrix(over, cells, monkeypatch):
         assert not law_rows
 
 
-def test_survival_memory_does_not_grow_with_draws(monkeypatch):
+def test_survival_memory_does_not_grow_with_draws():
     # draws are made and counted in blocks: only the (B, m*G) centred
     # statistic grows with B (80 KB per 1000 draws here)
     import tracemalloc
 
     def peak(draws):
-        # from an empty workspace pool, so both runs make their buffers
-        monkeypatch.setattr(verify_module, "_WORKSPACES", [])
         cfg = ExperimentConfig.from_dict(_base_config(
             scenario="survival-km", resample_kind="bootstrap", sizes=[300, 300],
             draws=draws, outer_reps=1,
@@ -499,11 +497,35 @@ def test_survival_memory_does_not_grow_with_draws(monkeypatch):
     assert peak(4000) <= peak(1000) + 2 * 2**20
 
 
-# -- reused block buffers ----------------------------------------------
+def test_experiment_holds_no_memory_after_it_returns():
+    # the (B, m*G) statistic alone is 1.6 MB here; a smaller warm-up run
+    # first, so that first-use imports and caches are not counted
+    import gc
+    import tracemalloc
+
+    def run(draws):
+        conditional_cov_experiment(ExperimentConfig.from_dict(_base_config(
+            scenario="survival-km", resample_kind="bootstrap", sizes=[300, 300],
+            draws=draws, outer_reps=1,
+            censoring_laws=[{"kind": "exponential", "rate": 0.5}] * 2,
+        )))
+
+    run(200)
+    tracemalloc.start()
+    try:
+        run(20000)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 512 * 2**10
+
+
+# -- reports independent of what ran before ----------------------------
 
 _SURVIVAL_LAWS = dict(censoring_laws=[{"kind": "exponential", "rate": 0.5}] * 2, tau_quantile=0.8)
 # plain two-group permutation ("marginals" sampler), survival law draws,
-# survival index draws, plain bootstrap, three-group chain: buffers of
+# survival index draws, plain bootstrap, three-group chain: blocks of
 # other shapes, sizes and memory orders, several blocks each
 _REUSE_CONFIGS = {
     "plain-permutation": _base_config(sizes=[200, 200], draws=700),
@@ -523,16 +545,14 @@ def _report(name, threads=1):
     return conditional_cov_experiment(cfg, threads=threads).to_json()
 
 
-def test_reports_do_not_depend_on_reused_buffers(monkeypatch):
-    # one thread, so every replicate takes the workspace the one before
-    # it left, with another config's block shapes and stale values
-    monkeypatch.setattr(verify_module, "_WORKSPACES", [])
+def test_reports_do_not_depend_on_reused_buffers():
+    # configs of other block shapes run in between, in one thread and
+    # one interpreter
     names = list(_REUSE_CONFIGS)
     interleaved = {}
     for name in names + names[::-1]:
         assert interleaved.setdefault(name, _report(name)) == _report(name)
-    assert len(verify_module._WORKSPACES) == 1
-    # index draws at 4 threads, each replicate on a workspace of its own
+    # index draws at 4 threads
     assert _report("km-bootstrap", threads=4) == interleaved["km-bootstrap"]
     for name, doc in _REUSE_CONFIGS.items():
         proc = _fresh_python("-c", "; ".join([
@@ -661,7 +681,7 @@ def _risk_bin_at_event_counter(z, delta, t_max):
     K = events.size
     labels = 2 * (np.searchsorted(events, z, side="right") - death) + death
 
-    def finish(binned, ws=None):
+    def finish(binned):
         per_bin = binned.reshape(-1, K + 1, 2)
         down = per_bin[:, :0:-1, 0] + per_bin[:, :0:-1, 1]
         return per_bin[:, :-1, 1], np.cumsum(down, axis=1)[:, ::-1]
@@ -680,8 +700,8 @@ def _blocks_over_risk_sets(monkeypatch, make_counter, **over):
     def watched(z, delta, t_max):
         events, counter = make_counter(z, delta, t_max)
 
-        def finish(binned, ws=None):
-            deaths, at_risk = counter.finish(binned, ws)
+        def finish(binned):
+            deaths, at_risk = counter.finish(binned)
             blocks.append(bool(np.any(deaths > at_risk)))
             return deaths, at_risk
 
@@ -689,9 +709,9 @@ def _blocks_over_risk_sets(monkeypatch, make_counter, **over):
 
     law_blocks = []
 
-    def counts_spy(kind, pooled_bins, sizes, B, rng, out=None):
+    def counts_spy(kind, pooled_bins, sizes, B, rng):
         law_blocks.append(B)
-        return draw_counts(kind, pooled_bins, sizes, B, rng, out)
+        return draw_counts(kind, pooled_bins, sizes, B, rng)
 
     monkeypatch.setattr(verify_module, "_survival_counter", watched)
     monkeypatch.setattr(verify_module, "draw_counts", counts_spy)
@@ -1029,6 +1049,14 @@ def test_ratio_check_callable_scalar_functional():
         lambda A: A.solve_level(1), theta, h_seq, t_seq, derivative_ref=-1
     )
     assert all(d == Fraction(1, 2) for d in devs)
+
+
+@pytest.mark.parametrize("lengths", [(5, 2, 5), (5, 5, 4), (3, 5, 5)])
+def test_ratio_check_rejects_sequences_of_other_lengths(lengths):
+    theta_seq, h_seq, t_seq, ref = prodint_ratio_sequences()
+    seqs = [seq[:n] for seq, n in zip((theta_seq, h_seq, t_seq), lengths)]
+    with pytest.raises(ContractError, match="differ in length: %d, %d and %d" % lengths):
+        hadamard_ratio_check("product-integral", *seqs, ref)
 
 
 def test_piecewise_linear_ops():

@@ -20,13 +20,14 @@ import sys
 from itertools import chain
 
 from .config import ExperimentConfig, KernelConfig, SimulateConfig, read_config, with_master_seed
+from .counterexample import increment_condition_probe, inverse_counterexample
 from .empirical import Mode, read_csv, write_csv
 from .empirical import at_risk_process, ecdf, uncensored_subdist, pooled_ecdf
 from .errors import ContractError, DataError, DomainError, SingularityError
 from .functionals import HazardBundle, kaplan_meier, km_from_hazard, nelson_aalen, rmst
 from .jsonio import canonical_json, write_atomic
 from .limits import assemble_kernel_matrix
-from .verify import conditional_cov_experiment, increment_condition_probe, inverse_counterexample
+from .verify import conditional_cov_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -154,9 +154,6 @@ class StepFn:
     def sup_norm(self):
         return max(abs(v) for v in self.levels())
 
-    def terminal_value(self):
-        return self.base + self._cum[-1]
-
     # -- algebra -------------------------------------------------------
 
     def scale(self, c):

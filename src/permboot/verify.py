@@ -2,12 +2,13 @@
 
 Checks the conditional limit theorems for the permutation and pooled
 bootstrap empirical processes against the closed-form covariance
-kernels, measures delta-method linearization residuals along sample
-size ladders, evaluates difference-quotient convergence for the
-functionals, and reproduces the inverse-map counterexample where
-uniform differentiability fails.
+kernels, and measures delta-method linearization residuals along sample
+size ladders.  The exact difference-quotient checks and the inverse-map
+counterexample live in ``permboot.counterexample``.
 
-A Monte Carlo scenario is data fed to one replicate: a grid, a
+The covariance experiment and the ladder draw their pooled sample one
+way (``_sample``).  A Monte Carlo scenario is what one replicate makes
+of that sample: a grid, a
 statistic of the resampled groups' per-draw counts, and the population
 whose limit kernel the covariance is compared with.  A linearization
 rung counts every draw the same way and evaluates a functional and its
@@ -38,7 +39,6 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -52,15 +52,9 @@ from .config import (
     simulate_plain_groups,
     simulate_survival_groups,
 )
-from .empirical import LambdaVector, at_risk_process, ecdf, uncensored_subdist
-from .errors import ContractError, DataError, DomainError, SingularityError
-from .functionals import (
-    HazardBundle,
-    product_integral,
-    prodint_derivative,
-    wilcoxon_curve,
-    wilcoxon_derivative,
-)
+from .empirical import LambdaVector, at_risk_process, uncensored_subdist
+from .errors import ContractError, DataError, DomainError
+from .functionals import HazardBundle
 from .jsonio import canonical_json
 from .limits import (
     EmpiricalSurvivalPopulation,
@@ -69,7 +63,6 @@ from .limits import (
     exponential_survival_population,
 )
 from .resampling import ResampleKind, SeedSpec, all_permutations, draw_blocks, draw_counts
-from .stepfn import StepFn, affine_combine
 
 __all__ = [
     "Law",
@@ -80,12 +73,6 @@ __all__ = [
     "conditional_cov_experiment",
     "LinearizationConfig",
     "linearization_residual_experiment",
-    "hadamard_ratio_check",
-    "wilcoxon_ratio_sequences",
-    "prodint_ratio_sequences",
-    "PiecewiseLinear",
-    "inverse_counterexample",
-    "increment_condition_probe",
     "simulate_grid_gaussian",
     "simulate_survival_groups",
     "load_config_schema",
@@ -113,18 +100,7 @@ class VerifyReport:
     passed: bool
 
     def to_json(self) -> str:
-        doc = {
-            "config": self.config,
-            "kernel_kind": self.kernel_kind,
-            "kernel_mean": self.kernel_mean,
-            "mc_mean": self.mc_mean,
-            "dev": self.dev,
-            "se": self.se,
-            "cell_pass": self.cell_pass,
-            "aggregates": self.aggregates,
-            "passed": bool(self.passed),
-        }
-        return canonical_json(doc) + "\n"
+        return canonical_json(self) + "\n"
 
 
 # -- conditional covariance experiment ---------------------------------
@@ -133,9 +109,10 @@ class VerifyReport:
 class _Counter:
     """Per-draw counts of assigned pooled indices, from one label in
     0..nbins-1 per pooled index: ``binned(idx)`` counts each label for
-    the indices idx (B, n) (exact integers, (B, nbins)), ``finish`` turns
-    those bins into the counts a statistic reads, and calling the counter
-    does both.  With ``by_law``, Monte Carlo draws skip the indices and
+    the indices idx (B, n) (exact integers, (B, nbins)), ``pooled_bins``
+    counts each label once over the pooled sample, ``finish`` turns bins
+    into the counts a statistic reads, and calling the counter does
+    both.  With ``by_law``, Monte Carlo draws skip the indices and
     take each group's bins from their law (``draw_counts``), which pays
     where the bins are few, or where numpy's C sampler draws two groups'
     many bins."""
@@ -156,6 +133,10 @@ class _Counter:
         flat += width * np.arange(B)[:, None]
         counts = np.bincount(flat.ravel(), minlength=B * width).reshape(B, len(runs), self.nbins)
         return counts[:, 0] if sizes is None else counts.transpose(1, 0, 2)
+
+    def pooled_bins(self) -> np.ndarray:
+        """The counts of every pooled index, (nbins,)."""
+        return np.bincount(self.labels, minlength=self.nbins)
 
     def __call__(self, idx: np.ndarray):
         return self.finish(self.binned(idx))
@@ -214,9 +195,7 @@ def _over_draws(fn, counter: _Counter, sizes, kind: ResampleKind, draws: int, se
     # this rule is part of what fixes a report's bytes
     rows = max(2, _BLOCK_CELLS // (counter.nbins if by_law else max(N, counter.nbins)))
     if by_law:
-        pooled = counter.binned(np.arange(N)[None, :])[0]
-        rng = seed.child(1).rng()
-
+        pooled, rng = counter.pooled_bins(), seed.child(1).rng()
         return [
             fn(first, draw_counts(kind, pooled, sizes, min(rows, draws - first), rng))
             for first in range(0, draws, rows)
@@ -248,20 +227,14 @@ def _survival_curve(deaths: np.ndarray, at_risk: np.ndarray, km: bool) -> np.nda
     return np.cumsum(h, axis=-1, out=h)
 
 
-def _at_grid(curves: np.ndarray, positions: np.ndarray, start: float = 0.0,
-             out: np.ndarray | None = None) -> np.ndarray:
+def _at_grid(curves: np.ndarray, positions: np.ndarray, start: float = 0.0) -> np.ndarray:
     """Running curves (B, K) over K sorted points read after the first
-    ``positions`` points of each grid point; ``start`` before the first.
-    Written into ``out`` when given."""
+    ``positions`` points of each grid point; ``start`` before the first."""
     if curves.shape[1] == 0:
-        read = np.full((curves.shape[0], positions.size), start)
-    else:
-        read = curves[:, np.maximum(positions - 1, 0)]
-        read[:, positions == 0] = start
-    if out is None:
-        return read
-    out[...] = read
-    return out
+        return np.full((curves.shape[0], positions.size), start)
+    read = curves[:, np.maximum(positions - 1, 0)]
+    read[:, positions == 0] = start
+    return read
 
 
 def _resolve_grid(config: ExperimentConfig, z: np.ndarray, default_probs, tau=None):
@@ -278,12 +251,34 @@ def _resolve_grid(config: ExperimentConfig, z: np.ndarray, default_probs, tau=No
     return grid
 
 
-def _plain_scenario(config: ExperimentConfig, seed: SeedSpec):
-    """Indicator scenario: the grid, the counter, the statistic (the
-    ECDF at the grid of n assigned values, (B, K), from their counts,
-    into ``out`` when given), the population, the retries."""
-    data = simulate_plain_groups(config.group_laws, config.sizes, seed.child(0).rng())
-    pooled = np.array(data.pooled().pooled)
+def _sample(config, sizes, seed: SeedSpec, survival: bool, tau=None):
+    """The pooled sample of ``sizes`` drawn from config's laws: plain
+    values from seed.child(0), or survival data from seed.child(0,
+    retries), redrawn until every group is still at risk at tau (by
+    default the pooled ``config.tau_quantile`` quantile).
+
+    Returns (pooled data, pooled values or times z, censoring indicators
+    delta, tau, retries); delta and tau are None for plain data.
+    """
+    if not survival:
+        data = simulate_plain_groups(config.group_laws, sizes, seed.child(0).rng()).pooled()
+        return data, np.array(data.pooled), None, None, 0
+    for retries in range(_MAX_DATASET_RETRIES + 1):
+        data = simulate_survival_groups(
+            config.group_laws, config.censoring_laws, sizes, seed.child(0, retries).rng()
+        ).pooled()
+        z = np.array([zi for zi, _d in data.pooled])
+        t = tau if tau is not None else float(np.quantile(z, config.tau_quantile))
+        if all(z[data.group_slice(j)].max() >= t for j in range(data.m)):
+            return data, z, np.array([d for _z, d in data.pooled]), t, retries
+    raise DataError("could not simulate a dataset with all groups at risk at tau")
+
+
+def _plain_scenario(config: ExperimentConfig, sample):
+    """Indicator scenario on a ``_sample``: the grid, the counter, the
+    statistic (the ECDF at the grid of n assigned values, (B, K), from
+    their counts), the population."""
+    pooled = sample[1]
     grid = _resolve_grid(config, pooled, np.linspace(0.1, 0.9, 9))
     counter = _indicator_counter(pooled, grid)
     if config.target == "plugin":
@@ -291,41 +286,15 @@ def _plain_scenario(config: ExperimentConfig, seed: SeedSpec):
     else:
         mix = [(n / pooled.size, law) for law, n in zip(config.group_laws, config.sizes)]
         pop = PlainPopulation(lambda t: sum(w * law.cdf(t) for w, law in mix))
-
-    def ecdf_at_grid(counts, n, out=None):
-        return np.divide(counts, n, out=out)
-
-    return grid, counter, ecdf_at_grid, pop, 0
+    return grid, counter, np.divide, pop
 
 
-def _at_risk_dataset(config, sizes, seed: SeedSpec, tau=None):
-    """Survival data drawn from seed.child(0, retries), redrawn until
-    every group is still at risk at tau (by default the pooled
-    ``config.tau_quantile`` quantile).
-
-    Returns (pooled data, pooled times, tau, retries).
-    """
-    for retries in range(_MAX_DATASET_RETRIES + 1):
-        rng = seed.child(0, retries).rng()
-        data = simulate_survival_groups(
-            config.group_laws, config.censoring_laws, sizes, rng
-        ).pooled()
-        z = np.array([zi for zi, _d in data.pooled])
-        t = tau if tau is not None else float(np.quantile(z, config.tau_quantile))
-        if all(z[data.group_slice(j)].max() >= t for j in range(data.m)):
-            return data, z, t, retries
-    raise DataError("could not simulate a dataset with all groups at risk at tau")
-
-
-def _survival_scenario(config: ExperimentConfig, seed: SeedSpec):
-    """Nelson-Aalen or Kaplan-Meier scenario: the grid, the counter, the
-    statistic (the curve at the grid of the assigned observations, the
-    cumsum or cumprod of deaths / at risk over the pooled event times,
-    from their counts, into ``out`` when given), the population, the
-    retries."""
-    data, z, tau, retries = _at_risk_dataset(config, config.sizes, seed, config.tau)
-    obs = data.pooled
-    delta = np.array([d for _z, d in obs])
+def _survival_scenario(config: ExperimentConfig, sample):
+    """Nelson-Aalen or Kaplan-Meier scenario on a ``_sample``: the grid,
+    the counter, the statistic (the curve at the grid of the assigned
+    observations, the cumsum or cumprod of deaths / at risk over the
+    pooled event times, from their counts), the population."""
+    data, z, delta, tau, _retries = sample
     grid = _resolve_grid(config, z, np.linspace(0.1, 0.7, 5), tau)
     events, counter = _survival_counter(z, delta, grid.max())
     if len(config.sizes) == 2 and config.resample_kind is ResampleKind.PERMUTATION:
@@ -337,16 +306,17 @@ def _survival_scenario(config: ExperimentConfig, seed: SeedSpec):
 
     # a death at events[k] is in its own risk set (risk bin k + 1), so no
     # draw has deaths where nobody is at risk
-    def curve(counts, _n, out=None):
-        return _at_grid(_survival_curve(*counts, km_mode), pos, float(km_mode), out)
+    def curve(counts, _n):
+        return _at_grid(_survival_curve(*counts, km_mode), pos, float(km_mode))
 
     if config.target == "plugin":
+        obs = data.pooled
         pop = EmpiricalSurvivalPopulation(
             HazardBundle(at_risk_process(obs), uncensored_subdist(obs), tau)
         )
     else:
         pop = _analytic_survival_population(config, tau)
-    return grid, counter, curve, pop, retries
+    return grid, counter, curve, pop
 
 
 def _analytic_survival_population(config: ExperimentConfig, tau):
@@ -373,14 +343,13 @@ def _replicate(config: ExperimentConfig, r: int):
     dataset retries."""
     seed = config.seed.child(r)
     plain = config.scenario is Scenario.PLAIN_INDICATOR
-    grid, counter, stat, pop, retries = (_plain_scenario if plain else _survival_scenario)(
-        config, seed
-    )
+    sample = _sample(config, config.sizes, seed, not plain, config.tau)
+    grid, counter, stat, pop = (_plain_scenario if plain else _survival_scenario)(config, sample)
     sizes = config.sizes
     N = sum(sizes)
     G = grid.size
     root = math.sqrt(N)
-    pooled = stat(counter(np.arange(N)[None, :]), N)[0]
+    pooled = stat(counter.finish(counter.pooled_bins()[None]), N)[0]
     draws = math.factorial(N) if config.exhaustive else config.draws
     # X is filled block by block.  Its memory order fixes the summation
     # order of its column means, and so a report's bytes: row-major for
@@ -391,8 +360,8 @@ def _replicate(config: ExperimentConfig, r: int):
     def fill(first, bins):
         block = X[first:first + bins.shape[1]]
         for j, (group_bins, n) in enumerate(zip(bins, sizes)):
-            cells = stat(counter.finish(group_bins), n, block[:, j * G:(j + 1) * G])
-            cells -= pooled
+            cells = block[:, j * G:(j + 1) * G]
+            np.subtract(stat(counter.finish(group_bins), n), pooled, out=cells)
             cells *= root
 
     _over_draws(fill, counter, sizes, config.resample_kind, config.draws, seed,
@@ -403,7 +372,7 @@ def _replicate(config: ExperimentConfig, r: int):
     kernel = assemble_kernel_matrix(
         config.kernel_kind(), pop, LambdaVector.from_sizes(sizes), grid
     )
-    return cov, kernel, cond_mean, retries
+    return cov, kernel, cond_mean, sample[-1]
 
 
 def conditional_cov_experiment(config: ExperimentConfig, threads: int = 1) -> VerifyReport:
@@ -525,7 +494,7 @@ def _survival_residuals(scenario, z, delta, sizes, tau, grid):
     events, counter = _survival_counter(z, delta, tau)
     N = z.size
     root = math.sqrt(N)
-    deaths, at_risk = (c[0] for c in counter(np.arange(N)[None, :]))
+    deaths, at_risk = (c[0] for c in counter.finish(counter.pooled_bins()[None]))
     km = scenario != "survival-na"
     terminal = deaths == at_risk
     if km and terminal.any():
@@ -580,17 +549,15 @@ def _ladder_residuals(config: LinearizationConfig, sizes, seed: SeedSpec) -> np.
     times, so each block of draws is evaluated at once on (rows, K)
     arrays.
     """
-    if config.scenario == "wilcoxon":
-        if len(sizes) != 2:
-            raise ContractError("the Wilcoxon scenario needs exactly two groups")
-        data = simulate_plain_groups(config.group_laws, sizes, seed.child(0).rng())
-        z = np.asarray(data.pooled().pooled)
-        grid = np.quantile(z, np.linspace(0.1, 0.9, config.grid_points))
+    wilcoxon = config.scenario == "wilcoxon"
+    if wilcoxon and len(sizes) != 2:
+        raise ContractError("the Wilcoxon scenario needs exactly two groups")
+    _data, z, delta, tau, _retries = _sample(config, sizes, seed, not wilcoxon)
+    top = 0.9 if wilcoxon else config.tau_quantile - 0.1
+    grid = np.quantile(z, np.linspace(0.1, top, config.grid_points))
+    if wilcoxon:
         counter, residuals = _wilcoxon_residuals(z, sizes, grid)
     else:
-        data, z, tau, _retries = _at_risk_dataset(config, sizes, seed)
-        grid = np.quantile(z, np.linspace(0.1, config.tau_quantile - 0.1, config.grid_points))
-        delta = np.array([d for _z, d in data.pooled])
         counter, residuals = _survival_residuals(config.scenario, z, delta, sizes, tau, grid)
     # rows are independent, so blocks of them change no result
     return np.concatenate(_over_draws(
@@ -626,231 +593,6 @@ def linearization_residual_experiment(config: LinearizationConfig) -> dict:
         },
         "ladder": per_n,
     }
-
-
-# -- Hadamard difference-quotient checks -------------------------------
-
-def _perturb(theta, t, h):
-    if isinstance(theta, tuple):
-        return tuple(a + t * b for a, b in zip(theta, h))
-    return theta + t * h
-
-
-_RATIO_FUNCTIONALS = {
-    "wilcoxon": lambda th: wilcoxon_curve(*th),
-    "product-integral": lambda th: product_integral(th),
-}
-
-
-def hadamard_ratio_check(functional_id, theta_seq, h_seq, t_seq, derivative_ref):
-    """Deviations || t_n^-1 (phi(theta_n + t_n h_n) - phi(theta_n)) - ref ||.
-
-    No pass/fail judgement here: convergence (or its failure, for the
-    counterexample sequences) is asserted by the caller.
-    """
-    fn = functional_id if callable(functional_id) else _RATIO_FUNCTIONALS[functional_id]
-    if not len(theta_seq) == len(h_seq) == len(t_seq):
-        raise ContractError(
-            "theta_seq, h_seq and t_seq differ in length: "
-            f"{len(theta_seq)}, {len(h_seq)} and {len(t_seq)}"
-        )
-    devs = []
-    for idx, (theta_n, h_n, t_n) in enumerate(zip(theta_seq, h_seq, t_seq)):
-        try:
-            lhs = fn(_perturb(theta_n, t_n, h_n))
-            base = fn(theta_n)
-        except (ContractError, SingularityError) as exc:
-            raise ContractError(f"sequence element {idx}: {exc}") from exc
-        if isinstance(lhs, StepFn):
-            diff = affine_combine(
-                [1 / t_n, -1 / t_n, -1], [lhs, base, derivative_ref]
-            )
-            devs.append(diff.sup_norm())
-        else:
-            devs.append(abs((lhs - base) / t_n - derivative_ref))
-    return devs
-
-
-def _default_t_seq(n_values):
-    return [1 / math.sqrt(n) for n in n_values]
-
-
-def wilcoxon_ratio_sequences(n_values=(4, 16, 64, 256, 1024)):
-    """Built-in moving-base sequences for the Wilcoxon ratio check."""
-    A = ecdf([0.2, 0.5, 0.9])
-    B = ecdf([0.3, 0.6, 0.8])
-    dA = StepFn(0, (0.25, 0.7), (0.4, -0.3))
-    dB = StepFn(0, (0.45, 0.85), (-0.2, 0.5))
-    hA = StepFn(0, (0.35, 0.65), (0.6, -0.4))
-    hB = StepFn(0, (0.15, 0.75), (0.3, 0.2))
-    eA = StepFn(0, (0.55,), (0.25,))
-    eB = StepFn(0, (0.4,), (-0.35,))
-    t_seq = _default_t_seq(n_values)
-    theta_seq = [(A + t * dA, B + t * dB) for t in t_seq]
-    h_seq = [(hA + t * eA, hB + t * eB) for t in t_seq]
-    ref = wilcoxon_derivative(A, B, hA, hB)
-    return theta_seq, h_seq, t_seq, ref
-
-
-def prodint_ratio_sequences(n_values=(4, 16, 64, 256, 1024)):
-    """Built-in moving-base sequences for the product-integral ratio check."""
-    A = StepFn(0, (1.0, 2.0, 3.0), (0.3, -0.2, 0.4), lo=0.0, hi=5.0)
-    dA = StepFn(0, (1.5, 2.0), (0.1, -0.05), lo=0.0, hi=5.0)
-    h = StepFn(0, (1.0, 2.5), (0.5, -0.3), lo=0.0, hi=5.0)
-    eh = StepFn(0, (3.5,), (0.2,), lo=0.0, hi=5.0)
-    t_seq = _default_t_seq(n_values)
-    theta_seq = [A + t * dA for t in t_seq]
-    h_seq = [h + t * eh for t in t_seq]
-    ref = prodint_derivative(A, h)
-    return theta_seq, h_seq, t_seq, ref
-
-
-# -- the inverse-map counterexample ------------------------------------
-
-@dataclass(frozen=True)
-class PiecewiseLinear:
-    """Continuous piecewise-linear function on [xs[0], xs[-1]].
-
-    Arithmetic is generic over the number type, so Fraction-valued knots
-    give exact results.
-    """
-
-    xs: tuple
-    ys: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "xs", tuple(self.xs))
-        object.__setattr__(self, "ys", tuple(self.ys))
-        if len(self.xs) != len(self.ys) or len(self.xs) < 2:
-            raise ContractError("need matching knot/value lists of length >= 2")
-        for a, b in zip(self.xs, self.xs[1:]):
-            if not a < b:
-                raise ContractError("knots must be strictly increasing")
-
-    def __call__(self, x):
-        if not self.xs[0] <= x <= self.xs[-1]:
-            raise ContractError(f"{x} outside [{self.xs[0]}, {self.xs[-1]}]")
-        for (x0, y0), (x1, y1) in zip(
-            zip(self.xs, self.ys), zip(self.xs[1:], self.ys[1:])
-        ):
-            if x <= x1:
-                # knots return their stored value; only strict interiors
-                # interpolate (keeps int/Fraction inputs exact)
-                if x == x0:
-                    return y0
-                if x == x1:
-                    return y1
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        raise AssertionError("unreachable")
-
-    def __add__(self, other):
-        if isinstance(other, PiecewiseLinear):
-            knots = sorted(set(self.xs) | set(other.xs))
-            return PiecewiseLinear(
-                tuple(knots), tuple(self(x) + other(x) for x in knots)
-            )
-        return PiecewiseLinear(self.xs, tuple(y + other for y in self.ys))
-
-    __radd__ = __add__
-
-    def __mul__(self, c):
-        return PiecewiseLinear(self.xs, tuple(c * y for y in self.ys))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + (other * -1 if isinstance(other, PiecewiseLinear) else -other)
-
-    def solve_level(self, p):
-        """Smallest x with f(x) = p, for nondecreasing f."""
-        if p < self.ys[0] or p > max(self.ys):
-            raise ContractError(f"level {p} not attained")
-        for (x0, y0), (x1, y1) in zip(
-            zip(self.xs, self.ys), zip(self.xs[1:], self.ys[1:])
-        ):
-            if y0 <= p <= y1:
-                if y1 == y0:
-                    return x0
-                return x0 + (x1 - x0) * (p - y0) / (y1 - y0)
-        raise ContractError(f"level {p} not attained")
-
-
-def _exact_inv_sqrt(n: int):
-    """1/sqrt(n) as a Fraction for perfect squares, else a float."""
-    r = math.isqrt(n)
-    if r * r == n:
-        return Fraction(1, r)
-    return 1.0 / math.sqrt(n)
-
-
-def counterexample_family(n: int) -> PiecewiseLinear:
-    """The kinked approximating sequence around the quantile solution:
-    slope 2 on (1 - 1/sqrt(n), 1 + 1/sqrt(n)), shifted outside."""
-    s = _exact_inv_sqrt(n)
-    if n == 1:
-        # the middle segment spans the whole domain
-        return PiecewiseLinear((0, 2), (-1, 3))
-    return PiecewiseLinear(
-        (0, 1 - s, 1 + s, 2), (-s, 1 - 2 * s, 1 + 2 * s, 2 + s)
-    )
-
-
-def counterexample_limit() -> PiecewiseLinear:
-    return PiecewiseLinear((0, 2), (0, 2))
-
-
-def inverse_counterexample(n_values) -> list:
-    """Difference quotients of the quantile map along the counterexample
-    sequence, against the pointwise Hadamard derivative -1."""
-    p = 1
-    rows = []
-    for n in n_values:
-        t_n = _exact_inv_sqrt(n)
-        a_n = counterexample_family(n)
-        shifted = a_n + t_n  # alpha == 1, so the direction adds a constant
-        ratio = (shifted.solve_level(p) - a_n.solve_level(p)) / t_n
-        # derivative of the inverse at the limit: -alpha(xi_p) / A'(xi_p)
-        derivative = -1.0 / 1.0
-        rows.append(
-            {
-                "n": int(n),
-                "t_n": float(t_n),
-                "ratio": float(ratio),
-                "derivative": float(derivative),
-                "gap": float(abs(ratio - derivative)),
-            }
-        )
-    return rows
-
-
-_PROBE_FAMILIES = {
-    "counterexample": counterexample_family,
-    "identity": lambda n: counterexample_limit(),
-}
-
-
-def increment_condition_probe(family_id: str, n: int, K) -> float:
-    """sqrt(n) * sup over |x| <= K/sqrt(n) of the increment mismatch
-    |A_n(xi+x) - A_n(xi) - A(xi+x) + A(xi)|, evaluated exactly at the
-    piecewise-linear segment endpoints."""
-    if family_id not in _PROBE_FAMILIES:
-        raise ContractError(f"unknown probe family {family_id!r}")
-    if n < 1 or K <= 0:
-        raise ContractError("need n >= 1 and K > 0")
-    a_n = _PROBE_FAMILIES[family_id](n)
-    a = counterexample_limit()
-    diff = a_n - a
-    xi = 1
-    s = _exact_inv_sqrt(n)
-    w = K * s
-    lo = max(diff.xs[0], xi - w)
-    hi = min(diff.xs[-1], xi + w)
-    candidates = {lo, hi, xi}
-    candidates.update(x for x in diff.xs if lo < x < hi)
-    center = diff(xi)
-    sup = max(abs(diff(x) - center) for x in candidates)
-    root_n = math.isqrt(n) if math.isqrt(n) ** 2 == n else math.sqrt(n)
-    return float(root_n * sup)
 
 
 # -- Gaussian grid simulation ------------------------------------------

@@ -25,17 +25,19 @@ from permboot.resampling import (
     resampled_group_fns,
 )
 from permboot.stepfn import StepFn, affine_combine
+from permboot.counterexample import (
+    hadamard_ratio_check,
+    increment_condition_probe,
+    inverse_counterexample,
+    prodint_ratio_sequences,
+    wilcoxon_ratio_sequences,
+)
 from permboot.verify import (
     ExperimentConfig,
     Law,
     LinearizationConfig,
     conditional_cov_experiment,
-    hadamard_ratio_check,
-    increment_condition_probe,
-    inverse_counterexample,
     linearization_residual_experiment,
-    prodint_ratio_sequences,
-    wilcoxon_ratio_sequences,
 )
 
 

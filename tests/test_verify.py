@@ -35,29 +35,31 @@ from permboot.resampling import (
 )
 from permboot.empirical import MultiSampleData, pooled_ecdf
 from permboot.stepfn import StepFn, affine_combine
-from permboot.verify import (
-    ExperimentConfig,
-    Law,
-    LinearizationConfig,
+from permboot.counterexample import (
     PiecewiseLinear,
-    Scenario,
-    ToleranceSpec,
-    conditional_cov_experiment,
     counterexample_family,
     counterexample_limit,
     hadamard_ratio_check,
     increment_condition_probe,
     inverse_counterexample,
-    linearization_residual_experiment,
     prodint_ratio_sequences,
+    wilcoxon_ratio_sequences,
+)
+from permboot.verify import (
+    ExperimentConfig,
+    Law,
+    LinearizationConfig,
+    Scenario,
+    ToleranceSpec,
+    conditional_cov_experiment,
+    linearization_residual_experiment,
     simulate_grid_gaussian,
     simulate_survival_groups,
-    wilcoxon_ratio_sequences,
-    _at_risk_dataset,
     _indicator_counter,
     _ladder_residuals,
     _plain_scenario,
     _replicate,
+    _sample,
     _survival_counter,
     _survival_scenario,
 )
@@ -363,8 +365,9 @@ def _one_shot_replicate(config, r):
     call sizes; they are joined and counted at once."""
     seed = config.seed.child(r)
     plain = config.scenario is Scenario.PLAIN_INDICATOR
-    _grid, counter, stat, _pop, _retries = (_plain_scenario if plain else _survival_scenario)(
-        config, seed
+    sample = _sample(config, config.sizes, seed, not plain, config.tau)
+    _grid, counter, stat, _pop = (_plain_scenario if plain else _survival_scenario)(
+        config, sample
     )
     N = sum(config.sizes)
     cum = np.cumsum([0, *config.sizes])
@@ -763,7 +766,9 @@ def test_survival_statistic_matches_stepfn_functionals(scenario, resample_kind, 
         censoring_laws=[atoms] * m, sizes=[12, 10, 8][:m], tau=0.5, grid=[0.1, 0.2, 0.5],
     ))
     seed = cfg.seed.child(0)
-    grid, counter, curve, _pop, retries = _survival_scenario(cfg, seed)
+    sample = _sample(cfg, cfg.sizes, seed, True, cfg.tau)
+    grid, counter, curve, _pop = _survival_scenario(cfg, sample)
+    retries = sample[-1]
     data = simulate_survival_groups(
         cfg.group_laws, cfg.censoring_laws, cfg.sizes, seed.child(0, retries).rng()
     ).pooled()
@@ -850,7 +855,7 @@ def _stepfn_ladder_residuals(config, sizes, seed):
         dphi = lambda alpha, beta: wilcoxon_derivative(hn, hn, alpha, beta)
         units = lambda fns: [fns]
     else:
-        data, z, tau, _retries = _at_risk_dataset(config, sizes, seed)
+        data, z, _delta, tau, _retries = _sample(config, sizes, seed, True)
         top = config.tau_quantile - 0.1
         obs = list(data.pooled)
         pooled = HazardBundle(at_risk_process(obs), uncensored_subdist(obs), tau)
@@ -952,8 +957,7 @@ def test_ladder_oracle_covers_a_group_km_reaching_zero():
         cfg = _ladder_config(scenario, "bootstrap", _LADDER_LAWS["continuous"], (4, 30, 4),
                              draws=12)
         assert _assert_matches_oracle(cfg) is None
-    data, z, tau, _retries = _at_risk_dataset(cfg, cfg.ladder[0], cfg.seed.child(0))
-    delta = np.array([d for _z, d in data.pooled])
+    data, z, delta, tau, _retries = _sample(cfg, cfg.ladder[0], cfg.seed.child(0), True)
     _events, counts = _survival_counter(z, delta, tau)
     draws = draw_matrix(cfg.resample_kind, data.N, cfg.draws, cfg.seed.child(0).child(1).rng())
     deaths, at_risk = counts(draws[:, :4])
@@ -970,7 +974,7 @@ def test_ladder_pooled_terminal_jump_raises_like_the_oracle(scenario, raises):
     two_atoms = Law.point_masses([(0.5, 0.5), (1.0, 0.5)])
     cfg = _ladder_config(scenario, "permutation", (two_atoms, Law.none()), (10, 10),
                          master_seed=3)
-    _data, _z, tau, _retries = _at_risk_dataset(cfg, cfg.ladder[0], cfg.seed.child(0))
+    _data, _z, _delta, tau, _retries = _sample(cfg, cfg.ladder[0], cfg.seed.child(0), True)
     assert tau == 1.0
     error = _assert_matches_oracle(cfg)
     assert (error is not None) == raises
@@ -1059,6 +1063,12 @@ def test_ratio_check_rejects_sequences_of_other_lengths(lengths):
         hadamard_ratio_check("product-integral", *seqs, ref)
 
 
+def test_ratio_check_rejects_an_unknown_functional():
+    known = r"'mystery'; known: \['product-integral', 'wilcoxon'\]"
+    with pytest.raises(ContractError, match=known):
+        hadamard_ratio_check("mystery", *prodint_ratio_sequences())
+
+
 def test_piecewise_linear_ops():
     f = PiecewiseLinear((0, 1, 2), (0, 2, 2))
     assert f(0.5) == 1 and f(1.5) == 2
@@ -1100,6 +1110,14 @@ def test_increment_probe_values():
         increment_condition_probe("mystery", 4, 1)
     with pytest.raises(ContractError):
         increment_condition_probe("identity", 4, 0)
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_counterexample_rejects_n_below_one(n):
+    with pytest.raises(ContractError, match="need n >= 1"):
+        inverse_counterexample([4, n])
+    with pytest.raises(ContractError, match="need n >= 1"):
+        counterexample_family(n)
 
 
 def test_counterexample_limit_is_identity():

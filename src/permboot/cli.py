@@ -208,21 +208,19 @@ def _cmd_dump_fn(args) -> int:
     data = read_csv(args.input, mode)
     if not 0 <= args.group <= data.m:
         raise DataError(f"--group must be in 0..{data.m} (0 = pooled), got {args.group}")
-    pooled = data.pooled()
+    obs = data.pooled if args.group == 0 else data.groups[args.group - 1]
     if args.fn == "pooled-ecdf":
-        fn = pooled_ecdf(pooled)
+        fn = pooled_ecdf(data)
     elif args.fn == "ecdf":
-        fn = ecdf(pooled.pooled if args.group == 0 else data.groups[args.group - 1])
+        fn = ecdf(obs)
+    elif args.fn == "at-risk":
+        fn = at_risk_process(obs)
+    elif args.fn == "uncensored":
+        fn = uncensored_subdist(obs)
     else:
-        obs = pooled.pooled if args.group == 0 else data.groups[args.group - 1]
-        if args.fn == "at-risk":
-            fn = at_risk_process(obs)
-        elif args.fn == "uncensored":
-            fn = uncensored_subdist(obs)
-        else:
-            tau = args.tau if args.tau is not None else max(z for z, _d in obs)
-            bundle = HazardBundle(at_risk_process(obs), uncensored_subdist(obs), tau)
-            fn = nelson_aalen(bundle) if args.fn == "na" else kaplan_meier(bundle)
+        tau = args.tau if args.tau is not None else max(z for z, _d in obs)
+        bundle = HazardBundle(at_risk_process(obs), uncensored_subdist(obs), tau)
+        fn = nelson_aalen(bundle) if args.fn == "na" else kaplan_meier(bundle)
     text = fn.to_text()
     if args.output:
         write_atomic(args.output, text)

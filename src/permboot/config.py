@@ -293,6 +293,11 @@ class Scenario(enum.Enum):
     SURVIVAL_KM = "survival-km"
 
 
+def _check_tau_quantile(q, low=0.0) -> None:
+    if not low < q < 1:
+        raise ContractError(f"tau_quantile must lie in ({low}, 1), got {q}")
+
+
 def _check_tau_reachable(config, sizes) -> None:
     """Reject sizes whose groups can never all be at risk at the pooled
     ``tau_quantile`` quantile.
@@ -342,6 +347,15 @@ class ExperimentConfig:
             raise ContractError("draws must be >= 100 unless exhaustive")
         if self.exhaustive and sum(self.sizes) > 8:
             raise ContractError("exhaustive mode limited to N <= 8")
+        if self.outer_reps < 1:
+            raise ContractError(f"outer_reps must be >= 1, got {self.outer_reps}")
+        if isinstance(self.grid, dict):
+            probs = self.grid["pooled_quantiles"]
+            if not probs or any(not 0 <= q <= 1 for q in probs):
+                raise ContractError(f"pooled_quantiles must be nonempty and in [0, 1]: {probs}")
+        elif not self.grid:
+            raise ContractError("an explicit grid needs at least one point")
+        _check_tau_quantile(self.tau_quantile)
         if self.scenario is not Scenario.PLAIN_INDICATOR:
             object.__setattr__(
                 self, "censoring_laws", _censoring_or_none(self.censoring_laws, len(self.sizes))
@@ -404,6 +418,12 @@ class LinearizationConfig:
     def __post_init__(self):
         if self.scenario not in ("wilcoxon", "survival-na", "survival-km", "rmst"):
             raise ContractError(f"unknown linearization scenario {self.scenario!r}")
+        if self.draws < 1 or self.grid_points < 1:
+            raise ContractError("draws and grid_points must be >= 1")
+        if any(len(sizes) != len(self.group_laws) for sizes in self.ladder):
+            raise ContractError("every ladder rung needs one size per group law")
+        # a survival grid runs over the pooled 0.1 .. tau_quantile - 0.1 quantiles
+        _check_tau_quantile(self.tau_quantile, 0.0 if self.scenario == "wilcoxon" else 0.1)
         if self.scenario != "wilcoxon":
             object.__setattr__(
                 self, "censoring_laws",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import io
 import math
 from collections import Counter
@@ -23,7 +24,6 @@ from .stepfn import LEFT, RIGHT, StepFn
 __all__ = [
     "Mode",
     "MultiSampleData",
-    "PooledData",
     "LambdaVector",
     "ecdf",
     "pooled_ecdf",
@@ -45,7 +45,7 @@ def _is_censored_obs(x):
 
 @dataclass(frozen=True)
 class MultiSampleData:
-    """m >= 2 groups of observations, all plain reals or all (z, delta) pairs."""
+    """m >= 2 groups of observations, all finite reals or all (z, delta) pairs."""
 
     groups: tuple
 
@@ -69,8 +69,8 @@ class MultiSampleData:
                         raise ContractError(f"non-finite observation time {z}")
                     if d not in (0, 1):
                         raise ContractError(f"censoring status must be 0/1, got {d}")
-                elif math.isnan(x):
-                    raise ContractError("NaN observation")
+                elif not math.isfinite(x):
+                    raise ContractError(f"non-finite observation {x}")
 
     @property
     def mode(self) -> Mode:
@@ -84,50 +84,19 @@ class MultiSampleData:
     def sizes(self) -> tuple:
         return tuple(len(g) for g in self.groups)
 
-    def pooled(self) -> "PooledData":
-        flat = tuple(x for g in self.groups for x in g)
-        return PooledData(pooled=flat, sizes=self.sizes)
-
-
-@dataclass(frozen=True)
-class PooledData:
-    """The pooled sample in group-concatenation order."""
-
-    pooled: tuple
-    sizes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "pooled", tuple(self.pooled))
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        if sum(self.sizes) != len(self.pooled):
-            raise ContractError("sizes do not sum to the pooled length")
-
     @property
     def N(self) -> int:
-        return len(self.pooled)
+        return sum(self.sizes)
 
-    @property
-    def m(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def cumulative(self) -> tuple:
-        out = [0]
-        for n in self.sizes:
-            out.append(out[-1] + n)
-        return tuple(out)
+    @functools.cached_property
+    def pooled(self) -> tuple:
+        """Every group's observations in group-concatenation order."""
+        return tuple(chain.from_iterable(self.groups))
 
     def group_slice(self, j: int) -> slice:
         """Pooled positions assigned to group j (0-based)."""
-        cum = self.cumulative
-        return slice(cum[j], cum[j + 1])
-
-    def fractions(self) -> tuple:
-        return tuple(n / self.N for n in self.sizes)
-
-    @property
-    def mode(self) -> Mode:
-        return Mode.SURVIVAL if _is_censored_obs(self.pooled[0]) else Mode.PLAIN
+        start = sum(self.sizes[:j])
+        return slice(start, start + self.sizes[j])
 
 
 @dataclass(frozen=True)
@@ -173,7 +142,7 @@ def ecdf(sample: Sequence[float], lo=-math.inf, hi=math.inf) -> StepFn:
     )
 
 
-def pooled_ecdf(data: PooledData) -> StepFn:
+def pooled_ecdf(data: MultiSampleData) -> StepFn:
     """ECDF of the concatenated pooled sample.
 
     Equals the (n_j/N)-weighted mixture of the group ECDFs exactly; the
@@ -184,8 +153,8 @@ def pooled_ecdf(data: PooledData) -> StepFn:
     return ecdf(data.pooled)
 
 
-def group_ecdfs(data: PooledData) -> list:
-    return [ecdf(data.pooled[data.group_slice(j)]) for j in range(data.m)]
+def group_ecdfs(data: MultiSampleData) -> list:
+    return [ecdf(g) for g in data.groups]
 
 
 def at_risk_process(sample) -> StepFn:

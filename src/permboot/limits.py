@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -125,7 +127,8 @@ class EmpiricalSurvivalPopulation:
     """Plug-in pooled survival quantities from a hazard bundle.
 
     Event data is reduced once to (time, hazard jump, at-risk level)
-    triples; every kernel ingredient is a finite sum over them.
+    triples, and every kernel ingredient to running sums over them, so
+    an evaluation is one bisection into the event times.
     """
 
     def __init__(self, bundle: HazardBundle):
@@ -138,8 +141,16 @@ class EmpiricalSurvivalPopulation:
         if lam.base != 0:
             events.append((0.0, lam.base, bundle.at_risk(0)))
         events += zip(lam.breakpoints, lam.jumps, bundle.at_risk.evaluate(lam.breakpoints))
-        self._events = events
-        self._cum_hazard = lam
+        self._times = [u for u, _dlam, _r in events]
+        self._C = list(accumulate(
+            ((1.0 - dlam) * dlam / r for _u, dlam, r in events), initial=0.0
+        ))
+        # a jump of 1 (up to roundoff: a full-death jump may compute to
+        # 1 +- eps) empties the risk set, so only the last event has one
+        self._singular = len(events) - bool(events and events[-1][1] >= 1.0 - 1e-12)
+        self._km = list(accumulate(
+            (dlam / ((1.0 - dlam) * r) for _u, dlam, r in events[:self._singular]), initial=0.0
+        ))
 
     def Hbar(self, t):
         return self._at_risk(t)
@@ -154,25 +165,14 @@ class EmpiricalSurvivalPopulation:
         return self._surv(t)
 
     def C(self, t):
-        total = 0.0
-        for u, dlam, r in self._events:
-            if u > t:
-                break
-            total += (1.0 - dlam) * dlam / r
-        return total
+        return self._C[bisect_right(self._times, t)]
 
     def km_integral(self, t):
-        total = 0.0
-        for u, dlam, r in self._events:
-            if u > t:
-                break
-            # roundoff band: a full-death jump may compute to 1 +- eps
-            if dlam >= 1.0 - 1e-12:
-                raise SingularityError(
-                    f"hazard jump of 1 at time {u} inside integration range", at=u
-                )
-            total += dlam / ((1.0 - dlam) * r)
-        return total
+        k = bisect_right(self._times, t)
+        if k > self._singular:
+            u = self._times[self._singular]
+            raise SingularityError(f"hazard jump of 1 at time {u} inside integration range", at=u)
+        return self._km[k]
 
 
 class AnalyticSurvivalPopulation:

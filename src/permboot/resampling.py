@@ -43,7 +43,7 @@ from itertools import permutations as _iter_permutations
 
 import numpy as np
 
-from .empirical import Mode, PooledData, at_risk_process, ecdf, uncensored_subdist
+from .empirical import Mode, MultiSampleData, at_risk_process, ecdf, uncensored_subdist
 from .errors import ContractError
 from .stepfn import StepFn
 
@@ -179,7 +179,7 @@ def draw_counts(kind: ResampleKind, pooled_bins, sizes, B: int,
     return out
 
 
-def resampled_group_fns(data: PooledData, draw: ResampleDraw):
+def resampled_group_fns(data: MultiSampleData, draw: ResampleDraw):
     """Group empirical functions rebuilt from a resampling draw.
 
     Plain mode returns a list of m ECDF StepFns; survival mode returns a
@@ -192,8 +192,7 @@ def resampled_group_fns(data: PooledData, draw: ResampleDraw):
         )
     out = []
     for j in range(data.m):
-        sl = data.group_slice(j)
-        obs = [data.pooled[i] for i in draw.assignment[sl]]
+        obs = [data.pooled[i] for i in draw.assignment[data.group_slice(j)]]
         if data.mode is Mode.PLAIN:
             out.append(ecdf(obs))
         else:

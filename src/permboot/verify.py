@@ -110,12 +110,11 @@ class _Counter:
     """Per-draw counts of assigned pooled indices, from one label in
     0..nbins-1 per pooled index: ``binned(idx)`` counts each label for
     the indices idx (B, n) (exact integers, (B, nbins)), ``pooled_bins``
-    counts each label once over the pooled sample, ``finish`` turns bins
-    into the counts a statistic reads, and calling the counter does
-    both.  With ``by_law``, Monte Carlo draws skip the indices and
-    take each group's bins from their law (``draw_counts``), which pays
-    where the bins are few, or where numpy's C sampler draws two groups'
-    many bins."""
+    counts each label once over the pooled sample, and ``finish`` turns
+    bins into the counts a statistic reads.  With ``by_law``, Monte Carlo
+    draws skip the indices and take each group's bins from their law
+    (``draw_counts``), which pays where the bins are few, or where
+    numpy's C sampler draws two groups' many bins."""
 
     labels: np.ndarray
     nbins: int
@@ -137,9 +136,6 @@ class _Counter:
     def pooled_bins(self) -> np.ndarray:
         """The counts of every pooled index, (nbins,)."""
         return np.bincount(self.labels, minlength=self.nbins)
-
-    def __call__(self, idx: np.ndarray):
-        return self.finish(self.binned(idx))
 
 
 def _indicator_counter(pooled: np.ndarray, grid: np.ndarray) -> _Counter:
@@ -257,20 +253,21 @@ def _sample(config, sizes, seed: SeedSpec, survival: bool, tau=None):
     retries), redrawn until every group is still at risk at tau (by
     default the pooled ``config.tau_quantile`` quantile).
 
-    Returns (pooled data, pooled values or times z, censoring indicators
-    delta, tau, retries); delta and tau are None for plain data.
+    Returns (the data, pooled values or times z, censoring indicators
+    delta as floats 0/1, tau, retries); delta and tau are None for plain
+    data.
     """
     if not survival:
-        data = simulate_plain_groups(config.group_laws, sizes, seed.child(0).rng()).pooled()
+        data = simulate_plain_groups(config.group_laws, sizes, seed.child(0).rng())
         return data, np.array(data.pooled), None, None, 0
     for retries in range(_MAX_DATASET_RETRIES + 1):
         data = simulate_survival_groups(
             config.group_laws, config.censoring_laws, sizes, seed.child(0, retries).rng()
-        ).pooled()
-        z = np.array([zi for zi, _d in data.pooled])
+        )
+        z, delta = np.array(data.pooled).T
         t = tau if tau is not None else float(np.quantile(z, config.tau_quantile))
         if all(z[data.group_slice(j)].max() >= t for j in range(data.m)):
-            return data, z, np.array([d for _z, d in data.pooled]), t, retries
+            return data, z, delta, t, retries
     raise DataError("could not simulate a dataset with all groups at risk at tau")
 
 

@@ -151,7 +151,7 @@ def test_criterion_3_exhaustive_oracle():
     law = Law.uniform(0, 1)
     vals = np.concatenate([law.sample(rng, 2), law.sample(rng, 2)])
     distinct = len(set(vals)) == 4
-    data = MultiSampleData((tuple(vals[:2]), tuple(vals[2:]))).pooled()
+    data = MultiSampleData((tuple(vals[:2]), tuple(vals[2:])))
     hn = pooled_ecdf(data)
     grid = np.quantile(vals, np.linspace(0.1, 0.9, 9))
     rows = [

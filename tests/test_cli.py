@@ -134,6 +134,22 @@ def test_simulate_then_analyze(tmp_path):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("subcommand, doc", [
+    ("simulate", {"mode": "plain", "sizes": [5, 5],
+                  "group_laws": [{"kind": "exponential", "rate": 1.0}, {"kind": "none"}]}),
+    ("verify", {"scenario": "plain-indicator", "sizes": [5, 5], "draws": 100,
+                "group_laws": [{"kind": "exponential", "rate": 1.0}, {"kind": "none"}],
+                "outer_reps": 1, "resample_kind": "permutation", "seed": {"master_seed": 1}}),
+])
+def test_infinite_plain_values_rejected(tmp_path, capsys, subcommand, doc):
+    # a "none" law draws every value at infinity: plain data must be finite
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert run([subcommand, "--config", cfg, "--output", tmp_path / "out"]) == EXIT_USAGE
+    assert "non-finite observation inf" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 class _DiskFullFile:
     """File wrapper whose write stores half the text, then fails."""
 

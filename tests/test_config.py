@@ -9,6 +9,7 @@ from permboot.config import (
     KernelConfig,
     Law,
     LinearizationConfig,
+    Scenario,
     SimulateConfig,
     load_config_schema,
 )
@@ -124,3 +125,37 @@ def test_unreachable_tau_quantile_rejected_on_any_ladder_rung():
     with pytest.raises(ContractError, match=r"sizes \[2, 2\]"):
         LinearizationConfig(scenario="rmst", **rungs)
     LinearizationConfig(scenario="wilcoxon", **rungs)
+
+
+_PLAIN = dict(
+    scenario=Scenario.PLAIN_INDICATOR, group_laws=(Law.exponential(1.0),) * 2, sizes=(20, 20),
+    draws=100, outer_reps=2, resample_kind=ResampleKind.PERMUTATION, seed=SeedSpec(1),
+)
+_SURVIVAL = dict(_PLAIN, scenario=Scenario.SURVIVAL_NA)
+_LADDER = dict(
+    scenario="survival-km", group_laws=(Law.exponential(1.0),) * 2, ladder=((20, 20),),
+    draws=5, resample_kind=ResampleKind.PERMUTATION, seed=SeedSpec(1),
+)
+
+
+@pytest.mark.parametrize("make, fields", [
+    (ExperimentConfig, dict(_PLAIN, outer_reps=0)),
+    (ExperimentConfig, dict(_PLAIN, grid=())),
+    (ExperimentConfig, dict(_PLAIN, grid={"pooled_quantiles": ()})),
+    (ExperimentConfig, dict(_PLAIN, grid={"pooled_quantiles": (0.5, 1.5)})),
+    (ExperimentConfig, dict(_PLAIN, grid={"pooled_quantiles": (-0.1,)})),
+    (ExperimentConfig, dict(_SURVIVAL, tau_quantile=0.0)),
+    (ExperimentConfig, dict(_SURVIVAL, tau_quantile=-0.5)),
+    (ExperimentConfig, dict(_SURVIVAL, tau_quantile=1.0)),
+    (LinearizationConfig, dict(_LADDER, draws=0)),
+    (LinearizationConfig, dict(_LADDER, grid_points=0)),
+    (LinearizationConfig, dict(_LADDER, tau_quantile=0.1)),
+    (LinearizationConfig, dict(_LADDER, tau_quantile=0.05)),
+    (LinearizationConfig, dict(_LADDER, tau_quantile=1.2)),
+    (LinearizationConfig, dict(_LADDER, ladder=((20, 20), (20, 20, 20)))),
+])
+def test_library_configs_reject_bad_values(make, fields):
+    # direct construction gets no schema check, so the constructors must
+    # reject what would otherwise fail later inside numpy
+    with pytest.raises(ContractError):
+        make(**fields)

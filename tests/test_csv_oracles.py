@@ -104,8 +104,7 @@ def _oracle_write_csv(data):
 
 def _oracle_analyze(data, tau=None):
     """(curves text, summary text) from one scalar call per point."""
-    pooled = data.pooled()
-    all_times = [z for z, _d in pooled.pooled]
+    all_times = [z for z, _d in data.pooled]
     tau = tau if tau is not None else max(all_times)
     rows = []
     summary_groups = []
@@ -136,10 +135,9 @@ def _oracle_analyze(data, tau=None):
 
 
 def _oracle_dump(data, fn, group):
-    pooled = data.pooled()
-    obs = pooled.pooled if group == 0 else data.groups[group - 1]
+    obs = data.pooled if group == 0 else data.groups[group - 1]
     if fn == "pooled-ecdf":
-        return pooled_ecdf(pooled).to_text()
+        return pooled_ecdf(data).to_text()
     if fn == "ecdf":
         return ecdf(obs).to_text()
     if fn == "at-risk":

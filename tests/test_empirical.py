@@ -44,7 +44,7 @@ def test_ecdf_empty_rejected():
 
 
 def test_pooled_ecdf_merge():
-    data = MultiSampleData(((1,), (3,))).pooled()
+    data = MultiSampleData(((1,), (3,)))
     h = pooled_ecdf(data)
     assert h(1) == 0.5 and h(3) == 1.0
 
@@ -54,8 +54,8 @@ def test_pooled_ecdf_merge():
     st.lists(st.integers(0, 9), min_size=1, max_size=8),
 )
 def test_pooled_ecdf_two_constructions_agree(g1, g2):
-    data = MultiSampleData((tuple(g1), tuple(g2))).pooled()
-    mixture = affine_combine(data.fractions(), group_ecdfs(data))
+    data = MultiSampleData((tuple(g1), tuple(g2)))
+    mixture = affine_combine(LambdaVector.from_sizes(data.sizes).values, group_ecdfs(data))
     direct = pooled_ecdf(data)
     for t in set(g1) | set(g2) | {-1, 100}:
         assert mixture(t) == pytest.approx(direct(t), abs=1e-12)
@@ -136,17 +136,17 @@ def test_multisample_validation():
     with pytest.raises(ContractError):
         MultiSampleData((((1, 2),), ((2, 1),)))  # bad status
     nan = float("nan")
-    with pytest.raises(ContractError):
-        MultiSampleData(((nan, 1.0), (2.0,)))  # NaN value
+    for bad in (nan, math.inf, -math.inf):
+        with pytest.raises(ContractError):
+            MultiSampleData(((bad, 1.0), (2.0,)))  # non-finite value
     for bad in (nan, math.inf):
         with pytest.raises(ContractError):
             MultiSampleData((((bad, 1), (1.0, 1)), ((2.0, 0),)))  # non-finite time
 
 
 def test_pooled_order_and_slices():
-    data = MultiSampleData(((1, 2), (3,), (4, 5, 6))).pooled()
+    data = MultiSampleData(((1, 2), (3,), (4, 5, 6)))
     assert data.pooled == (1, 2, 3, 4, 5, 6)
-    assert data.cumulative == (0, 2, 3, 6)
     assert data.pooled[data.group_slice(2)] == (4, 5, 6)
 
 

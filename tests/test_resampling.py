@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from permboot.empirical import MultiSampleData, pooled_ecdf
+from permboot.empirical import LambdaVector, MultiSampleData, pooled_ecdf
 from permboot.errors import ContractError
 from permboot.resampling import (
     ResampleDraw,
@@ -27,7 +27,7 @@ from permboot.verify import _indicator_counter
 
 
 def _plain(groups):
-    return MultiSampleData(tuple(tuple(g) for g in groups)).pooled()
+    return MultiSampleData(tuple(tuple(g) for g in groups))
 
 
 def test_seedspec_determinism():
@@ -93,7 +93,7 @@ def test_draw_length_mismatch():
 
 
 def test_survival_pairs_travel_atomically():
-    data = MultiSampleData((((1.0, 1), (2.0, 0)), ((3.0, 1),))).pooled()
+    data = MultiSampleData((((1.0, 1), (2.0, 0)), ((3.0, 1),)))
     swapish = ResampleDraw(ResampleKind.PERMUTATION, (2, 1, 0))
     pairs = resampled_group_fns(data, swapish)
     hbar, huc = pairs[1]
@@ -107,7 +107,7 @@ def test_permutation_conservation():
     hn = pooled_ecdf(data)
     for row in permutation_matrix(data.N, 5, SeedSpec(0).rng()):
         fns = resampled_group_fns(data, ResampleDraw(ResampleKind.PERMUTATION, row))
-        mix = affine_combine(data.fractions(), fns)
+        mix = affine_combine(LambdaVector.from_sizes(data.sizes).values, fns)
         for t in (0.5, 0.7, 1.5, 1.7, 2.5, 3.0):
             assert mix(t) == pytest.approx(hn(t), abs=1e-12)
 
@@ -120,7 +120,7 @@ def test_centered_process_zero_sum():
     draw = ResampleDraw(ResampleKind.PERMUTATION, row)
     X = centered_process(resampled_group_fns(data, draw), hn, data.N, grid)
     assert X.shape == (2, 3)
-    weighted = np.array(data.fractions()) @ X
+    weighted = np.array(LambdaVector.from_sizes(data.sizes).values) @ X
     assert np.allclose(weighted, 0, atol=1e-12)
 
 

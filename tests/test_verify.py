@@ -233,7 +233,7 @@ def test_exhaustive_matches_manual_enumeration():
     vals = np.concatenate([
         Law.uniform(0, 1).sample(rng, 2), Law.uniform(0, 1).sample(rng, 2)
     ])
-    data = MultiSampleData(((vals[0], vals[1]), (vals[2], vals[3]))).pooled()
+    data = MultiSampleData(((vals[0], vals[1]), (vals[2], vals[3])))
     hn = pooled_ecdf(data)
     grid = np.quantile(vals, np.linspace(0.1, 0.9, 9))
     rows = []
@@ -386,8 +386,8 @@ def _one_shot_replicate(config, r):
             all_permutations(N) if config.exhaustive
             else draw_matrix(config.resample_kind, N, config.draws, seed.child(1).rng())
         )
-        counts = [counter(draws[:, a:b]) for a, b in zip(cum, cum[1:])]
-    pooled = stat(counter(np.arange(N)[None, :]), N)[0]
+        counts = [counter.finish(counter.binned(draws[:, a:b])) for a, b in zip(cum, cum[1:])]
+    pooled = stat(counter.finish(counter.binned(np.arange(N)[None, :])), N)[0]
     X = math.sqrt(N) * np.concatenate(
         [stat(c, b - a) - pooled[None, :] for c, a, b in zip(counts, cum, cum[1:])],
         axis=1,
@@ -627,9 +627,9 @@ def test_indicator_counts_match_dense_products(kind, sizes):
     grid = np.array([0.5, -1.0, pooled.max(), 0.2, 0.5, 0.7])
     ind = (pooled[:, None] <= grid[None, :]).astype(float)
     counts = _indicator_counter(pooled, grid)
-    assert np.array_equal(counts(np.arange(N)[None, :])[0], ind.sum(axis=0))
+    assert np.array_equal(counts.finish(counts.binned(np.arange(N)[None, :]))[0], ind.sum(axis=0))
     for idx, dense in _dense_group_counts(_count_draws(kind, N), sizes):
-        assert np.array_equal(counts(idx), dense @ ind)
+        assert np.array_equal(counts.finish(counts.binned(idx)), dense @ ind)
 
 
 @pytest.mark.parametrize("kind, sizes", _COUNT_CASES)
@@ -648,11 +648,11 @@ def test_survival_counts_match_dense_products(kind, sizes, last):
     assert np.array_equal(events, np.unique(z[(delta == 1) & (z <= grid.max())]))
     death = ((z[:, None] == events[None, :]) & (delta[:, None] == 1)).astype(float)
     at_risk = (z[:, None] >= events[None, :]).astype(float)
-    d0, r0 = counts(np.arange(N)[None, :])
+    d0, r0 = counts.finish(counts.binned(np.arange(N)[None, :]))
     assert np.array_equal(d0[0], death.sum(axis=0))
     assert np.array_equal(r0[0], at_risk.sum(axis=0))
     for idx, dense in _dense_group_counts(_count_draws(kind, N), sizes):
-        dj, rj = counts(idx)
+        dj, rj = counts.finish(counts.binned(idx))
         assert np.array_equal(dj, dense @ death)
         assert np.array_equal(rj, dense @ at_risk)
 
@@ -670,7 +670,7 @@ def test_survival_counts_deaths_within_risk_sets(data):
     flat = data.draw(st.lists(st.integers(0, N - 1), min_size=B * n, max_size=B * n))
     t_max = data.draw(st.integers(-1, 5))
     _events, counts = _survival_counter(z, delta, t_max)
-    dj, rj = counts(np.array(flat).reshape(B, n))
+    dj, rj = counts.finish(counts.binned(np.array(flat).reshape(B, n)))
     assert np.all(dj >= 0) and np.all(dj <= rj)
     assert np.all(np.diff(rj, axis=1) <= 0)
 
@@ -771,7 +771,7 @@ def test_survival_statistic_matches_stepfn_functionals(scenario, resample_kind, 
     retries = sample[-1]
     data = simulate_survival_groups(
         cfg.group_laws, cfg.censoring_laws, cfg.sizes, seed.child(0, retries).rng()
-    ).pooled()
+    )
     functional = nelson_aalen if scenario == "survival-na" else kaplan_meier
     kind = ResampleKind(resample_kind)
     cum = np.cumsum([0, *cfg.sizes])
@@ -779,7 +779,7 @@ def test_survival_statistic_matches_stepfn_functionals(scenario, resample_kind, 
         groups = resampled_group_fns(data, ResampleDraw(kind, tuple(row)))
         for (at_risk, uncensored), a, b in zip(groups, cum, cum[1:]):
             oracle = functional(HazardBundle(at_risk, uncensored, cfg.tau))
-            fast = curve(counter(row[None, a:b]), b - a)[0]
+            fast = curve(counter.finish(counter.binned(row[None, a:b])), b - a)[0]
             assert np.abs(fast - [oracle(t) for t in grid]).max() <= 1e-12
 
 
@@ -787,7 +787,7 @@ def test_survival_statistic_matches_stepfn_functionals(scenario, resample_kind, 
 
 def test_linearization_evaluation_functional_residual_zero():
     # evaluation at a point is linear, so its linearization is exact
-    data = MultiSampleData(((0.2, 0.9), (0.4, 0.7))).pooled()
+    data = MultiSampleData(((0.2, 0.9), (0.4, 0.7)))
     hn = pooled_ecdf(data)
     root = math.sqrt(data.N)
     for row in draw_matrix(ResampleKind.PERMUTATION, data.N, 4, SeedSpec(0).rng()):
@@ -847,7 +847,7 @@ def _stepfn_ladder_residuals(config, sizes, seed):
     ``resampled_group_fns`` and the functionals' own maps and
     derivatives: the oracle of ``_ladder_residuals``."""
     if config.scenario == "wilcoxon":
-        data = simulate_plain_groups(config.group_laws, sizes, seed.child(0).rng()).pooled()
+        data = simulate_plain_groups(config.group_laws, sizes, seed.child(0).rng())
         z, top = np.asarray(data.pooled), 0.9
         hn = pooled_ecdf(data)
         theta_n = (hn, hn)
@@ -960,7 +960,7 @@ def test_ladder_oracle_covers_a_group_km_reaching_zero():
     data, z, delta, tau, _retries = _sample(cfg, cfg.ladder[0], cfg.seed.child(0), True)
     _events, counts = _survival_counter(z, delta, tau)
     draws = draw_matrix(cfg.resample_kind, data.N, cfg.draws, cfg.seed.child(0).child(1).rng())
-    deaths, at_risk = counts(draws[:, :4])
+    deaths, at_risk = counts.finish(counts.binned(draws[:, :4]))
     assert np.any((deaths == at_risk) & (at_risk > 0))
 
 

@@ -349,12 +349,18 @@ class ExperimentConfig:
             raise ContractError("exhaustive mode limited to N <= 8")
         if self.outer_reps < 1:
             raise ContractError(f"outer_reps must be >= 1, got {self.outer_reps}")
-        if isinstance(self.grid, dict):
+        if isinstance(self.grid, dict) and set(self.grid) == {"pooled_quantiles"}:
             probs = self.grid["pooled_quantiles"]
             if not probs or any(not 0 <= q <= 1 for q in probs):
                 raise ContractError(f"pooled_quantiles must be nonempty and in [0, 1]: {probs}")
-        elif not self.grid:
-            raise ContractError("an explicit grid needs at least one point")
+        elif isinstance(self.grid, tuple):
+            if not self.grid:
+                raise ContractError("an explicit grid needs at least one point")
+        elif not (isinstance(self.grid, str) and self.grid == "pooled-deciles"):
+            raise ContractError(
+                "grid must be a tuple of points, {'pooled_quantiles': ...} or 'pooled-deciles',"
+                f" got {self.grid!r}"
+            )
         _check_tau_quantile(self.tau_quantile)
         if self.scenario is not Scenario.PLAIN_INDICATOR:
             object.__setattr__(

@@ -10,10 +10,9 @@ kernel for Kaplan-Meier limits, each with the permutation coefficient
 Population objects come in two flavours sharing one evaluation path:
 plug-in (built from pooled empirical step functions, what the
 conditional statements compare against at finite N) and analytic
-(closed forms or adaptive quadrature with a 1e-10 absolute target).
-Only the analytic quadratures need scipy, so ``quad`` imports
-``scipy.integrate`` on its first call rather than when the package is
-imported: scipy's import costs several times the rest of the package's.
+(closed forms or ``quad``, an adaptive Gauss-Legendre quadrature in
+numpy to max(1e-10, 1.49e-8 |I|), QUADPACK's default target).  Its
+nodes are computed on the first call, not when the package is imported.
 ``permboot.verify`` builds its targets here too: ``PlainPopulation``
 for indicator classes and ``EmpiricalSurvivalPopulation`` (plug-in) or
 ``exponential_survival_population`` (analytic) for survival classes.
@@ -33,6 +32,7 @@ with independent H-Brownian-bridge limits (derived by analogy).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from bisect import bisect_right
 from itertools import accumulate
@@ -61,13 +61,64 @@ __all__ = [
 ]
 
 QUAD_ABS_TOL = 1e-10
+QUAD_REL_TOL = 1.49e-8  # QUADPACK's default epsrel
+_QUAD_ORDER = 20
+_QUAD_MAX_DEPTH = 50  # panels 2^-50 of the interval wide: near float resolution
+_QUAD_MAX_PANELS = 1024  # per level, so a level costs at most ~60k evaluations
 
 
-def quad(func, a, b, **kwargs):
-    """``scipy.integrate.quad``, with scipy imported on the first call."""
-    from scipy.integrate import quad as scipy_quad
+@functools.cache
+def _legendre_rule():
+    """Gauss-Legendre weights on [-1, 1], and the nodes of the rule on
+    [-1, 1], then on its left and on its right half."""
+    from numpy.polynomial.legendre import leggauss
 
-    return scipy_quad(func, a, b, **kwargs)
+    nodes, weights = leggauss(_QUAD_ORDER)
+    return np.concatenate([nodes, (nodes - 1.0) / 2.0, (nodes + 1.0) / 2.0]), weights
+
+
+def quad(func, a, b, epsabs=QUAD_ABS_TOL):
+    """Integral of ``func`` over [a, b] as (value, error estimate).
+
+    ``func`` maps a 1-D float array of points to an array of its values
+    there.  Every panel is integrated by the n-point Gauss-Legendre rule
+    and by the same rule on its two halves, in one ``func`` call per
+    level for all open panels; a panel is done when the two differ by at
+    most its width's share of tol = max(epsabs, QUAD_REL_TOL * |I|),
+    where I is the first estimate of the whole integral, and is bisected
+    otherwise.  The value sums the halves' estimates and the error the
+    differences.  Raises ``SingularityError`` if a panel is still open
+    at depth 50 or a level opens more than 1024 panels: the integrand is
+    singular, discontinuous or too rough there for the tolerance.
+    """
+    offsets, weights = _legendre_rule()
+    width = abs(b - a)
+    lo = np.array([float(a)])
+    half = np.array([(b - a) / 2.0])
+    tol = None
+    values, errors = [], []
+    for depth in range(_QUAD_MAX_DEPTH + 1):
+        x = (lo + half)[:, None] + half[:, None] * offsets
+        # per panel: the sums of the rule on it, on its left and on its right half
+        sums = np.asarray(func(x.ravel()), dtype=float).reshape(len(lo), 3, -1) @ weights
+        whole = sums[:, 0] * half
+        halves = (sums[:, 1] + sums[:, 2]) * (half / 2.0)
+        diff = np.abs(whole - halves)
+        if tol is None:
+            tol = max(epsabs, QUAD_REL_TOL * abs(float(halves[0])))
+        done = diff * width <= tol * np.abs(2.0 * half)
+        values += halves[done].tolist()
+        errors += diff[done].tolist()
+        if done.all():
+            return math.fsum(values), math.fsum(errors)
+        lo, half = lo[~done], half[~done]
+        if depth == _QUAD_MAX_DEPTH or 2 * lo.size > _QUAD_MAX_PANELS:
+            u = float(lo[0] + half[0])
+            raise SingularityError(
+                f"quadrature over [{a}, {b}] cannot reach tolerance {tol:.3g} near {u}", at=u
+            )
+        lo = np.stack([lo, lo + half], axis=1).ravel()
+        half = np.repeat(half / 2.0, 2)
 
 
 class KernelKind(enum.Enum):
@@ -179,8 +230,12 @@ class AnalyticSurvivalPopulation:
     """Continuous pooled survival model from densities and survivals.
 
     ``uc_density`` is the density of the uncensored subdistribution
-    (d/dt P(Z <= t, uncensored)); ``at_risk`` is t -> P(Z >= t).
-    Cumulative quantities are adaptive quadratures at 1e-10 absolute.
+    (d/dt P(Z <= t, uncensored)); ``at_risk`` is t -> P(Z >= t).  Both
+    take a numpy array of times and return the array of their values
+    (``quad`` evaluates its nodes in one call); ``Hbar`` also calls
+    ``at_risk`` on one time and returns a Python float.  ``Huc``, ``C``
+    and (without a closed-form ``cum_hazard``) the cumulative hazard are
+    one ``quad`` each, to max(1e-10, 1.49e-8 |I|).
     """
 
     def __init__(self, uc_density, at_risk, tau, *, cum_hazard=None):
@@ -190,10 +245,10 @@ class AnalyticSurvivalPopulation:
         self._cum_hazard_fn = cum_hazard
 
     def Hbar(self, t):
-        return self._hbar(t)
+        return float(self._hbar(t))
 
     def Huc(self, t):
-        val, _err = quad(self._f, 0.0, t, epsabs=QUAD_ABS_TOL)
+        val, _err = quad(self._f, 0.0, t)
         return val
 
     Huc_left = Huc  # continuous model: no atoms
@@ -201,16 +256,14 @@ class AnalyticSurvivalPopulation:
     def cum_hazard(self, t):
         if self._cum_hazard_fn is not None:
             return self._cum_hazard_fn(t)
-        val, _err = quad(lambda u: self._f(u) / self._hbar(u), 0.0, t,
-                         epsabs=QUAD_ABS_TOL)
+        val, _err = quad(lambda u: self._f(u) / self._hbar(u), 0.0, t)
         return val
 
     def S(self, t):
         return math.exp(-self.cum_hazard(t))
 
     def C(self, t):
-        val, _err = quad(lambda u: self._f(u) / self._hbar(u) ** 2, 0.0, t,
-                         epsabs=QUAD_ABS_TOL)
+        val, _err = quad(lambda u: self._f(u) / self._hbar(u) ** 2, 0.0, t)
         return val
 
     km_integral = C  # the (1 - dLambda) factors coincide when Lambda is continuous
@@ -229,13 +282,13 @@ def exponential_survival_population(fail_rates, cens_rates, lambdas, tau):
 
     def uc_density(u):
         return sum(
-            w * a * math.exp(-(a + c) * u)
+            w * a * np.exp(-(a + c) * u)
             for w, a, c in zip(lam, fail_rates, cens_rates)
         )
 
     def at_risk(u):
         return sum(
-            w * math.exp(-(a + c) * u)
+            w * np.exp(-(a + c) * u)
             for w, a, c in zip(lam, fail_rates, cens_rates)
         )
 

@@ -144,6 +144,9 @@ _LADDER = dict(
     (ExperimentConfig, dict(_PLAIN, grid={"pooled_quantiles": ()})),
     (ExperimentConfig, dict(_PLAIN, grid={"pooled_quantiles": (0.5, 1.5)})),
     (ExperimentConfig, dict(_PLAIN, grid={"pooled_quantiles": (-0.1,)})),
+    (ExperimentConfig, dict(_PLAIN, grid=[0.5, 1.0])),  # a list, not a tuple
+    (ExperimentConfig, dict(_PLAIN, grid="deciles")),
+    (ExperimentConfig, dict(_PLAIN, grid={"quantiles": (0.5,)})),
     (ExperimentConfig, dict(_SURVIVAL, tau_quantile=0.0)),
     (ExperimentConfig, dict(_SURVIVAL, tau_quantile=-0.5)),
     (ExperimentConfig, dict(_SURVIVAL, tau_quantile=1.0)),

@@ -1,15 +1,15 @@
 """Every module-level import and private name in the package is used,
-and the heavy optional dependencies load only when they are needed.
+and the package never loads scipy and loads jsonschema only when needed.
 
 A name counts as used only where the code refers to it (a mention in a
 docstring or comment does not count) or where the module re-exports it
 through ``__all__``.  A private module-level function, class or
 constant (``_name``) must be referred to somewhere in the package.
 
-scipy is imported by the first quadrature of an analytic survival
-population and jsonschema by the first config parsed.  Which modules an
-import loads depends on everything the process imported before, so
-those checks run in a fresh interpreter.
+The analytic survival quadratures are numpy, so scipy is a test
+dependency only; jsonschema is imported by the first config parsed.
+Which modules an import loads depends on everything the process
+imported before, so those checks run in a fresh interpreter.
 """
 
 import ast
@@ -144,14 +144,18 @@ def test_package_import_loads_neither_scipy_nor_jsonschema():
         _LOADED,
         "permboot.limits.quad(abs, 0.0, 1.0)",
         _LOADED,
+        "from permboot.limits import KernelKind, assemble_kernel_matrix",
+        "pop = permboot.limits.exponential_survival_population([1.0, 1.4], [0.5, 0.0], [0.5, 0.5], 2.0)",
+        "[assemble_kernel_matrix(k, pop, [0.5, 0.5], [0.5, 1.5]) for k in KernelKind if 'indicator' not in k.value]",
+        _LOADED,
     ]))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "['jsonschema']", "['jsonschema', 'scipy']"]
+    assert proc.stdout.splitlines() == ["[]", "['jsonschema']", "['jsonschema']", "['jsonschema']"]
 
 
 def test_analytic_survival_verify_thread_invariant_in_fresh_process(tmp_path):
     # at --threads 2 two replicates race to the first quadrature, which
-    # imports scipy
+    # computes the Gauss-Legendre nodes
     cfg = tmp_path / "km.json"
     cfg.write_text(json.dumps({
         "scenario": "survival-km",

@@ -253,3 +253,81 @@ def test_assemble_km_singular_plugin_raises(kind):
     pop = EmpiricalSurvivalPopulation(bundle)
     with pytest.raises(SingularityError):
         assemble_kernel_matrix(kind, pop, LAM, [0.5, 3.0])
+
+
+# -- quadrature against exact oracles -------------------------------------
+
+def test_quadrature_matches_closed_forms_of_a_shared_kappa_mixture():
+    # unequal groups, so every cumulative quantity goes through quad, but
+    # with one kappa = a / (a + c) = 2/3: the pooled hazard f / Hbar is
+    # -kappa (log Hbar)', which gives every quantity in closed form
+    fail, cens, tau = (1.0, 2.0), (0.5, 1.0), 2.0
+    kappa = 2 / 3
+    pop = exponential_survival_population(fail, cens, LAM, tau=tau)
+
+    def hbar(t):
+        return sum(w * math.exp(-(a + c) * t) for w, a, c in zip(LAM, fail, cens))
+
+    for t in np.linspace(tau / 20, tau, 20):
+        huc = sum(w * a / (a + c) * -math.expm1(-(a + c) * t) for w, a, c in zip(LAM, fail, cens))
+        assert pop.Hbar(t) == pytest.approx(hbar(t), rel=1e-14)
+        assert pop.Huc(t) == pytest.approx(huc, rel=1e-12)
+        assert pop.cum_hazard(t) == pytest.approx(-kappa * math.log(hbar(t)), rel=1e-12)
+        assert pop.C(t) == pytest.approx(kappa * (1 / hbar(t) - 1), rel=1e-12)
+        assert pop.S(t) == pytest.approx(hbar(t) ** kappa, rel=1e-12)
+
+
+@pytest.mark.parametrize("fail, cens, lambdas, tau", [
+    ((1.0, 1.4, 0.7), (0.5, 0.2, 0.0), LAM3, 3.0),
+    # Hbar(3.35) ~ 2e-5, so C(3.35) ~ 3e4 and the relative target rules
+    ((2.0, 3.0), (1.0, 2.0), LambdaVector((0.5, 0.5)), 3.35),
+])
+def test_quadrature_matches_tight_scipy_reference(fail, cens, lambdas, tau):
+    from scipy.integrate import quad as scipy_quad
+
+    pop = exponential_survival_population(fail, cens, lambdas, tau=tau)
+
+    def f(u):
+        return sum(w * a * math.exp(-(a + c) * u) for w, a, c in zip(lambdas, fail, cens))
+
+    def hbar(u):
+        return sum(w * math.exp(-(a + c) * u) for w, a, c in zip(lambdas, fail, cens))
+
+    integrands = {
+        "Huc": f, "cum_hazard": lambda u: f(u) / hbar(u), "C": lambda u: f(u) / hbar(u) ** 2,
+    }
+    for t in np.linspace(tau / 15, tau, 15):
+        for name, integrand in integrands.items():
+            ref, _err = scipy_quad(integrand, 0.0, t, epsabs=1e-13, epsrel=1e-13)
+            assert getattr(pop, name)(t) == pytest.approx(ref, rel=1e-12), (name, t)
+
+
+@pytest.mark.parametrize("epsabs", [limits.QUAD_ABS_TOL, 0.0])
+def test_quad_bisects_a_kinked_integrand(epsabs):
+    # at epsabs 0 only the relative target is left; it is taken from the
+    # whole integral, so it does not shrink with the panels at the kink
+    calls = []
+
+    def kinked(x):
+        calls.append(x.size)
+        return np.abs(x - 1 / 3)
+
+    value, err = limits.quad(kinked, 0.0, 1.0, epsabs=epsabs)
+    assert value == pytest.approx(5 / 18, rel=1e-12)  # (1/3)^2 / 2 + (2/3)^2 / 2
+    assert 0 <= err <= limits.QUAD_REL_TOL * value
+    assert len(calls) > 1  # the panel holding the kink was bisected
+
+
+@pytest.mark.parametrize("integrand, near", [
+    # 1/x is not integrable at 0: the panel next to it never settles and
+    # the depth cap stops it
+    (lambda x: 1 / x, 0.0),
+    # NaN never compares within tolerance: every panel splits on every
+    # level until the panel cap stops it
+    (lambda x: np.full_like(x, np.nan), None),
+])
+def test_quad_raises_where_the_tolerance_cannot_be_met(integrand, near):
+    with pytest.raises(SingularityError, match="cannot reach tolerance") as info:
+        limits.quad(integrand, 0.0, 1.0)
+    if near is not None:
+        assert info.value.at == pytest.approx(near, abs=1e-12)

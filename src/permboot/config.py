@@ -79,10 +79,16 @@ def validate(doc, definition: str | None = None) -> None:
 
 
 def read_config(path) -> dict:
-    """The JSON object in the file at path."""
+    """The JSON object in the file at path.  ``NaN``, ``Infinity`` and
+    ``-Infinity``, which Python's ``json`` reads but JSON does not have,
+    are a ``DataError``."""
+
+    def reject(token):
+        raise DataError(f"{path}: invalid JSON ({token} is not a JSON number)")
+
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -117,21 +123,21 @@ class Law:
 
     @classmethod
     def exponential(cls, rate):
-        if rate <= 0:
-            raise ContractError("rate must be positive")
+        if not 0 < rate < math.inf:
+            raise ContractError(f"rate must be positive and finite, got {rate}")
         return cls("exponential", (float(rate),))
 
     @classmethod
     def uniform(cls, lo, hi):
-        if not lo < hi:
-            raise ContractError("need lo < hi")
+        if not -math.inf < lo < hi < math.inf:
+            raise ContractError(f"need finite lo < hi, got {lo}, {hi}")
         return cls("uniform", (float(lo), float(hi)))
 
     @classmethod
     def point_masses(cls, points):
         xs = tuple(float(x) for x, _p in points)
         ps = tuple(float(p) for _x, p in points)
-        if abs(sum(ps) - 1) > 1e-12 or any(p < 0 for p in ps):
+        if not abs(sum(ps) - 1) <= 1e-12 or not all(p >= 0 for p in ps):
             raise ContractError("point masses must be a probability vector")
         return cls("point-masses", (xs, ps))
 
@@ -281,10 +287,12 @@ class ToleranceSpec:
     se_multiplier: float = 4.0
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ContractError("abs_tol must be positive")
-        if self.se_multiplier < 2:
-            raise ContractError("se_multiplier must be at least 2")
+        if not 0 < self.abs_tol < math.inf:
+            raise ContractError(f"abs_tol must be positive and finite, got {self.abs_tol}")
+        if not 2 <= self.se_multiplier < math.inf:
+            raise ContractError(
+                f"se_multiplier must be finite and at least 2, got {self.se_multiplier}"
+            )
 
 
 class Scenario(enum.Enum):
@@ -354,14 +362,16 @@ class ExperimentConfig:
             if not probs or any(not 0 <= q <= 1 for q in probs):
                 raise ContractError(f"pooled_quantiles must be nonempty and in [0, 1]: {probs}")
         elif isinstance(self.grid, tuple):
-            if not self.grid:
-                raise ContractError("an explicit grid needs at least one point")
+            if not self.grid or not all(math.isfinite(g) for g in self.grid):
+                raise ContractError(f"an explicit grid needs finite points, got {self.grid}")
         elif not (isinstance(self.grid, str) and self.grid == "pooled-deciles"):
             raise ContractError(
                 "grid must be a tuple of points, {'pooled_quantiles': ...} or 'pooled-deciles',"
                 f" got {self.grid!r}"
             )
         _check_tau_quantile(self.tau_quantile)
+        if self.tau is not None and not 0 < self.tau < math.inf:
+            raise ContractError(f"tau must be None or positive and finite, got {self.tau}")
         if self.scenario is not Scenario.PLAIN_INDICATOR:
             object.__setattr__(
                 self, "censoring_laws", _censoring_or_none(self.censoring_laws, len(self.sizes))

@@ -60,8 +60,8 @@ class HazardBundle:
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ContractError("tau must be positive")
+        if not self.tau > 0:
+            raise ContractError(f"tau must be positive, got {self.tau}")
         if self.at_risk.convention is not LEFT:
             raise ContractError("at_risk must be left-continuous")
         if self.uncensored.convention is not RIGHT:
@@ -287,7 +287,7 @@ def km_derivative(bundle: HazardBundle, alpha: StepFn, beta: StepFn) -> StepFn:
 
 def rmst(S: StepFn, tau: float):
     """Exact integral of the piecewise-constant S over [0, tau)."""
-    if not S.lo <= 0 < tau <= S.hi:
+    if not (S.lo <= 0 < tau <= S.hi and math.isfinite(tau)):
         raise DomainError(f"tau={tau} outside domain ({S.lo}, {S.hi}]")
     total = 0
     prev = 0 if S.lo == -math.inf else max(S.lo, 0)

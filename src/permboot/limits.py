@@ -234,15 +234,14 @@ class AnalyticSurvivalPopulation:
     take a numpy array of times and return the array of their values
     (``quad`` evaluates its nodes in one call); ``Hbar`` also calls
     ``at_risk`` on one time and returns a Python float.  ``Huc``, ``C``
-    and (without a closed-form ``cum_hazard``) the cumulative hazard are
-    one ``quad`` each, to max(1e-10, 1.49e-8 |I|).
+    and the cumulative hazard are one ``quad`` each, to max(1e-10,
+    1.49e-8 |I|).
     """
 
-    def __init__(self, uc_density, at_risk, tau, *, cum_hazard=None):
+    def __init__(self, uc_density, at_risk, tau):
         self._f = uc_density
         self._hbar = at_risk
         self.tau = tau
-        self._cum_hazard_fn = cum_hazard
 
     def Hbar(self, t):
         return float(self._hbar(t))
@@ -254,8 +253,6 @@ class AnalyticSurvivalPopulation:
     Huc_left = Huc  # continuous model: no atoms
 
     def cum_hazard(self, t):
-        if self._cum_hazard_fn is not None:
-            return self._cum_hazard_fn(t)
         val, _err = quad(lambda u: self._f(u) / self._hbar(u), 0.0, t)
         return val
 
@@ -292,11 +289,7 @@ def exponential_survival_population(fail_rates, cens_rates, lambdas, tau):
             for w, a, c in zip(lam, fail_rates, cens_rates)
         )
 
-    cum_hazard = None
-    if len(set(zip(fail_rates, cens_rates))) == 1:
-        a = fail_rates[0]
-        cum_hazard = lambda t: a * t  # identical groups: pooled hazard is the common one
-    return AnalyticSurvivalPopulation(uc_density, at_risk, tau, cum_hazard=cum_hazard)
+    return AnalyticSurvivalPopulation(uc_density, at_risk, tau)
 
 
 # -- kernels -----------------------------------------------------------

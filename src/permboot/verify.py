@@ -28,8 +28,7 @@ Everything is deterministic given (config, seed): datasets and draws
 use counter-based child seeds, and reductions are order-independent, so
 reports are byte-identical regardless of thread count.
 
-Sampling laws and configs live in ``permboot.config``; this module
-re-exports them under their old names.
+Sampling laws and configs live in ``permboot.config``.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ from .config import (
     Law,
     LinearizationConfig,
     Scenario,
-    ToleranceSpec,
-    load_config_schema,
     simulate_plain_groups,
     simulate_survival_groups,
 )
@@ -65,17 +62,12 @@ from .limits import (
 from .resampling import ResampleKind, SeedSpec, all_permutations, draw_blocks, draw_counts
 
 __all__ = [
+    # benchmarks/tracing.py patches Law.sample here, as permboot.verify:Law
     "Law",
-    "ToleranceSpec",
-    "Scenario",
-    "ExperimentConfig",
     "VerifyReport",
     "conditional_cov_experiment",
-    "LinearizationConfig",
     "linearization_residual_experiment",
     "simulate_grid_gaussian",
-    "simulate_survival_groups",
-    "load_config_schema",
 ]
 
 _MAX_DATASET_RETRIES = 100
@@ -108,30 +100,30 @@ class VerifyReport:
 @dataclass(frozen=True)
 class _Counter:
     """Per-draw counts of assigned pooled indices, from one label in
-    0..nbins-1 per pooled index: ``binned(idx)`` counts each label for
-    the indices idx (B, n) (exact integers, (B, nbins)), ``pooled_bins``
-    counts each label once over the pooled sample, and ``finish`` turns
-    bins into the counts a statistic reads.  With ``by_law``, Monte Carlo
-    draws skip the indices and take each group's bins from their law
-    (``draw_counts``), which pays where the bins are few, or where
-    numpy's C sampler draws two groups' many bins."""
+    0..nbins-1 per pooled index: ``binned(idx, sizes)`` counts each label
+    for each run of ``sizes`` columns of the indices idx (B, n) (exact
+    integers, (m, B, nbins)), ``pooled_bins`` counts each label once over
+    the pooled sample, and ``finish`` turns bins into the counts a
+    statistic reads.  With ``by_law``, Monte Carlo draws skip the indices
+    and take each group's bins from their law (``draw_counts``), which
+    pays where the bins are few, or where numpy's C sampler draws two
+    groups' many bins."""
 
     labels: np.ndarray
     nbins: int
     finish: Callable = lambda bins: bins
     by_law: bool = False
 
-    def binned(self, idx: np.ndarray, sizes=None) -> np.ndarray:
-        """The counts of idx's rows, (B, nbins); with ``sizes``, of each
-        run of ``sizes`` columns of them, (m, B, nbins)."""
-        runs = (idx.shape[1],) if sizes is None else sizes
-        B, width = idx.shape[0], len(runs) * self.nbins
+    def binned(self, idx: np.ndarray, sizes) -> np.ndarray:
+        """The counts of each run of ``sizes`` columns of idx's rows,
+        (m, B, nbins)."""
+        B, width = idx.shape[0], len(sizes) * self.nbins
         flat = self.labels[idx]
         # run j of row b counts into bins (b m + j) nbins + label
-        flat += np.repeat(self.nbins * np.arange(len(runs)), runs)
+        flat += np.repeat(self.nbins * np.arange(len(sizes)), sizes)
         flat += width * np.arange(B)[:, None]
-        counts = np.bincount(flat.ravel(), minlength=B * width).reshape(B, len(runs), self.nbins)
-        return counts[:, 0] if sizes is None else counts.transpose(1, 0, 2)
+        counts = np.bincount(flat.ravel(), minlength=B * width).reshape(B, len(sizes), self.nbins)
+        return counts.transpose(1, 0, 2)
 
     def pooled_bins(self) -> np.ndarray:
         """The counts of every pooled index, (nbins,)."""

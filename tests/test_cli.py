@@ -115,6 +115,20 @@ def test_non_finite_time_is_data_error_naming_the_line(tmp_path, capsys, bad):
     assert run(["dump-fn", "--input", inp, "--fn", "at-risk"]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("tau, named", [
+    ("inf", "tau=inf outside domain"), ("nan", "tau must be positive, got nan"),
+])
+def test_analyze_non_finite_tau_is_usage_error(tmp_path, capsys, tau, named):
+    # an infinite tau would make the RMST infinite, which the summary cannot hold
+    inp = tmp_path / "toy.csv"
+    _write_survival_csv(inp)
+    curves, summary = tmp_path / "curves.csv", tmp_path / "summary.json"
+    assert run(["analyze", "--input", inp, "--tau", tau, "--output-curves", curves,
+                "--output-summary", summary]) == EXIT_USAGE
+    assert named in capsys.readouterr().err
+    assert not curves.exists() and not summary.exists()
+
+
 def test_simulate_then_analyze(tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({
@@ -431,6 +445,7 @@ _SIMULATE = {
 _OUTPUTS = {
     "simulate": lambda d: ["--output", d / "d.csv"],
     "kernel": lambda d: ["--output-matrix", d / "m.csv", "--output-meta", d / "m.json"],
+    "verify": lambda d: ["--output", d / "r.json"],
 }
 
 
@@ -453,6 +468,39 @@ def test_schema_violation_names_the_field(tmp_path, capsys, subcommand, doc, nam
     assert run([subcommand, "--config", cfg, *_OUTPUTS[subcommand](tmp_path)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert "invalid config" in err and named in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+_SURVIVAL_VERIFY = {
+    "scenario": "survival-na",
+    "group_laws": [{"kind": "exponential", "rate": 1.0}] * 2,
+    "censoring_laws": [{"kind": "exponential", "rate": 0.5}] * 2,
+    "sizes": [20, 20],
+    "draws": 100,
+    "outer_reps": 1,
+    "resample_kind": "permutation",
+    "seed": {"master_seed": 4},
+}
+_NON_FINITE_DOCS = {
+    "simulate-rate": ("simulate", lambda x: dict(
+        _SIMULATE, group_laws=[{"kind": "exponential", "rate": x}] * 2)),
+    "kernel-grid": ("kernel", lambda x: dict(_PLAIN_KERNEL, grid=[0.5, x])),
+    "verify-grid": ("verify", lambda x: dict(_SURVIVAL_VERIFY, grid=[0.5, x])),
+    "verify-tolerance": ("verify", lambda x: dict(_SURVIVAL_VERIFY, tolerance={"abs_tol": x})),
+    "verify-tau": ("verify", lambda x: dict(_SURVIVAL_VERIFY, tau=x)),
+}
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("case", _NON_FINITE_DOCS)
+def test_non_finite_config_constant_is_data_error(tmp_path, capsys, case, token):
+    # Python's json reads NaN and +-Infinity, which JSON does not have
+    subcommand, make = _NON_FINITE_DOCS[case]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(make(float(token))))
+    assert token in cfg.read_text()
+    assert run([subcommand, "--config", cfg, *_OUTPUTS[subcommand](tmp_path)]) == EXIT_DATA
+    assert f"c.json: invalid JSON ({token} is not a JSON number)" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 

@@ -11,6 +11,7 @@ from permboot.config import (
     LinearizationConfig,
     Scenario,
     SimulateConfig,
+    ToleranceSpec,
     load_config_schema,
 )
 from permboot.errors import ContractError, DataError
@@ -156,6 +157,20 @@ _LADDER = dict(
     (LinearizationConfig, dict(_LADDER, tau_quantile=0.05)),
     (LinearizationConfig, dict(_LADDER, tau_quantile=1.2)),
     (LinearizationConfig, dict(_LADDER, ladder=((20, 20), (20, 20, 20)))),
+    (ExperimentConfig, dict(_PLAIN, grid=(0.5, float("nan")))),
+    (ExperimentConfig, dict(_PLAIN, grid=(0.5, float("inf")))),
+    (ExperimentConfig, dict(_SURVIVAL, tau=0.0)),
+    (ExperimentConfig, dict(_SURVIVAL, tau=-1.0)),
+    (ExperimentConfig, dict(_SURVIVAL, tau=float("nan"))),
+    (ExperimentConfig, dict(_SURVIVAL, tau=float("inf"))),
+    (Law.exponential, dict(rate=float("nan"))),
+    (Law.exponential, dict(rate=float("inf"))),
+    (Law.uniform, dict(lo=0.0, hi=float("inf"))),
+    (Law.uniform, dict(lo=-float("inf"), hi=0.0)),
+    (Law.point_masses, dict(points=[(0.0, float("nan")), (1.0, 1.0)])),
+    (ToleranceSpec, dict(abs_tol=float("nan"))),
+    (ToleranceSpec, dict(abs_tol=float("inf"))),
+    (ToleranceSpec, dict(se_multiplier=float("nan"))),
 ])
 def test_library_configs_reject_bad_values(make, fields):
     # direct construction gets no schema check, so the constructors must

@@ -81,6 +81,23 @@ def test_exponential_population_with_censoring():
         assert pop.C(t) == pytest.approx(expected, rel=1e-8)
 
 
+@pytest.mark.parametrize("a, c, lambdas, tau", [
+    (1.0, 0.0, (0.5, 0.5), 1.5),
+    (1.0, 0.5, (0.25, 0.75), 2.0),
+    (0.3, 2.0, (0.2, 0.3, 0.5), 3.0),
+    (2.5, 0.7, (0.6, 0.4), 1.0),
+])
+def test_identical_groups_match_the_one_group_closed_forms(a, c, lambdas, tau):
+    # identical groups pool to one Exp(a) failure / Exp(c) censoring law:
+    # Lambda(t) = a t, S(t) = e^{-a t}, C(t) = a/(a+c) (e^{(a+c)t} - 1)
+    k = len(lambdas)
+    pop = exponential_survival_population([a] * k, [c] * k, lambdas, tau)
+    for t in np.linspace(tau / 50, tau, 50):
+        assert pop.cum_hazard(t) == pytest.approx(a * t, rel=1e-14)
+        assert pop.S(t) == pytest.approx(math.exp(-a * t), rel=1e-14)
+        assert pop.C(t) == pytest.approx(a / (a + c) * math.expm1((a + c) * t), rel=1e-14)
+
+
 def test_empirical_population_small_dataset():
     obs = [(1, 1), (2, 0), (3, 1)]
     bundle = HazardBundle(at_risk_process(obs), uncensored_subdist(obs), tau=3)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from permboot.config import simulate_plain_groups
+from permboot.config import ToleranceSpec, simulate_plain_groups
 from permboot.empirical import LambdaVector, at_risk_process, uncensored_subdist
 from permboot.errors import ContractError, DataError, DomainError, PermbootError
 from permboot.functionals import (
@@ -50,7 +50,6 @@ from permboot.verify import (
     Law,
     LinearizationConfig,
     Scenario,
-    ToleranceSpec,
     conditional_cov_experiment,
     linearization_residual_experiment,
     simulate_grid_gaussian,
@@ -372,7 +371,7 @@ def _one_shot_replicate(config, r):
     N = sum(config.sizes)
     cum = np.cumsum([0, *config.sizes])
     if counter.by_law and not config.exhaustive:
-        pooled_bins = counter.binned(np.arange(N)[None, :])[0]
+        pooled_bins = counter.binned(np.arange(N)[None, :], (N,))[0, 0]
         rows = max(2, verify_module._BLOCK_CELLS // counter.nbins)
         rng = seed.child(1).rng()
         bins = np.concatenate([
@@ -386,8 +385,10 @@ def _one_shot_replicate(config, r):
             all_permutations(N) if config.exhaustive
             else draw_matrix(config.resample_kind, N, config.draws, seed.child(1).rng())
         )
-        counts = [counter.finish(counter.binned(draws[:, a:b])) for a, b in zip(cum, cum[1:])]
-    pooled = stat(counter.finish(counter.binned(np.arange(N)[None, :])), N)[0]
+        counts = [
+            counter.finish(counter.binned(draws[:, a:b], (b - a,))[0]) for a, b in zip(cum, cum[1:])
+        ]
+    pooled = stat(counter.finish(counter.binned(np.arange(N)[None, :], (N,))[0]), N)[0]
     X = math.sqrt(N) * np.concatenate(
         [stat(c, b - a) - pooled[None, :] for c, a, b in zip(counts, cum, cum[1:])],
         axis=1,
@@ -627,9 +628,10 @@ def test_indicator_counts_match_dense_products(kind, sizes):
     grid = np.array([0.5, -1.0, pooled.max(), 0.2, 0.5, 0.7])
     ind = (pooled[:, None] <= grid[None, :]).astype(float)
     counts = _indicator_counter(pooled, grid)
-    assert np.array_equal(counts.finish(counts.binned(np.arange(N)[None, :]))[0], ind.sum(axis=0))
+    pooled_counts = counts.finish(counts.binned(np.arange(N)[None, :], (N,))[0])[0]
+    assert np.array_equal(pooled_counts, ind.sum(axis=0))
     for idx, dense in _dense_group_counts(_count_draws(kind, N), sizes):
-        assert np.array_equal(counts.finish(counts.binned(idx)), dense @ ind)
+        assert np.array_equal(counts.finish(counts.binned(idx, idx.shape[1:])[0]), dense @ ind)
 
 
 @pytest.mark.parametrize("kind, sizes", _COUNT_CASES)
@@ -648,11 +650,11 @@ def test_survival_counts_match_dense_products(kind, sizes, last):
     assert np.array_equal(events, np.unique(z[(delta == 1) & (z <= grid.max())]))
     death = ((z[:, None] == events[None, :]) & (delta[:, None] == 1)).astype(float)
     at_risk = (z[:, None] >= events[None, :]).astype(float)
-    d0, r0 = counts.finish(counts.binned(np.arange(N)[None, :]))
+    d0, r0 = counts.finish(counts.binned(np.arange(N)[None, :], (N,))[0])
     assert np.array_equal(d0[0], death.sum(axis=0))
     assert np.array_equal(r0[0], at_risk.sum(axis=0))
     for idx, dense in _dense_group_counts(_count_draws(kind, N), sizes):
-        dj, rj = counts.finish(counts.binned(idx))
+        dj, rj = counts.finish(counts.binned(idx, idx.shape[1:])[0])
         assert np.array_equal(dj, dense @ death)
         assert np.array_equal(rj, dense @ at_risk)
 
@@ -670,7 +672,7 @@ def test_survival_counts_deaths_within_risk_sets(data):
     flat = data.draw(st.lists(st.integers(0, N - 1), min_size=B * n, max_size=B * n))
     t_max = data.draw(st.integers(-1, 5))
     _events, counts = _survival_counter(z, delta, t_max)
-    dj, rj = counts.finish(counts.binned(np.array(flat).reshape(B, n)))
+    dj, rj = counts.finish(counts.binned(np.array(flat).reshape(B, n), (n,))[0])
     assert np.all(dj >= 0) and np.all(dj <= rj)
     assert np.all(np.diff(rj, axis=1) <= 0)
 
@@ -779,7 +781,7 @@ def test_survival_statistic_matches_stepfn_functionals(scenario, resample_kind, 
         groups = resampled_group_fns(data, ResampleDraw(kind, tuple(row)))
         for (at_risk, uncensored), a, b in zip(groups, cum, cum[1:]):
             oracle = functional(HazardBundle(at_risk, uncensored, cfg.tau))
-            fast = curve(counter.finish(counter.binned(row[None, a:b])), b - a)[0]
+            fast = curve(counter.finish(counter.binned(row[None, a:b], (b - a,))[0]), b - a)[0]
             assert np.abs(fast - [oracle(t) for t in grid]).max() <= 1e-12
 
 
@@ -960,7 +962,7 @@ def test_ladder_oracle_covers_a_group_km_reaching_zero():
     data, z, delta, tau, _retries = _sample(cfg, cfg.ladder[0], cfg.seed.child(0), True)
     _events, counts = _survival_counter(z, delta, tau)
     draws = draw_matrix(cfg.resample_kind, data.N, cfg.draws, cfg.seed.child(0).child(1).rng())
-    deaths, at_risk = counts.finish(counts.binned(draws[:, :4]))
+    deaths, at_risk = counts.finish(counts.binned(draws[:, :4], (4,))[0])
     assert np.any((deaths == at_risk) & (at_risk > 0))
 
 

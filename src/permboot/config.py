@@ -244,6 +244,16 @@ class SimulateConfig:
         return simulate_survival_groups(self.group_laws, self.censoring_laws, self.sizes, rng)
 
 
+def _check_grid_points(grid) -> None:
+    if not grid or not all(math.isfinite(t) for t in grid):
+        raise ContractError(f"an explicit grid needs finite points, got {grid}")
+
+
+def _check_tau(tau) -> None:
+    if tau is not None and not 0 < tau < math.inf:
+        raise ContractError(f"tau must be None or positive and finite, got {tau}")
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     """A ``permboot kernel`` config: a kernel kind, limiting group
@@ -254,6 +264,10 @@ class KernelConfig:
     grid: tuple
     population: object
     tau: float | None = None
+
+    def __post_init__(self):
+        _check_grid_points(self.grid)
+        _check_tau(self.tau)
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelConfig":
@@ -362,16 +376,14 @@ class ExperimentConfig:
             if not probs or any(not 0 <= q <= 1 for q in probs):
                 raise ContractError(f"pooled_quantiles must be nonempty and in [0, 1]: {probs}")
         elif isinstance(self.grid, tuple):
-            if not self.grid or not all(math.isfinite(g) for g in self.grid):
-                raise ContractError(f"an explicit grid needs finite points, got {self.grid}")
+            _check_grid_points(self.grid)
         elif not (isinstance(self.grid, str) and self.grid == "pooled-deciles"):
             raise ContractError(
                 "grid must be a tuple of points, {'pooled_quantiles': ...} or 'pooled-deciles',"
                 f" got {self.grid!r}"
             )
         _check_tau_quantile(self.tau_quantile)
-        if self.tau is not None and not 0 < self.tau < math.inf:
-            raise ContractError(f"tau must be None or positive and finite, got {self.tau}")
+        _check_tau(self.tau)
         if self.scenario is not Scenario.PLAIN_INDICATOR:
             object.__setattr__(
                 self, "censoring_laws", _censoring_or_none(self.censoring_laws, len(self.sizes))

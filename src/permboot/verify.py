@@ -37,7 +37,7 @@ import concurrent.futures
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -412,7 +412,10 @@ def conditional_cov_experiment(config: ExperimentConfig, threads: int = 1) -> Ve
         "draws": int(config.draws),
     }
     return VerifyReport(
-        config=config.raw if config.raw is not None else _config_echo(config),
+        # a library-built config echoes every field
+        config=config.raw if config.raw is not None else {
+            key: value for key, value in asdict(config).items() if key != "raw"
+        },
         kernel_kind=config.kernel_kind().value,
         kernel_mean=kernels.mean(axis=0),
         mc_mean=covs.mean(axis=0),
@@ -428,22 +431,6 @@ def _finite_max(values: np.ndarray) -> float | None:
     """The largest value, or None (JSON null) when it is infinite."""
     top = float(values.max())
     return top if math.isfinite(top) else None
-
-
-def _config_echo(config: ExperimentConfig) -> dict:
-    return {
-        "scenario": config.scenario.value,
-        "sizes": list(config.sizes),
-        "draws": config.draws,
-        "outer_reps": config.outer_reps,
-        "resample_kind": config.resample_kind.value,
-        "seed": {
-            "master_seed": config.seed.master_seed,
-            "stream_id": config.seed.stream_id,
-        },
-        "target": config.target,
-        "exhaustive": config.exhaustive,
-    }
 
 
 # -- linearization residuals -------------------------------------------

@@ -280,6 +280,25 @@ def test_verify_flag_overrides(tmp_path):
     assert out_a.read_bytes() != out_b.read_bytes()
 
 
+def test_verify_draws_flag_overrides_the_config(tmp_path):
+    out_flag, out_cfg = tmp_path / "flag.json", tmp_path / "cfg.json"
+    run(["verify", "--config", _verify_config(tmp_path), "--output", out_flag, "--draws", 150])
+    run(["verify", "--config", _verify_config(tmp_path, draws=150), "--output", out_cfg])
+    doc = json.loads(out_flag.read_text())
+    assert doc["config"]["draws"] == doc["aggregates"]["draws"] == 150
+    assert out_flag.read_bytes() == out_cfg.read_bytes()
+
+
+def test_verify_exhaustive_flag(tmp_path):
+    # the exact finite-N covariance misses the asymptotic kernel: exit 4
+    cfg = _verify_config(tmp_path, sizes=[2, 2], draws=24, outer_reps=1)
+    out = tmp_path / "r.json"
+    assert run(["verify", "--config", cfg, "--output", out, "--exhaustive"]) == EXIT_VERIFY_FAILED
+    doc = json.loads(out.read_text())
+    assert doc["config"]["exhaustive"] is True
+    assert doc["aggregates"]["cond_mean_max_abs"] == 0
+
+
 def test_verify_env_seed(tmp_path, monkeypatch):
     cfg = _verify_config(tmp_path)
     out_env, out_flag = tmp_path / "e.json", tmp_path / "f.json"

@@ -14,7 +14,9 @@ from permboot.config import (
     ToleranceSpec,
     load_config_schema,
 )
+from permboot.empirical import LambdaVector
 from permboot.errors import ContractError, DataError
+from permboot.limits import KernelKind, PlainPopulation
 from permboot.resampling import ResampleKind, SeedSpec
 
 
@@ -133,6 +135,11 @@ _PLAIN = dict(
     draws=100, outer_reps=2, resample_kind=ResampleKind.PERMUTATION, seed=SeedSpec(1),
 )
 _SURVIVAL = dict(_PLAIN, scenario=Scenario.SURVIVAL_NA)
+# the schema's "number" admits NaN and infinities in a Python dict
+_KERNEL_DOC = {"kind": "perm-indicator", "lambdas": [0.5, 0.5], "grid": [0.5, float("nan")],
+               "population": {"plain": {"kind": "exponential", "rate": 1}}}
+_KERNEL = dict(kind=KernelKind.PERM_INDICATOR, lambdas=LambdaVector((0.5, 0.5)), grid=(0.5, 1.0),
+               population=PlainPopulation(Law.exponential(1.0).cdf))
 _LADDER = dict(
     scenario="survival-km", group_laws=(Law.exponential(1.0),) * 2, ladder=((20, 20),),
     draws=5, resample_kind=ResampleKind.PERMUTATION, seed=SeedSpec(1),
@@ -171,6 +178,12 @@ _LADDER = dict(
     (ToleranceSpec, dict(abs_tol=float("nan"))),
     (ToleranceSpec, dict(abs_tol=float("inf"))),
     (ToleranceSpec, dict(se_multiplier=float("nan"))),
+    (KernelConfig.from_dict, dict(d=_KERNEL_DOC)),
+    (KernelConfig.from_dict, dict(d=dict(_KERNEL_DOC, grid=[0.5, float("inf")]))),
+    (KernelConfig, dict(_KERNEL, grid=())),
+    (KernelConfig, dict(_KERNEL, tau=float("nan"))),
+    (KernelConfig, dict(_KERNEL, tau=0.0)),
+    (KernelConfig, dict(_KERNEL, tau=float("inf"))),
 ])
 def test_library_configs_reject_bad_values(make, fields):
     # direct construction gets no schema check, so the constructors must

@@ -22,7 +22,15 @@ from permboot.functionals import (
     wilcoxon_curve,
     wilcoxon_derivative,
 )
-from permboot.limits import KernelKind, coeff_matrix, perm_coeff
+from permboot.limits import (
+    EmpiricalSurvivalPopulation,
+    KernelKind,
+    PlainPopulation,
+    assemble_kernel_matrix,
+    coeff_matrix,
+    exponential_survival_population,
+    perm_coeff,
+)
 from permboot.resampling import (
     ResampleDraw,
     ResampleKind,
@@ -206,6 +214,30 @@ def test_report_byte_reproducible_and_thread_invariant():
     assert a.to_json() == b.to_json() == c.to_json()
 
 
+def test_library_config_report_echoes_every_field():
+    cfg = ExperimentConfig(
+        scenario=Scenario.SURVIVAL_KM, group_laws=(Law.exponential(1.0), Law.uniform(0.0, 2.0)),
+        sizes=(20, 25), draws=100, outer_reps=2, resample_kind=ResampleKind.POOLED_BOOTSTRAP,
+        seed=SeedSpec(8, 3), censoring_laws=(Law.exponential(0.5), Law.none()),
+        grid=(0.2, 0.5), tolerance=ToleranceSpec(abs_tol=0.05),
+    )
+    text = conditional_cov_experiment(cfg, threads=1).to_json()
+    assert conditional_cov_experiment(cfg, threads=2).to_json() == text
+    echo = json.loads(text)["config"]
+    assert "raw" not in echo
+    assert echo["scenario"] == "survival-km" and echo["resample_kind"] == "bootstrap"
+    assert echo["sizes"] == [20, 25] and echo["draws"] == 100 and echo["outer_reps"] == 2
+    assert echo["seed"] == {"master_seed": 8, "stream_id": 3, "path": []}
+    assert echo["group_laws"] == [{"kind": "exponential", "params": [1.0]},
+                                  {"kind": "uniform", "params": [0.0, 2.0]}]
+    assert echo["censoring_laws"] == [{"kind": "exponential", "params": [0.5]},
+                                      {"kind": "none", "params": []}]
+    assert echo["grid"] == [0.2, 0.5]
+    assert echo["tolerance"] == {"abs_tol": 0.05, "se_multiplier": 4.0}
+    assert echo["tau"] is None and echo["tau_quantile"] == 0.8
+    assert echo["target"] == "plugin" and echo["exhaustive"] is False
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_nonpositive_threads_rejected(threads):
     cfg = ExperimentConfig.from_dict(_base_config())
@@ -350,6 +382,95 @@ def test_survival_plugin_kernel_matches_count_formula(scenario, resample_kind):
         cell = np.minimum(c_grid[:, None], c_grid[None, :])
     coeffs = coeff_matrix(cfg.kernel_kind(), LambdaVector.from_sizes(cfg.sizes))
     assert np.abs(report.kernel_mean - np.kron(coeffs, cell)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("resample_kind", ["permutation", "bootstrap"])
+def test_plain_analytic_kernel_is_the_law_mixture_kernel(resample_kind):
+    # R = 2 identical kernels average to themselves exactly
+    grid = [0.2, 0.7, 1.5]
+    cfg = ExperimentConfig.from_dict(_base_config(
+        resample_kind=resample_kind, sizes=[30, 20], outer_reps=2, grid=grid, target="analytic",
+    ))
+    report = conditional_cov_experiment(cfg)
+    mix = [(n / sum(cfg.sizes), law) for law, n in zip(cfg.group_laws, cfg.sizes)]
+    pop = PlainPopulation(lambda t: sum(w * law.cdf(t) for w, law in mix))
+    lambdas = LambdaVector.from_sizes(cfg.sizes)
+    expected = assemble_kernel_matrix(cfg.kernel_kind(), pop, lambdas, np.array(grid))
+    assert np.array_equal(report.kernel_mean, expected)
+
+
+@pytest.mark.parametrize("scenario", ["survival-na", "survival-km"])
+@pytest.mark.parametrize("resample_kind", ["permutation", "bootstrap"])
+def test_survival_analytic_kernel_is_the_exponential_kernel(scenario, resample_kind):
+    # a fixed tau gives every replicate the same kernel
+    grid, tau = [0.2, 0.6, 1.0], 1.2
+    cfg = ExperimentConfig.from_dict(_base_config(
+        scenario=scenario, resample_kind=resample_kind, sizes=[30, 20], outer_reps=2,
+        grid=grid, tau=tau, target="analytic",
+        censoring_laws=[{"kind": "exponential", "rate": 0.5}, {"kind": "none"}],
+    ))
+    report = conditional_cov_experiment(cfg)
+    lambdas = LambdaVector.from_sizes(cfg.sizes)
+    pop = exponential_survival_population([1.0, 1.5], [0.5, 0.0], lambdas, tau)
+    expected = assemble_kernel_matrix(cfg.kernel_kind(), pop, lambdas, np.array(grid))
+    assert np.array_equal(report.kernel_mean, expected)
+
+
+# deaths at time 0 are tied, two of them in group 1, and a time-0
+# censoring is still at risk there
+_ZERO_DEATHS = MultiSampleData((
+    ((0.0, 1), (0.0, 1), (0.0, 0), (1.0, 1), (2.0, 0), (3.0, 1)),
+    ((0.0, 1), (1.0, 1), (1.0, 0), (2.0, 1), (4.0, 1)),
+))
+
+
+def _zero_death_counts(tau):
+    """Event times <= tau, deaths and at-risk counts there, by counting."""
+    z, delta = np.array(_ZERO_DEATHS.pooled).T
+    events = np.unique(z[(delta == 1) & (z <= tau)])
+    deaths = np.array([np.sum((delta == 1) & (z == u)) for u in events])
+    at_risk = np.array([np.sum(z >= u) for u in events])
+    return z, delta, events, deaths, at_risk
+
+
+def test_plugin_population_counts_deaths_at_time_zero():
+    tau = 3.0
+    obs = _ZERO_DEATHS.pooled
+    bundle = HazardBundle(at_risk_process(obs), uncensored_subdist(obs), tau)
+    pop = EmpiricalSurvivalPopulation(bundle)
+    lam = nelson_aalen(bundle)
+    assert lam.base > 0
+    # nelson_aalen's jumps: its base at time 0, then one per breakpoint
+    jumps = [(0.0, lam.base), *zip(lam.breakpoints, lam.jumps)]
+    _z, _delta, events, deaths, at_risk = _zero_death_counts(tau)
+    assert [u for u, _dl in jumps] == events.tolist()
+    assert [dl for _u, dl in jumps] == pytest.approx(deaths / at_risk, rel=1e-15)
+    N = len(obs)
+    for t in (0.0, 0.5, 1.0, 2.5, 3.0):
+        seen = [(dl, at_risk[k] / N) for k, (u, dl) in enumerate(jumps) if u <= t]
+        assert pop.C(t) == pytest.approx(sum((1 - dl) * dl / r for dl, r in seen), rel=1e-14)
+        assert pop.km_integral(t) == pytest.approx(
+            sum(dl / ((1 - dl) * r) for dl, r in seen), rel=1e-14
+        )
+        assert pop.S(t) == pytest.approx(math.prod(1 - dl for dl, _r in seen), rel=1e-14)
+
+
+def test_survival_counts_of_deaths_at_time_zero_match_stepfn_path():
+    tau = 3.0
+    obs = _ZERO_DEATHS.pooled
+    z, delta, events, deaths, at_risk = _zero_death_counts(tau)
+    got_events, counter = _survival_counter(z, delta, tau)
+    d0, r0 = counter.finish(counter.pooled_bins()[None])
+    assert got_events.tolist() == events.tolist() and events[0] == 0.0
+    assert np.array_equal(d0[0], deaths) and np.array_equal(r0[0], at_risk)
+    # the StepFn path: uncensored jumps (time-0 deaths in the base), the
+    # at-risk curve, and Nelson-Aalen's hazard jumps
+    N = len(obs)
+    huc = uncensored_subdist(obs)
+    assert N * np.array([huc.base, *huc.jumps[:len(events) - 1]]) == pytest.approx(d0[0])
+    assert N * np.array(at_risk_process(obs).evaluate(events)) == pytest.approx(r0[0])
+    lam = nelson_aalen(HazardBundle(at_risk_process(obs), huc, tau))
+    assert [lam.base, *lam.jumps] == pytest.approx(d0[0] / r0[0], rel=1e-15)
 
 
 # -- blocked replicate against the whole draw matrix ---------------------

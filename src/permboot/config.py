@@ -5,8 +5,9 @@ Every config document is checked against the one packaged JSON schema
 shared law and seed definitions under ``$defs``) by one validator built
 once per process, on the first config parsed; ``jsonschema`` is imported
 only then.  A schema violation is a ``DataError`` naming the
-offending field; what the schema cannot express (one law per group,
-proportions summing to 1) is checked when the parsed objects are built.
+offending field, and so is a list without one law or rate per group;
+the rest (proportions summing to 1, a survival grid within tau) is
+checked when the parsed objects are built.
 """
 
 from __future__ import annotations
@@ -106,6 +107,13 @@ def with_master_seed(doc: dict, master: int | None) -> dict:
     if master is None or not isinstance(seed, dict):
         return doc
     return {**doc, "seed": {**seed, "master_seed": master}}
+
+
+def _check_one_per_group(what: str, doc: dict, keys, m: int) -> None:
+    """Raise a DataError unless each list ``doc[key]`` given has m entries."""
+    for key in keys:
+        if key in doc and len(doc[key]) != m:
+            raise DataError(f"need one {what} per group, got {len(doc[key])} {key} for {m} groups")
 
 
 def _seed(d: dict) -> SeedSpec:
@@ -224,8 +232,7 @@ class SimulateConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SimulateConfig":
         validate(d, "simulate_config")
-        if len(d["group_laws"]) != len(d["sizes"]):
-            raise DataError("need one law per group")
+        _check_one_per_group("law", d, ["group_laws"], len(d["sizes"]))
         laws = tuple(Law.from_dict(law) for law in d["group_laws"])
         cens = [Law.from_dict(law) for law in d.get("censoring_laws") or ()]
         return cls(
@@ -254,6 +261,11 @@ def _check_tau(tau) -> None:
         raise ContractError(f"tau must be None or positive and finite, got {tau}")
 
 
+def _check_grid_within_tau(grid, tau) -> None:
+    if tau is not None and max(grid) > tau:
+        raise ContractError(f"grid point {max(grid)} beyond tau={tau}")
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     """A ``permboot kernel`` config: a kernel kind, limiting group
@@ -268,6 +280,8 @@ class KernelConfig:
     def __post_init__(self):
         _check_grid_points(self.grid)
         _check_tau(self.tau)
+        if self.kind not in (KernelKind.PERM_INDICATOR, KernelKind.BOOT_INDICATOR):
+            _check_grid_within_tau(self.grid, self.tau)
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelConfig":
@@ -278,6 +292,7 @@ class KernelConfig:
             population = PlainPopulation(Law.from_dict(pop["plain"]).cdf)
         else:
             rates = pop["survival_exponential"]
+            _check_one_per_group("rate", rates, ["fail_rates", "cens_rates"], len(lambdas))
             population = exponential_survival_population(
                 rates["fail_rates"], rates.get("cens_rates", [0.0] * len(lambdas)),
                 lambdas, d["tau"],
@@ -398,6 +413,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         validate(d)
+        _check_one_per_group("law", d, ["group_laws"], len(d["sizes"]))
         cens = d.get("censoring_laws")
         grid = d.get("grid", "pooled-deciles")
         if isinstance(grid, list):

@@ -17,11 +17,13 @@ nodes are computed on the first call, not when the package is imported.
 for indicator classes and ``EmpiricalSurvivalPopulation`` (plug-in) or
 ``exponential_survival_population`` (analytic) for survival classes.
 
-The scalar kernels give one covariance entry each and are the reference
-for ``assemble_kernel_matrix``.  A full matrix costs one population
-evaluation (a quadrature for analytic populations) per grid point and
-function, plus O(m^2 G^2) array arithmetic that reproduces the scalar
-kernels bit for bit.
+``assemble_kernel_matrix`` is the one implementation of every kernel.
+A full matrix costs one population evaluation (a quadrature for
+analytic populations) per grid point and function, plus O(m^2 G^2)
+array arithmetic; one entry, at groups (i, j) and times (s, t), is
+``assemble_kernel_matrix(kind, pop, lambdas, [s, t])[2*i, 2*j + 1]``
+for all but the cross kinds.  The per-cell reference it reproduces bit
+for bit, one scalar kernel call per entry, is ``tests/oracles.py``.
 
 The pooled-bootstrap covariance block for the joint (at-risk,
 uncensored) pair is not displayed in closed form anywhere; it is taken
@@ -45,18 +47,11 @@ from .functionals import HazardBundle, km_from_hazard, nelson_aalen
 
 __all__ = [
     "KernelKind",
-    "perm_coeff",
-    "boot_coeff",
     "coeff_matrix",
     "PlainPopulation",
     "EmpiricalSurvivalPopulation",
     "AnalyticSurvivalPopulation",
     "exponential_survival_population",
-    "bb_cov",
-    "indicator_kernel",
-    "na_kernel",
-    "km_kernel",
-    "survival_cross_kernel",
     "assemble_kernel_matrix",
 ]
 
@@ -140,25 +135,11 @@ _PERM_KINDS = {
 }
 
 
-def perm_coeff(lambdas: LambdaVector, i: int, j: int) -> float:
-    """Permutation limit coefficient 1/lambda_i * 1{i=j} - 1."""
-    return (1.0 / lambdas[i] if i == j else 0.0) - 1.0
-
-
-def boot_coeff(lambdas: LambdaVector, i: int, j: int) -> float:
-    """Pooled-bootstrap coefficient: independent groups, 1/lambda_i on
-    the diagonal."""
-    return 1.0 / lambdas[i] if i == j else 0.0
-
-
-def _coeff(kind: KernelKind, lambdas, i, j):
-    return perm_coeff(lambdas, i, j) if kind in _PERM_KINDS else boot_coeff(lambdas, i, j)
-
-
 def coeff_matrix(kind: KernelKind, lambdas) -> np.ndarray:
-    """The m x m matrix of the kind's group coefficients."""
-    m = len(lambdas)
-    return np.array([[_coeff(kind, lambdas, i, j) for j in range(m)] for i in range(m)])
+    """The m x m matrix of the kind's group coefficients: diag(1/lambda)
+    - 1 for the permutation, diag(1/lambda) for the pooled bootstrap."""
+    inv = np.diag(1.0 / np.asarray(lambdas, dtype=float))
+    return inv - 1.0 if kind in _PERM_KINDS else inv
 
 
 # -- populations -------------------------------------------------------
@@ -294,55 +275,6 @@ def exponential_survival_population(fail_rates, cens_rates, lambdas, tau):
 
 # -- kernels -----------------------------------------------------------
 
-def bb_cov(pop: PlainPopulation, s, t) -> float:
-    """H-Brownian-bridge covariance H(min) - H(s) H(t)."""
-    return pop.H(min(s, t)) - pop.H(s) * pop.H(t)
-
-
-def indicator_kernel(kind: KernelKind, pop: PlainPopulation, lambdas, i, j, s, t):
-    if kind not in (KernelKind.PERM_INDICATOR, KernelKind.BOOT_INDICATOR):
-        raise ContractError(f"{kind} is not an indicator kernel")
-    return _coeff(kind, lambdas, i, j) * bb_cov(pop, s, t)
-
-
-def na_kernel(kind: KernelKind, pop, lambdas, i, j, s, t):
-    if kind not in (KernelKind.PERM_SURVIVAL_NA, KernelKind.BOOT_SURVIVAL_NA):
-        raise ContractError(f"{kind} is not a Nelson-Aalen kernel")
-    return _coeff(kind, lambdas, i, j) * pop.C(min(s, t))
-
-
-def km_kernel(kind: KernelKind, pop, lambdas, i, j, s, t):
-    if kind not in (KernelKind.PERM_KM, KernelKind.BOOT_KM):
-        raise ContractError(f"{kind} is not a Kaplan-Meier kernel")
-    c = _coeff(kind, lambdas, i, j)
-    if c == 0.0:
-        return 0.0
-    # S(s) * S(t) first, so that the (s, t) and (t, s) entries are equal
-    return c * ((pop.S(s) * pop.S(t)) * pop.km_integral(min(s, t)))
-
-
-def _cross_entry(pop, s, t):
-    """E[G_uc(s) G_bar(t)] for a single H-bridge pair."""
-    ind = pop.Huc(s) - pop.Huc_left(t) if t <= s else 0.0
-    return ind - pop.Huc(s) * pop.Hbar(t)
-
-
-def survival_cross_kernel(kind: KernelKind, pop, lambdas, i, j, s, t) -> np.ndarray:
-    """2x2 covariance block of the (at-risk, uncensored) pair at (s, t),
-    rows/cols ordered (bar, uc)."""
-    if kind not in (KernelKind.PERM_SURVIVAL_CROSS, KernelKind.BOOT_SURVIVAL_CROSS):
-        raise ContractError(f"{kind} is not a survival cross kernel")
-    c = _coeff(kind, lambdas, i, j)
-    bar_bar = pop.Hbar(max(s, t)) - pop.Hbar(s) * pop.Hbar(t)
-    uc_uc = pop.Huc(min(s, t)) - pop.Huc(s) * pop.Huc(t)
-    return c * np.array(
-        [
-            [bar_bar, _cross_entry(pop, t, s)],
-            [_cross_entry(pop, s, t), uc_uc],
-        ]
-    )
-
-
 def _at_min(values, s, t):
     """values at min(s, t) over the grid pairs, with Python's tie rule."""
     return np.where(t < s, values[None, :], values[:, None])
@@ -358,9 +290,9 @@ def assemble_kernel_matrix(kind: KernelKind, pop, lambdas, grid) -> np.ndarray:
     cross kernels, the two survival processes).
 
     Each population function is evaluated once per grid point; entry
-    (i*G + a, j*G + b) equals the scalar kernel at (i, j, grid[a],
-    grid[b]) bit for bit, in the scalar kernels' order of operations.
-    The grid may be unsorted and may repeat points.
+    (i*G + a, j*G + b) is the kernel at (i, j, grid[a], grid[b]), bit
+    for bit the per-cell reference in ``tests/oracles.py``.  The grid
+    may be unsorted and may repeat points.
     """
     coeffs = coeff_matrix(kind, lambdas)
     points = list(grid)

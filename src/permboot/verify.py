@@ -46,6 +46,7 @@ from .config import (
     Law,
     LinearizationConfig,
     Scenario,
+    _check_grid_within_tau,
     simulate_plain_groups,
     simulate_survival_groups,
 )
@@ -234,8 +235,7 @@ def _resolve_grid(config: ExperimentConfig, z: np.ndarray, default_probs, tau=No
     else:
         probs = default_probs if config.grid == "pooled-deciles" else config.grid["pooled_quantiles"]
         grid = np.quantile(z, np.asarray(probs, dtype=float))
-    if tau is not None and grid.max() > tau:
-        raise ContractError(f"grid point {grid.max()} beyond tau={tau}")
+    _check_grid_within_tau(grid, tau)
     return grid
 
 

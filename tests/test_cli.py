@@ -523,6 +523,42 @@ def test_non_finite_config_constant_is_data_error(tmp_path, capsys, case, token)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+_EXP3 = [{"kind": "exponential", "rate": 1.0}] * 3
+
+
+def _rates(**rates):
+    return dict(_SURVIVAL_KERNEL, population={"survival_exponential": rates})
+
+
+@pytest.mark.parametrize("subcommand, doc, named", [
+    ("verify", dict(_SURVIVAL_VERIFY, sizes=[20, 20, 20]),
+     "law per group, got 2 group_laws for 3 groups"),
+    ("simulate", dict(_SIMULATE, group_laws=_EXP3),
+     "law per group, got 3 group_laws for 2 groups"),
+    ("kernel", _rates(fail_rates=[1.0, 1.0, 1.0]), "rate per group, got 3 fail_rates for 2 groups"),
+    ("kernel", _rates(fail_rates=[1.0, 1.0], cens_rates=[0.5]),
+     "rate per group, got 1 cens_rates for 2 groups"),
+], ids=["verify-laws", "simulate-laws", "kernel-fail-rates", "kernel-cens-rates"])
+def test_group_count_mismatch_is_data_error(tmp_path, capsys, subcommand, doc, named):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert run([subcommand, "--config", cfg, *_OUTPUTS[subcommand](tmp_path)]) == EXIT_DATA
+    assert f"need one {named}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("subcommand, doc", [
+    ("kernel", dict(_SURVIVAL_KERNEL, grid=[0.5, 3.0])),
+    ("verify", dict(_SURVIVAL_VERIFY, grid=[0.5, 3.0], tau=2.0)),
+])
+def test_survival_grid_beyond_tau_is_usage_error(tmp_path, capsys, subcommand, doc):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert run([subcommand, "--config", cfg, *_OUTPUTS[subcommand](tmp_path)]) == EXIT_USAGE
+    assert "grid point 3.0 beyond tau=2.0" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 def test_simulate_seed_flag_keeps_stream_id(tmp_path):
     outs = {}
     for stream in (0, 5):

@@ -16,7 +16,7 @@ from permboot.config import (
 )
 from permboot.empirical import LambdaVector
 from permboot.errors import ContractError, DataError
-from permboot.limits import KernelKind, PlainPopulation
+from permboot.limits import KernelKind, PlainPopulation, exponential_survival_population
 from permboot.resampling import ResampleKind, SeedSpec
 
 
@@ -140,6 +140,10 @@ _KERNEL_DOC = {"kind": "perm-indicator", "lambdas": [0.5, 0.5], "grid": [0.5, fl
                "population": {"plain": {"kind": "exponential", "rate": 1}}}
 _KERNEL = dict(kind=KernelKind.PERM_INDICATOR, lambdas=LambdaVector((0.5, 0.5)), grid=(0.5, 1.0),
                population=PlainPopulation(Law.exponential(1.0).cdf))
+_SURVIVAL_KERNEL = dict(
+    _KERNEL, kind=KernelKind.PERM_SURVIVAL_NA, tau=2.0,
+    population=exponential_survival_population([1.0, 1.5], [0.5, 0.5], (0.5, 0.5), 2.0),
+)
 _LADDER = dict(
     scenario="survival-km", group_laws=(Law.exponential(1.0),) * 2, ladder=((20, 20),),
     draws=5, resample_kind=ResampleKind.PERMUTATION, seed=SeedSpec(1),
@@ -184,9 +188,20 @@ _LADDER = dict(
     (KernelConfig, dict(_KERNEL, tau=float("nan"))),
     (KernelConfig, dict(_KERNEL, tau=0.0)),
     (KernelConfig, dict(_KERNEL, tau=float("inf"))),
+    (KernelConfig, dict(_SURVIVAL_KERNEL, grid=(0.5, 3.0))),
+    (KernelConfig, dict(_SURVIVAL_KERNEL, kind=KernelKind.BOOT_KM, grid=(2.5, 0.5))),
+    # built directly, a group-count mismatch stays a ContractError (from a file: DataError)
+    (ExperimentConfig, dict(_PLAIN, sizes=(20, 20, 20))),
+    (exponential_survival_population, dict(fail_rates=[1.0], cens_rates=[0.5, 0.5],
+                                           lambdas=(0.5, 0.5), tau=2.0)),
 ])
 def test_library_configs_reject_bad_values(make, fields):
     # direct construction gets no schema check, so the constructors must
     # reject what would otherwise fail later inside numpy
     with pytest.raises(ContractError):
         make(**fields)
+
+
+def test_kernel_grid_may_reach_tau():
+    KernelConfig(**dict(_SURVIVAL_KERNEL, grid=(2.0, 0.5)))
+    KernelConfig(**dict(_KERNEL, grid=(0.5, 3.0), tau=2.0))  # a plain kernel has no tau

@@ -1,5 +1,6 @@
 """Every module-level import and private name in the package is used,
-and the package never loads scipy and loads jsonschema only when needed.
+every ``__all__`` names only what its module has, and the package never
+loads scipy and loads jsonschema only when needed.
 
 A name counts as used only where the code refers to it (a mention in a
 docstring or comment does not count) or where the module re-exports it
@@ -88,6 +89,21 @@ def test_no_unreferenced_private_names():
         if name not in referenced
     )
     assert not unused, f"private names never referenced: {unused}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if list(_exported_names(ast.parse(p.read_text())))],
+    ids=lambda p: p.name,
+)
+def test_star_import_finds_every_exported_name(path):
+    module = "permboot" if path.name == "__init__.py" else f"permboot.{path.stem}"
+    exec(f"from {module} import *", {})
+
+
+def test_package_exports_have_no_duplicates():
+    import permboot
+
+    assert len(set(permboot.__all__)) == len(permboot.__all__)
 
 
 def test_benchmark_tracer_finds_every_name_it_patches():

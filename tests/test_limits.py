@@ -14,16 +14,20 @@ from permboot.limits import (
     KernelKind,
     PlainPopulation,
     assemble_kernel_matrix,
+    coeff_matrix,
+    exponential_survival_population,
+)
+from permboot.stepfn import StepFn
+
+from oracles import (
     bb_cov,
     boot_coeff,
-    exponential_survival_population,
     indicator_kernel,
     km_kernel,
     na_kernel,
     perm_coeff,
     survival_cross_kernel,
 )
-from permboot.stepfn import StepFn
 
 LAM = LambdaVector((0.25, 0.75))
 
@@ -46,6 +50,33 @@ def test_perm_coeff_weighted_rows_vanish():
         for i in range(m):
             s = sum(lam[j] * perm_coeff(lam, i, j) for j in range(m))
             assert s == pytest.approx(0, abs=1e-14)
+
+
+def _lambda_args(m):
+    lam = LambdaVector.from_sizes(tuple(range(1, m + 1)))
+    return [lam, list(lam.values)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.value)
+def test_coeff_matrix_is_the_per_entry_coefficients(kind, m):
+    coeff = perm_coeff if kind.value.startswith("perm-") else boot_coeff
+    for lam in _lambda_args(m):
+        expected = [[coeff(lam, i, j) for j in range(m)] for i in range(m)]
+        assert np.array_equal(coeff_matrix(kind, lam), expected)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_coeff_matrix_perm_rows_vanish_and_boot_off_diagonal_is_zero(m):
+    off_diagonal = ~np.eye(m, dtype=bool)
+    for lam in _lambda_args(m):
+        weights = np.array([lam[i] for i in range(m)])
+        for kind in KernelKind:
+            c = coeff_matrix(kind, lam)
+            if kind.value.startswith("perm-"):
+                np.testing.assert_allclose(weights @ c, 0.0, atol=1e-14)
+            else:
+                assert np.all(c[off_diagonal] == 0.0)
 
 
 def test_bb_cov_uniform():

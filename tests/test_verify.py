@@ -29,7 +29,6 @@ from permboot.limits import (
     assemble_kernel_matrix,
     coeff_matrix,
     exponential_survival_population,
-    perm_coeff,
 )
 from permboot.resampling import (
     ResampleDraw,
@@ -71,6 +70,7 @@ from permboot.verify import (
     _survival_scenario,
 )
 import permboot.verify as verify_module
+from oracles import perm_coeff
 from test_imports import _fresh_python
 from test_resampling import _RngRecorder
 

@@ -22,7 +22,7 @@ from itertools import chain
 from .config import ExperimentConfig, KernelConfig, SimulateConfig, read_config, with_master_seed
 from .counterexample import increment_condition_probe, inverse_counterexample
 from .empirical import Mode, read_csv, write_csv
-from .empirical import at_risk_process, ecdf, uncensored_subdist, pooled_ecdf
+from .empirical import at_risk_process, ecdf, uncensored_subdist
 from .errors import ContractError, DataError, DomainError, SingularityError
 from .functionals import HazardBundle, kaplan_meier, km_from_hazard, nelson_aalen, rmst
 from .jsonio import canonical_json, write_atomic
@@ -39,35 +39,13 @@ def _progress(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _seed_override(args) -> int | None:
-    """The master seed from --seed, else from PERMBOOT_SEED, else None."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("PERMBOOT_SEED")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise DataError(f"PERMBOOT_SEED must be an integer, got {env!r}") from exc
-
-
 def _threads_from(args) -> int:
-    """The thread count from --threads, else from PERMBOOT_THREADS, else
-    the number of CPUs this process may run on."""
-    if getattr(args, "threads", None) is not None:
+    """The thread count from --threads, else the number of CPUs this
+    process may run on."""
+    if args.threads is not None:
         if args.threads < 1:
             raise ContractError(f"--threads must be >= 1, got {args.threads}")
         return args.threads
-    env = os.environ.get("PERMBOOT_THREADS")
-    if env is not None:
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise DataError(f"PERMBOOT_THREADS must be an integer, got {env!r}") from exc
-        if threads < 1:
-            raise DataError(f"PERMBOOT_THREADS must be >= 1, got {env!r}")
-        return threads
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -76,7 +54,7 @@ def _threads_from(args) -> int:
 # -- simulate ----------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    doc = with_master_seed(read_config(args.config), _seed_override(args))
+    doc = with_master_seed(read_config(args.config), args.seed)
     data = SimulateConfig.from_dict(doc).simulate()
     write_csv(args.output, data)
     _progress(f"wrote {sum(data.sizes)} observations to {args.output}")
@@ -142,12 +120,7 @@ def _cmd_kernel(args) -> int:
 # -- verify ------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    raw = with_master_seed(read_config(args.config), _seed_override(args))
-    if args.draws is not None:
-        raw["draws"] = args.draws
-    if args.exhaustive:
-        raw["exhaustive"] = True
-    config = ExperimentConfig.from_dict(raw)
+    config = ExperimentConfig.from_dict(with_master_seed(read_config(args.config), args.seed))
     threads = _threads_from(args)
     _progress(
         f"verify: scenario={config.scenario.value} sizes={config.sizes} "
@@ -200,18 +173,16 @@ def _cmd_counterexample(args) -> int:
 
 # -- dump-fn -----------------------------------------------------------
 
-_DUMPABLE = ("ecdf", "pooled-ecdf", "at-risk", "uncensored", "na", "km")
+_DUMPABLE = ("ecdf", "at-risk", "uncensored", "na", "km")
 
 
 def _cmd_dump_fn(args) -> int:
-    mode = Mode.PLAIN if args.fn in ("ecdf", "pooled-ecdf") else Mode.SURVIVAL
+    mode = Mode.PLAIN if args.fn == "ecdf" else Mode.SURVIVAL
     data = read_csv(args.input, mode)
     if not 0 <= args.group <= data.m:
         raise DataError(f"--group must be in 0..{data.m} (0 = pooled), got {args.group}")
     obs = data.pooled if args.group == 0 else data.groups[args.group - 1]
-    if args.fn == "pooled-ecdf":
-        fn = pooled_ecdf(data)
-    elif args.fn == "ecdf":
+    if args.fn == "ecdf":
         fn = ecdf(obs)
     elif args.fn == "at-risk":
         fn = at_risk_process(obs)
@@ -265,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--output", default="report.json")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--draws", type=int, default=None)
-    p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--stdout", action="store_true")
     p.set_defaults(func=_cmd_verify)

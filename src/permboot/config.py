@@ -116,6 +116,12 @@ def _check_one_per_group(what: str, doc: dict, keys, m: int) -> None:
             raise DataError(f"need one {what} per group, got {len(doc[key])} {key} for {m} groups")
 
 
+def _check_one_law_per_group(doc: dict) -> None:
+    """One group law and, unless null or [] (no censoring), one censoring law per size."""
+    keys = ["group_laws", "censoring_laws"] if doc.get("censoring_laws") else ["group_laws"]
+    _check_one_per_group("law", doc, keys, len(doc["sizes"]))
+
+
 def _seed(d: dict) -> SeedSpec:
     return SeedSpec(int(d["master_seed"]), int(d.get("stream_id", 0)))
 
@@ -232,7 +238,7 @@ class SimulateConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SimulateConfig":
         validate(d, "simulate_config")
-        _check_one_per_group("law", d, ["group_laws"], len(d["sizes"]))
+        _check_one_law_per_group(d)
         laws = tuple(Law.from_dict(law) for law in d["group_laws"])
         cens = [Law.from_dict(law) for law in d.get("censoring_laws") or ()]
         return cls(
@@ -413,7 +419,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         validate(d)
-        _check_one_per_group("law", d, ["group_laws"], len(d["sizes"]))
+        _check_one_law_per_group(d)
         cens = d.get("censoring_laws")
         grid = d.get("grid", "pooled-deciles")
         if isinstance(grid, list):

@@ -228,13 +228,17 @@ def _at_grid(curves: np.ndarray, positions: np.ndarray, start: float = 0.0) -> n
 
 def _resolve_grid(config: ExperimentConfig, z: np.ndarray, default_probs, tau=None):
     """The configured grid: explicit points, or quantiles of the pooled
-    sample z (``default_probs`` for "pooled-deciles"); survival grids
-    must lie within tau."""
+    sample z (``default_probs`` for "pooled-deciles", taken over the
+    times <= tau when those of z would pass tau); survival grids must
+    lie within tau."""
     if isinstance(config.grid, tuple):
         grid = np.asarray(config.grid, dtype=float)
+    elif config.grid == "pooled-deciles":
+        grid = np.quantile(z, default_probs)
+        if tau is not None and grid.max() > tau and (z <= tau).any():
+            grid = np.quantile(z[z <= tau], default_probs)
     else:
-        probs = default_probs if config.grid == "pooled-deciles" else config.grid["pooled_quantiles"]
-        grid = np.quantile(z, np.asarray(probs, dtype=float))
+        grid = np.quantile(z, np.asarray(config.grid["pooled_quantiles"], dtype=float))
     _check_grid_within_tau(grid, tau)
     return grid
 

@@ -257,6 +257,7 @@ def test_verify_roundtrip_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
     assert doc["passed"] is True
+    assert doc["config"]["draws"] == doc["aggregates"]["draws"] == 200
     assert "runtime_seconds" not in doc
 
 
@@ -280,33 +281,14 @@ def test_verify_flag_overrides(tmp_path):
     assert out_a.read_bytes() != out_b.read_bytes()
 
 
-def test_verify_draws_flag_overrides_the_config(tmp_path):
-    out_flag, out_cfg = tmp_path / "flag.json", tmp_path / "cfg.json"
-    run(["verify", "--config", _verify_config(tmp_path), "--output", out_flag, "--draws", 150])
-    run(["verify", "--config", _verify_config(tmp_path, draws=150), "--output", out_cfg])
-    doc = json.loads(out_flag.read_text())
-    assert doc["config"]["draws"] == doc["aggregates"]["draws"] == 150
-    assert out_flag.read_bytes() == out_cfg.read_bytes()
-
-
-def test_verify_exhaustive_flag(tmp_path):
+def test_verify_exhaustive_config_field(tmp_path):
     # the exact finite-N covariance misses the asymptotic kernel: exit 4
-    cfg = _verify_config(tmp_path, sizes=[2, 2], draws=24, outer_reps=1)
+    cfg = _verify_config(tmp_path, sizes=[2, 2], draws=24, outer_reps=1, exhaustive=True)
     out = tmp_path / "r.json"
-    assert run(["verify", "--config", cfg, "--output", out, "--exhaustive"]) == EXIT_VERIFY_FAILED
+    assert run(["verify", "--config", cfg, "--output", out]) == EXIT_VERIFY_FAILED
     doc = json.loads(out.read_text())
     assert doc["config"]["exhaustive"] is True
     assert doc["aggregates"]["cond_mean_max_abs"] == 0
-
-
-def test_verify_env_seed(tmp_path, monkeypatch):
-    cfg = _verify_config(tmp_path)
-    out_env, out_flag = tmp_path / "e.json", tmp_path / "f.json"
-    monkeypatch.setenv("PERMBOOT_SEED", "1234")
-    run(["verify", "--config", cfg, "--output", out_env])
-    monkeypatch.delenv("PERMBOOT_SEED")
-    run(["verify", "--config", cfg, "--output", out_flag, "--seed", 1234])
-    assert out_env.read_bytes() == out_flag.read_bytes()
 
 
 def test_verify_invalid_config(tmp_path):
@@ -371,38 +353,21 @@ def test_verify_reachable_tau_quantile_runs(tmp_path):
     assert json.loads(out.read_text())["aggregates"]["n_cells"] > 0
 
 
-def test_verify_bad_env_seed_is_data_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PERMBOOT_SEED", "abc")
-    cfg = _verify_config(tmp_path)
-    assert run(["verify", "--config", cfg, "--output", tmp_path / "r.json"]) == EXIT_DATA
-    assert "PERMBOOT_SEED" in capsys.readouterr().err
-    assert not (tmp_path / "r.json").exists()
-
-
 @pytest.mark.parametrize("threads", [0, -1])
-def test_verify_rejects_nonpositive_threads(tmp_path, monkeypatch, capsys, threads):
+def test_verify_rejects_nonpositive_threads(tmp_path, capsys, threads):
     cfg = _verify_config(tmp_path)
     out = tmp_path / "r.json"
     assert run(["verify", "--config", cfg, "--output", out, "--threads", threads]) == EXIT_USAGE
     assert "--threads must be >= 1" in capsys.readouterr().err
-    monkeypatch.setenv("PERMBOOT_THREADS", str(threads))
-    assert run(["verify", "--config", cfg, "--output", out]) == EXIT_DATA
-    assert "PERMBOOT_THREADS must be >= 1" in capsys.readouterr().err
-    monkeypatch.setenv("PERMBOOT_THREADS", "two")
-    assert run(["verify", "--config", cfg, "--output", out]) == EXIT_DATA
     assert not out.exists()
 
 
 def test_default_threads_follow_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("PERMBOOT_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     args = argparse.Namespace(threads=None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     assert _threads_from(args) == 3
-    monkeypatch.setenv("PERMBOOT_THREADS", "2")
-    assert _threads_from(args) == 2
     assert _threads_from(argparse.Namespace(threads=1)) == 1
-    monkeypatch.delenv("PERMBOOT_THREADS")
     monkeypatch.delattr(os, "sched_getaffinity")  # platforms without it
     assert _threads_from(args) == 64
 
@@ -416,6 +381,10 @@ def test_verify_seed_flag_keeps_stream_id(tmp_path):
     docs = {k: json.loads(p.read_text()) for k, p in outs.items()}
     assert docs[5]["config"]["seed"] == {"master_seed": 12, "stream_id": 5}
     assert docs[0]["mc_mean"] != docs[5]["mc_mean"]
+    # stream 5 under --seed 12 is the config seeded with master_seed 12
+    cfg = _verify_config(tmp_path, seed={"master_seed": 12, "stream_id": 5})
+    run(["verify", "--config", cfg, "--output", tmp_path / "r12.json"])
+    assert (tmp_path / "r12.json").read_bytes() == outs[5].read_bytes()
 
 
 _SURVIVAL_KERNEL = {
@@ -536,9 +505,14 @@ def _rates(**rates):
     ("simulate", dict(_SIMULATE, group_laws=_EXP3),
      "law per group, got 3 group_laws for 2 groups"),
     ("kernel", _rates(fail_rates=[1.0, 1.0, 1.0]), "rate per group, got 3 fail_rates for 2 groups"),
+    ("verify", dict(_SURVIVAL_VERIFY, group_laws=_EXP3, sizes=[20, 20, 20]),
+     "law per group, got 2 censoring_laws for 3 groups"),
+    ("simulate", dict(_SIMULATE, group_laws=_EXP3, sizes=[4, 3, 3]),
+     "law per group, got 2 censoring_laws for 3 groups"),
     ("kernel", _rates(fail_rates=[1.0, 1.0], cens_rates=[0.5]),
      "rate per group, got 1 cens_rates for 2 groups"),
-], ids=["verify-laws", "simulate-laws", "kernel-fail-rates", "kernel-cens-rates"])
+], ids=["verify-laws", "simulate-laws", "kernel-fail-rates", "verify-censoring-laws",
+        "simulate-censoring-laws", "kernel-cens-rates"])
 def test_group_count_mismatch_is_data_error(tmp_path, capsys, subcommand, doc, named):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(doc))
@@ -574,15 +548,50 @@ def test_simulate_seed_flag_keeps_stream_id(tmp_path):
     assert (tmp_path / "d9.csv").read_text() == outs[0].read_text()
 
 
-def test_simulate_env_seed_keeps_stream_id(tmp_path, monkeypatch):
-    cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps(dict(_SIMULATE, seed={"master_seed": 2, "stream_id": 5})))
-    monkeypatch.setenv("PERMBOOT_SEED", "9")
-    assert run(["simulate", "--config", cfg, "--output", tmp_path / "env.csv"]) == EXIT_OK
-    monkeypatch.delenv("PERMBOOT_SEED")
-    assert run(["simulate", "--config", cfg, "--output", tmp_path / "flag.csv",
-                "--seed", 9]) == EXIT_OK
-    assert (tmp_path / "env.csv").read_text() == (tmp_path / "flag.csv").read_text()
+def test_simulate_seed_flag_replaces_only_the_master_seed(tmp_path):
+    # stream 5 under --seed 9 is the config seeded with master_seed 9 and stream 5
+    outs = {}
+    for master, flag in ((2, ["--seed", 9]), (9, [])):
+        cfg = tmp_path / f"sim{master}.json"
+        cfg.write_text(json.dumps(dict(_SIMULATE, seed={"master_seed": master, "stream_id": 5})))
+        outs[master] = tmp_path / f"d{master}.csv"
+        assert run(["simulate", "--config", cfg, "--output", outs[master], *flag]) == EXIT_OK
+    assert outs[2].read_bytes() == outs[9].read_bytes()
+
+
+@pytest.mark.parametrize("env", [{"PERMBOOT_SEED": "abc"}, {"PERMBOOT_SEED": "7"},
+                                 {"PERMBOOT_THREADS": "0"}],
+                         ids=["seed-abc", "seed-7", "threads-0"])
+@pytest.mark.parametrize("subcommand", ["simulate", "verify"])
+def test_environment_sets_no_run_setting(tmp_path, monkeypatch, subcommand, env):
+    # the seed comes from the config or --seed, the thread count from --threads
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_SIMULATE if subcommand == "simulate" else _SURVIVAL_VERIFY))
+    runs = []
+    for setting in ({}, env):
+        for key, value in setting.items():
+            monkeypatch.setenv(key, value)
+        out = tmp_path / f"{len(runs)}.out"
+        runs.append((run([subcommand, "--config", cfg, "--output", out]), out.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--draws", 150], ["verify", "--exhaustive"], ["dump-fn", "--fn", "pooled-ecdf"],
+], ids=["verify-draws", "verify-exhaustive", "dump-fn-pooled-ecdf"])
+def test_inputs_that_repeat_another_are_usage_errors(tmp_path, argv):
+    # draws and exhaustive mode are config fields; --fn ecdf --group 0
+    # dumps the pooled ECDF
+    (tmp_path / "plain.csv").write_text("group,value\n1,0.5\n1,2\n2,1\n")
+    inputs = {
+        "verify": ["--config", _verify_config(tmp_path)],
+        "dump-fn": ["--input", tmp_path / "plain.csv"],
+    }[argv[0]]
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, *inputs, "--output", tmp_path / "out"])
+    assert exc.value.code == EXIT_USAGE
+    assert sorted(tmp_path.iterdir()) == before
 
 
 # -- any one field of a valid simulate or kernel config replaced ---------

@@ -77,9 +77,13 @@ def test_simulate_config_defaults_and_cross_checks():
     assert cfg.seed.master_seed == 0 and cfg.seed.stream_id == 0
     with pytest.raises(DataError, match="one law per group"):
         SimulateConfig.from_dict({"mode": "plain", "group_laws": [exp, exp], "sizes": [3, 3, 3]})
-    with pytest.raises(ContractError, match="one censoring law per group"):
+    with pytest.raises(DataError, match="one law per group, got 2 censoring_laws for 3 groups"):
         SimulateConfig.from_dict({"mode": "survival", "group_laws": [exp] * 3, "sizes": [3] * 3,
                                   "censoring_laws": [exp, exp]})
+    for none in (None, []):
+        cfg = SimulateConfig.from_dict({"mode": "survival", "group_laws": [exp] * 3,
+                                        "sizes": [3] * 3, "censoring_laws": none})
+        assert cfg.censoring_laws == (Law.none(),) * 3
 
 
 def test_read_config_needs_a_json_object(tmp_path):

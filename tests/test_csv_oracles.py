@@ -25,7 +25,6 @@ from permboot.empirical import (
     MultiSampleData,
     at_risk_process,
     ecdf,
-    pooled_ecdf,
     read_csv,
     uncensored_subdist,
 )
@@ -136,8 +135,6 @@ def _oracle_analyze(data, tau=None):
 
 def _oracle_dump(data, fn, group):
     obs = data.pooled if group == 0 else data.groups[group - 1]
-    if fn == "pooled-ecdf":
-        return pooled_ecdf(data).to_text()
     if fn == "ecdf":
         return ecdf(obs).to_text()
     if fn == "at-risk":
@@ -253,7 +250,7 @@ def test_simulate_and_dump_fn_match_oracles(tmp_path, seed, sizes):
         path = _simulate(tmp_path, mode, seed, sizes)
         data = _oracle_read_csv(path, Mode(mode))
         assert path.read_text() == _oracle_write_csv(data)
-        _check_dumps(path, data, ["ecdf", "pooled-ecdf"] if mode == "plain"
+        _check_dumps(path, data, ["ecdf"] if mode == "plain"
                      else ["at-risk", "uncensored", "na", "km"])
 
 

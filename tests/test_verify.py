@@ -311,10 +311,45 @@ def test_explicit_grid_beyond_tau_rejected():
 
 
 def test_quantile_grid_beyond_tau_rejected():
-    # the default survival grid reaches the pooled 0.7 quantile, far past 0.3
-    cfg = ExperimentConfig.from_dict(_base_config(scenario="survival-na", tau=0.3))
+    # a pooled 0.7 quantile lies far past 0.3
+    cfg = ExperimentConfig.from_dict(_base_config(
+        scenario="survival-na", tau=0.3, grid={"pooled_quantiles": [0.1, 0.4, 0.7]}
+    ))
     with pytest.raises(ContractError, match="beyond tau"):
         conditional_cov_experiment(cfg)
+
+
+def test_default_survival_grid_below_every_time_rejected():
+    # no pooled time lies at or below tau, so none has quantiles to take
+    cfg = ExperimentConfig.from_dict(_base_config(scenario="survival-na", tau=1e-6))
+    with pytest.raises(ContractError, match="beyond tau"):
+        conditional_cov_experiment(cfg)
+
+
+@pytest.mark.parametrize("horizon", [{"tau_quantile": 0.6}, {"tau": 0.5}],
+                         ids=["tau_quantile-0.6", "tau-0.5"])
+@pytest.mark.parametrize("resample_kind", ["permutation", "bootstrap"])
+@pytest.mark.parametrize("scenario", ["survival-na", "survival-km"])
+def test_default_survival_grid_stays_within_tau(monkeypatch, scenario, resample_kind, horizon):
+    # the pooled 0.1-0.7 quantiles pass a horizon below the pooled 0.7
+    # quantile; the default grid then takes them over the times <= tau
+    seen = []
+
+    def watched(config, sample):
+        scenario = _survival_scenario(config, sample)
+        seen.append((scenario[0], sample[3]))
+        return scenario
+
+    monkeypatch.setattr(verify_module, "_survival_scenario", watched)
+    cfg = ExperimentConfig.from_dict(_base_config(
+        scenario=scenario, resample_kind=resample_kind, sizes=[100, 100], draws=100,
+        outer_reps=2, group_laws=[{"kind": "exponential", "rate": 1.0}] * 2,
+        censoring_laws=[{"kind": "exponential", "rate": 0.5}] * 2, **horizon,
+    ))
+    report = conditional_cov_experiment(cfg)
+    assert report.aggregates["n_cells"] == (2 * 5) ** 2
+    assert len(seen) == 2
+    assert all(grid.size == 5 and grid.max() <= tau for grid, tau in seen)
 
 
 @pytest.mark.parametrize("over, finite", [

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import enum
 import functools
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -212,17 +211,27 @@ def read_csv(path, mode: Mode) -> MultiSampleData:
     too short to hold every column, or with an unparsable or non-finite
     number, raises ``DataError`` naming ``path`` and its line.
     """
-    survival = mode is Mode.SURVIVAL
-    want = ["group", "time", "status"] if survival else ["group", "value"]
-    groups = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
+            groups = _read_groups(path, csv.reader(fh), mode is Mode.SURVIVAL)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
+    if len(groups) < 2:
+        raise DataError(f"{path}: need at least two groups, found {len(groups)}")
+    try:
+        return MultiSampleData(tuple(groups.values()))
+    except ContractError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _read_groups(path, reader, survival: bool) -> dict:
+    """Each group label's values, or (time, status) pairs, in the order
+    of ``reader``'s rows, the first of which is the header; ``path``
+    names the file in errors."""
+    want = ["group", "time", "status"] if survival else ["group", "value"]
+    groups = {}
     header = next(reader, None)
     if header is None:
         raise DataError(f"{path}: empty CSV")
@@ -255,12 +264,7 @@ def read_csv(path, mode: Mode) -> MultiSampleData:
         except ValueError as exc:
             raise DataError(f"{path}:{reader.line_num}: bad row ({exc})") from exc
         groups.setdefault(row[gi], []).append((x, status) if survival else x)
-    if len(groups) < 2:
-        raise DataError(f"{path}: need at least two groups, found {len(groups)}")
-    try:
-        return MultiSampleData(tuple(groups.values()))
-    except ContractError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return groups
 
 
 def write_csv(path, data: MultiSampleData):

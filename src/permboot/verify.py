@@ -34,7 +34,6 @@ Sampling laws and configs live in ``permboot.config``.
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
@@ -72,9 +71,11 @@ __all__ = [
 ]
 
 _MAX_DATASET_RETRIES = 100
-# integers per block of draws: draws are made and counted in blocks of
-# this many entries of the widest per-draw array (the pooled indices or
-# the count labels), so a block's memory depends on neither N nor B
+# integers per block of draws: index draws are made and counted in
+# blocks of this many entries of the widest per-draw array (the N pooled
+# indices or the m groups' bin counts), so a block's memory depends on
+# neither N nor B; bins drawn from their law come in blocks of this many
+# bins per group
 _BLOCK_CELLS = 1 << 17
 
 
@@ -105,10 +106,10 @@ class _Counter:
     for each run of ``sizes`` columns of the indices idx (B, n) (exact
     integers, (m, B, nbins)), ``pooled_bins`` counts each label once over
     the pooled sample, and ``finish`` turns bins into the counts a
-    statistic reads.  With ``by_law``, Monte Carlo draws skip the indices
-    and take each group's bins from their law (``draw_counts``), which
-    pays where the bins are few, or where numpy's C sampler draws two
-    groups' many bins."""
+    statistic reads, and may overwrite the bins.  With ``by_law``, Monte
+    Carlo draws skip the indices and take each group's bins from their
+    law (``draw_counts``), which pays where the bins are few, or where
+    numpy's C sampler draws two groups' many bins."""
 
     labels: np.ndarray
     nbins: int
@@ -118,8 +119,12 @@ class _Counter:
     def binned(self, idx: np.ndarray, sizes) -> np.ndarray:
         """The counts of each run of ``sizes`` columns of idx's rows,
         (m, B, nbins)."""
-        B, width = idx.shape[0], len(sizes) * self.nbins
-        flat = self.labels[idx]
+        return self.count_labels(self.labels[idx], sizes)
+
+    def count_labels(self, flat: np.ndarray, sizes) -> np.ndarray:
+        """``binned`` of the indices whose labels are flat (B, n), which
+        it overwrites."""
+        B, width = flat.shape[0], len(sizes) * self.nbins
         # run j of row b counts into bins (b m + j) nbins + label
         flat += np.repeat(self.nbins * np.arange(len(sizes)), sizes)
         flat += width * np.arange(B)[:, None]
@@ -162,9 +167,11 @@ def _survival_counter(z: np.ndarray, delta: np.ndarray, t_max: float):
     def finish(binned):
         per_bin = binned.reshape(-1, K + 1, 2)
         # times per risk bin, from bin K down to bin 1, summed downwards
-        at_risk = per_bin[:, :0:-1, 0] + per_bin[:, :0:-1, 1]
+        # in place of the censored times of bins K..1
+        at_risk = per_bin[:, :0:-1, 0]
+        np.add(at_risk, per_bin[:, :0:-1, 1], out=at_risk)
         np.cumsum(at_risk, axis=1, out=at_risk)
-        return per_bin[:, 1:, 1], at_risk[:, ::-1]
+        return per_bin[:, 1:, 1], per_bin[:, 1:, 0]
 
     return events, _Counter(labels, 2 * (K + 1), finish)
 
@@ -181,8 +188,9 @@ def _over_draws(fn, counter: _Counter, sizes, kind: ResampleKind, draws: int, se
     N = sum(sizes)
     by_law = counter.by_law and not exhaustive
     # at least two rows; the law draws of a block depend on its rows, so
-    # this rule is part of what fixes a report's bytes
-    rows = max(2, _BLOCK_CELLS // (counter.nbins if by_law else max(N, counter.nbins)))
+    # their rule is part of what fixes a report's bytes
+    width = counter.nbins if by_law else max(N, len(sizes) * counter.nbins)
+    rows = max(2, _BLOCK_CELLS // width)
     if by_law:
         pooled, rng = counter.pooled_bins(), seed.child(1).rng()
         return [
@@ -191,20 +199,29 @@ def _over_draws(fn, counter: _Counter, sizes, kind: ResampleKind, draws: int, se
         ]
     if exhaustive:
         perms = all_permutations(N)
-        blocks = (perms[i:i + rows] for i in range(0, len(perms), rows))
+        draws = len(perms)
+        blocks = (counter.labels[perms[i:i + rows]] for i in range(0, draws, rows))
     else:
-        blocks = draw_blocks(kind, N, draws, seed.child(1).rng(), rows)
-    return [
-        fn(first, counter.binned(idx, sizes))
-        for first, idx in zip(itertools.count(0, rows), blocks)
-    ]
+        # each drawn block of indices is overwritten by their labels
+        # (mode "clip" writes in place where "raise" buffers; every index
+        # is in range)
+        blocks = map(
+            lambda idx: np.take(counter.labels, idx, out=idx, mode="clip"),
+            draw_blocks(kind, N, draws, seed.child(1).rng(), rows),
+        )
+    # a block's labels are freed once counted, before fn runs, so a block
+    # peaks at its labels and counts, or its counts and fn's arrays: about
+    # 1.5 times its count array.  glibc hands a freed heap top back to the
+    # system once it passes twice the largest array it has mapped (a
+    # count block), and the next replicate would fault it in again
+    return [fn(first, counter.count_labels(next(blocks), sizes)) for first in range(0, draws, rows)]
 
 
 def _hazard(deaths: np.ndarray, at_risk: np.ndarray) -> np.ndarray:
-    """Hazard increments deaths / at risk.  A death is in its own risk
-    set, so where nobody is at risk nobody dies either, and deaths /
-    max(at risk, 1) is 0 there."""
-    return np.divide(deaths, np.maximum(at_risk, 1))
+    """Hazard increments deaths / at risk, as floats.  A death is in its
+    own risk set, so where nobody is at risk nobody dies either, and the
+    increment is 0 there."""
+    return np.divide(deaths, at_risk, out=np.zeros(at_risk.shape), where=at_risk > 0)
 
 
 def _survival_curve(deaths: np.ndarray, at_risk: np.ndarray, km: bool) -> np.ndarray:
@@ -330,6 +347,12 @@ def _analytic_survival_population(config: ExperimentConfig, tau):
     )
 
 
+def _draws(config: ExperimentConfig) -> int:
+    """The draws a replicate makes: the N! permutations when exhaustive,
+    else the config's ``draws``."""
+    return math.factorial(sum(config.sizes)) if config.exhaustive else config.draws
+
+
 def _replicate(config: ExperimentConfig, r: int):
     """Dataset r: the covariance over draws of sqrt(N) (group statistic -
     pooled statistic), the limit kernel, the conditional mean, the
@@ -343,7 +366,7 @@ def _replicate(config: ExperimentConfig, r: int):
     G = grid.size
     root = math.sqrt(N)
     pooled = stat(counter.finish(counter.pooled_bins()[None]), N)[0]
-    draws = math.factorial(N) if config.exhaustive else config.draws
+    draws = _draws(config)
     # X is filled block by block.  Its memory order fixes the summation
     # order of its column means, and so a report's bytes: row-major for
     # the plain indicator, column-major for survival (the order of a
@@ -413,7 +436,7 @@ def conditional_cov_experiment(config: ExperimentConfig, threads: int = 1) -> Ve
         "cond_mean_max_abs": float(np.abs(cond_means).max()),
         "dataset_retries": int(retries),
         "outer_reps": int(R),
-        "draws": int(config.draws),
+        "draws": _draws(config),
     }
     return VerifyReport(
         # a library-built config echoes every field

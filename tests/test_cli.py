@@ -103,6 +103,17 @@ def test_non_utf8_csv_is_data_error_naming_the_file(tmp_path, capsys):
     assert not curves.exists()
 
 
+def test_non_utf8_byte_late_in_csv_is_data_error(tmp_path, capsys):
+    # the file is decoded as it is parsed, so the bad byte comes after
+    # rows have been read: 96 KB of them here
+    inp = tmp_path / "late.csv"
+    inp.write_bytes(b"group,time,status\n" + b"1,0.5,1\n2,1.0,0\n" * 6000 + b"caf\xe9,1.0,0\n")
+    curves = tmp_path / "curves.csv"
+    assert run(["analyze", "--input", inp, "--output-curves", curves]) == EXIT_DATA
+    assert "late.csv: not UTF-8 text" in capsys.readouterr().err
+    assert not curves.exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_time_is_data_error_naming_the_line(tmp_path, capsys, bad):
     inp = tmp_path / "inf.csv"

@@ -591,11 +591,13 @@ _BLOCK_CASES = [
 ]
 
 
-@pytest.mark.parametrize("cells", [1, 300])
+@pytest.mark.parametrize("cells", [1, 300, 1000])
 @pytest.mark.parametrize("over", [c for c, _ in _BLOCK_CASES], ids=[i for _, i in _BLOCK_CASES])
 def test_blocked_replicate_equals_whole_matrix(over, cells, monkeypatch):
-    # blocks of 2 rows (cells=1) or of 3 to 7 rows (cells=300) against
-    # B = 211 draws, a prime, so the last block is a short one
+    # drawn index blocks of 2 rows (cells=1), of 2 to 5 rows (cells=300,
+    # where the m groups' bins of most survival cases already need 2) or
+    # of 4 to 16 rows (cells=1000), against B = 211 draws, a prime, so
+    # the last block is a short one
     monkeypatch.setattr(verify_module, "_BLOCK_CELLS", cells)
     block_rows = []
     blocks = verify_module.draw_blocks
@@ -634,6 +636,15 @@ def test_blocked_replicate_equals_whole_matrix(over, cells, monkeypatch):
         assert sampler["multivariate_hypergeometric"] == len(law_rows) and not block_rows
     elif cfg.scenario is not Scenario.PLAIN_INDICATOR:
         assert not law_rows
+
+
+def test_exhaustive_report_counts_the_enumerated_permutations():
+    # 4! = 24 permutations, whatever the config's draws
+    cfg = ExperimentConfig.from_dict(_base_config(
+        sizes=[2, 2], draws=500, outer_reps=1, exhaustive=True,
+    ))
+    report = conditional_cov_experiment(cfg)
+    assert report.aggregates["draws"] == 24 and report.config["draws"] == 500
 
 
 def test_survival_memory_does_not_grow_with_draws():
@@ -726,9 +737,14 @@ def test_reports_do_not_depend_on_reused_buffers():
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts minor page faults as Linux does")
-def test_steady_replicates_fault_in_no_block_memory():
+@pytest.mark.parametrize("scenario, resample_kind", [
+    ("survival-na", "permutation"), ("survival-km", "bootstrap"), ("survival-na", "bootstrap"),
+])
+def test_steady_replicates_fault_in_no_block_memory(scenario, resample_kind):
     # block memory that is freed and allocated again is faulted in again
-    # whenever the allocator returned it; reused buffers are not
+    # whenever the allocator returned it to the system, as it does with
+    # blocks over its mmap threshold; law draws (the two-group
+    # permutation) and index draws (the bootstraps) alike
     proc = _fresh_python("-c", "; ".join([
         "import json, resource, sys",
         "from permboot import ExperimentConfig",
@@ -739,10 +755,52 @@ def test_steady_replicates_fault_in_no_block_memory():
         "[_replicate(cfg, r) for r in range(1, 5)]",
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
     ]), json.dumps(_base_config(
-        scenario="survival-na", sizes=[300, 300], draws=2000, outer_reps=5, **_SURVIVAL_LAWS,
+        scenario=scenario, resample_kind=resample_kind, sizes=[300, 300], draws=2000,
+        outer_reps=5, **_SURVIVAL_LAWS,
     )))
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 500
+
+
+@pytest.mark.parametrize("run", ["km-bootstrap", "na-permutation-3", "wilcoxon-rung"])
+def test_index_blocks_fit_the_block_budget(run, monkeypatch):
+    # an index block's widest array is its (rows, N) pooled indices or
+    # its (rows, m * nbins) bin counts; at least two rows are drawn
+    # however wide they are
+    blocks, widths = [], []
+    over_draws, draw_blocks = verify_module._over_draws, verify_module.draw_blocks
+
+    def over_spy(fn, counter, sizes, *args):
+        widths.append(max(sum(sizes), len(sizes) * counter.nbins))
+        return over_draws(fn, counter, sizes, *args)
+
+    def blocks_spy(*args):
+        for idx in draw_blocks(*args):
+            blocks.append((idx.shape[0], widths[-1]))
+            yield idx
+
+    monkeypatch.setattr(verify_module, "_over_draws", over_spy)
+    monkeypatch.setattr(verify_module, "draw_blocks", blocks_spy)
+    if run == "wilcoxon-rung":
+        cfg = LinearizationConfig(
+            scenario="wilcoxon", group_laws=(Law.exponential(1.0), Law.exponential(1.5)),
+            ladder=((200, 200),), draws=500, resample_kind=ResampleKind.PERMUTATION,
+            seed=SeedSpec(3),
+        )
+        _ladder_residuals(cfg, (200, 200), cfg.seed.child(0))
+    else:
+        km = run == "km-bootstrap"
+        m = 2 if km else 3
+        cfg = ExperimentConfig.from_dict(_base_config(
+            scenario="survival-km" if km else "survival-na",
+            resample_kind="bootstrap" if km else "permutation",
+            sizes=[300] * m, draws=2000, outer_reps=1,
+            group_laws=[{"kind": "exponential", "rate": 1.0}] * m,
+            censoring_laws=[{"kind": "exponential", "rate": 0.5}] * m,
+        ))
+        _replicate(cfg, 0)
+    assert len(blocks) > 1
+    assert all(rows * width <= verify_module._BLOCK_CELLS for rows, width in blocks if rows > 2)
 
 
 # -- resampled counts against the dense products -----------------------

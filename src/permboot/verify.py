@@ -23,6 +23,11 @@ Survival bootstraps and permutations of three or more groups, the
 ladder and exhaustive enumeration count index draws.  A replicate's
 blocks are allocated as they are drawn, and its centred (draws, m * grid
 points) statistic is filled block by block; nothing outlives the call.
+A Monte Carlo survival statistic reads each draw's curve at the grid
+only: one division gives the hazard increments up to the last grid
+point, which are summed (multiplied) segment by segment between the
+grid points and run over those segments.  A linearization rung needs
+the whole curve, the running sum or product over every event time.
 
 Everything is deterministic given (config, seed): datasets and draws
 use counter-based child seeds, and reductions are order-independent, so
@@ -102,13 +107,14 @@ class VerifyReport:
 @dataclass(frozen=True)
 class _Counter:
     """Per-draw counts of assigned pooled indices, from one label in
-    0..nbins-1 per pooled index: ``binned(idx, sizes)`` counts each label
-    for each run of ``sizes`` columns of the indices idx (B, n) (exact
-    integers, (m, B, nbins)), ``pooled_bins`` counts each label once over
-    the pooled sample, and ``finish`` turns bins into the counts a
-    statistic reads, and may overwrite the bins.  With ``by_law``, Monte
-    Carlo draws skip the indices and take each group's bins from their
-    law (``draw_counts``), which pays where the bins are few, or where
+    0..nbins-1 per pooled index: ``count_labels(flat, sizes)`` counts
+    each label for each run of ``sizes`` columns of the labels flat
+    (B, n) of drawn indices (exact integers, (m, B, nbins)),
+    ``pooled_bins`` counts each label once over the pooled sample, and
+    ``finish`` turns bins into the counts a statistic reads, and may
+    overwrite the bins.  With ``by_law``, Monte Carlo draws skip the
+    indices and take each group's bins from their law
+    (``draw_counts``), which pays where the bins are few, or where
     numpy's C sampler draws two groups' many bins."""
 
     labels: np.ndarray
@@ -116,14 +122,9 @@ class _Counter:
     finish: Callable = lambda bins: bins
     by_law: bool = False
 
-    def binned(self, idx: np.ndarray, sizes) -> np.ndarray:
-        """The counts of each run of ``sizes`` columns of idx's rows,
-        (m, B, nbins)."""
-        return self.count_labels(self.labels[idx], sizes)
-
     def count_labels(self, flat: np.ndarray, sizes) -> np.ndarray:
-        """``binned`` of the indices whose labels are flat (B, n), which
-        it overwrites."""
+        """The counts of each run of ``sizes`` columns of the labels flat
+        (B, n), (m, B, nbins); flat is overwritten."""
         B, width = flat.shape[0], len(sizes) * self.nbins
         # run j of row b counts into bins (b m + j) nbins + label
         flat += np.repeat(self.nbins * np.arange(len(sizes)), sizes)
@@ -220,26 +221,49 @@ def _over_draws(fn, counter: _Counter, sizes, kind: ResampleKind, draws: int, se
 def _hazard(deaths: np.ndarray, at_risk: np.ndarray) -> np.ndarray:
     """Hazard increments deaths / at risk, as floats.  A death is in its
     own risk set, so where nobody is at risk nobody dies either, and the
-    increment is 0 there."""
-    return np.divide(deaths, at_risk, out=np.zeros(at_risk.shape), where=at_risk > 0)
+    increment is 0 there: the divisor is at least 1."""
+    h = at_risk.astype(float)
+    np.maximum(h, 1.0, out=h)
+    return np.divide(deaths, h, out=h)
 
 
-def _survival_curve(deaths: np.ndarray, at_risk: np.ndarray, km: bool) -> np.ndarray:
+def _survival_curve(deaths: np.ndarray, at_risk: np.ndarray, km: bool,
+                    positions: np.ndarray | None = None) -> np.ndarray:
     """Nelson-Aalen (running sum of the hazard increments) or, with
-    ``km``, Kaplan-Meier (running product of 1 - increment) curves."""
-    h = _hazard(deaths, at_risk)
+    ``km``, Kaplan-Meier (running product of 1 - increment) curves over
+    the K event times of deaths and at risk (..., K).  With
+    ``positions`` (G,), in any order and with repeats, only each curve
+    after the first ``positions[g]`` events, (B, G): 0 (1 for
+    Kaplan-Meier) at position 0.  That reader sums (multiplies) the
+    increments segment by segment between the distinct positions and
+    runs over those few segments alone, not over all K increments."""
+    if positions is None:
+        h = _hazard(deaths, at_risk)
+        if km:
+            return np.cumprod(np.subtract(1.0, h, out=h), axis=-1, out=h)
+        return np.cumsum(h, axis=-1, out=h)
+    # column s of curve is the curve after the first cuts[s] events, and
+    # the segment that ends there holds increments cuts[s - 1]..cuts[s] - 1;
+    # increments past the last cut are left out, since reduceat's last
+    # segment would run to the end
+    cuts = sorted({0, *positions.tolist()})
+    h = _hazard(deaths[:, :cuts[-1]], at_risk[:, :cuts[-1]])
+    curve = np.empty((h.shape[0], len(cuts)))
+    curve[:, 0] = float(km)
     if km:
-        return np.cumprod(np.subtract(1.0, h, out=h), axis=-1, out=h)
-    return np.cumsum(h, axis=-1, out=h)
+        np.subtract(1.0, h, out=h)
+    (np.multiply if km else np.add).reduceat(h, cuts[:-1], axis=1, out=curve[:, 1:])
+    (np.cumprod if km else np.cumsum)(curve, axis=1, out=curve)
+    return curve[:, np.searchsorted(cuts, positions)]
 
 
-def _at_grid(curves: np.ndarray, positions: np.ndarray, start: float = 0.0) -> np.ndarray:
+def _at_grid(curves: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Running curves (B, K) over K sorted points read after the first
-    ``positions`` points of each grid point; ``start`` before the first."""
+    ``positions`` points of each grid point; 0 before the first."""
     if curves.shape[1] == 0:
-        return np.full((curves.shape[0], positions.size), start)
+        return np.zeros((curves.shape[0], positions.size))
     read = curves[:, np.maximum(positions - 1, 0)]
-    read[:, positions == 0] = start
+    read[:, positions == 0] = 0.0
     return read
 
 
@@ -302,8 +326,8 @@ def _plain_scenario(config: ExperimentConfig, sample):
 def _survival_scenario(config: ExperimentConfig, sample):
     """Nelson-Aalen or Kaplan-Meier scenario on a ``_sample``: the grid,
     the counter, the statistic (the curve at the grid of the assigned
-    observations, the cumsum or cumprod of deaths / at risk over the
-    pooled event times, from their counts), the population."""
+    observations, read by segment from their counts of deaths and at
+    risk at the pooled event times), the population."""
     data, z, delta, tau, _retries = sample
     grid = _resolve_grid(config, z, np.linspace(0.1, 0.7, 5), tau)
     events, counter = _survival_counter(z, delta, grid.max())
@@ -317,7 +341,7 @@ def _survival_scenario(config: ExperimentConfig, sample):
     # a death at events[k] is in its own risk set (risk bin k + 1), so no
     # draw has deaths where nobody is at risk
     def curve(counts, _n):
-        return _at_grid(_survival_curve(*counts, km_mode), pos, float(km_mode))
+        return _survival_curve(*counts, km_mode, pos)
 
     if config.target == "plugin":
         obs = data.pooled
@@ -369,8 +393,8 @@ def _replicate(config: ExperimentConfig, r: int):
     draws = _draws(config)
     # X is filled block by block.  Its memory order fixes the summation
     # order of its column means, and so a report's bytes: row-major for
-    # the plain indicator, column-major for survival (the order of a
-    # fancy-indexed read at the grid)
+    # the plain indicator, column-major for survival (the layout of the
+    # fancy-indexed read that its grid reader returns)
     X = np.empty((draws, len(sizes) * G), order="C" if plain else "F")
 
     def fill(first, bins):

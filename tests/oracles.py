@@ -1,4 +1,5 @@
-"""Per-cell reference kernels for ``permboot.limits``.
+"""Per-cell reference kernels for ``permboot.limits``, and the per-draw
+bin counts of pooled indices for ``permboot.verify``'s counters.
 
 One covariance entry per call, written straight from the limit
 formulas: the group coefficient (1/lambda_i * 1{i=j} - 1 for the
@@ -84,3 +85,10 @@ def survival_cross_kernel(kind: KernelKind, pop, lambdas, i, j, s, t) -> np.ndar
             [_cross_entry(pop, s, t), uc_uc],
         ]
     )
+
+
+def binned(counter, idx, sizes) -> np.ndarray:
+    """A ``verify._Counter``'s counts of each label for each run of
+    ``sizes`` columns of the pooled indices idx (B, n): exact integers,
+    (m, B, nbins)."""
+    return counter.count_labels(counter.labels[idx], sizes)

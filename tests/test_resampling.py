@@ -24,6 +24,7 @@ from permboot.resampling import (
 )
 from permboot.stepfn import affine_combine
 from permboot.verify import _indicator_counter
+from oracles import binned
 
 
 def _plain(groups):
@@ -200,7 +201,7 @@ _EXHAUSTIVE_LAW_CASES = [case for case in _LAW_CASES if len(case[1]) <= 8]
 def _pooled_bins(values):
     grid = _GRID if len(values) <= 8 else _COARSE_GRID
     counter = _indicator_counter(np.array(values), grid)
-    return counter, counter.binned(np.arange(len(values))[None, :], (len(values),))[0, 0]
+    return counter, binned(counter, np.arange(len(values))[None, :], (len(values),))[0, 0]
 
 
 def _law(kind, pooled_bins, sizes, outcome):
@@ -243,7 +244,7 @@ def test_index_draw_bin_counts_have_the_exact_law(kind, values, sizes):
     else:
         draws = np.array(list(itertools.product(range(N), repeat=N)), dtype=np.intp)
     cum = np.cumsum([0, *sizes])
-    counts = np.stack([counter.binned(draws[:, a:b], (b - a,))[0] for a, b in zip(cum, cum[1:])])
+    counts = np.stack([binned(counter, draws[:, a:b], (b - a,))[0] for a, b in zip(cum, cum[1:])])
     tally = Counter(_outcomes(counts))
     total = sum(_law(kind, pooled_bins, sizes, x) for x in tally)
     assert total == 1

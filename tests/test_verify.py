@@ -70,7 +70,7 @@ from permboot.verify import (
     _survival_scenario,
 )
 import permboot.verify as verify_module
-from oracles import perm_coeff
+from oracles import binned, perm_coeff
 from test_imports import _fresh_python
 from test_resampling import _RngRecorder
 
@@ -527,7 +527,7 @@ def _one_shot_replicate(config, r):
     N = sum(config.sizes)
     cum = np.cumsum([0, *config.sizes])
     if counter.by_law and not config.exhaustive:
-        pooled_bins = counter.binned(np.arange(N)[None, :], (N,))[0, 0]
+        pooled_bins = binned(counter, np.arange(N)[None, :], (N,))[0, 0]
         rows = max(2, verify_module._BLOCK_CELLS // counter.nbins)
         rng = seed.child(1).rng()
         bins = np.concatenate([
@@ -542,9 +542,9 @@ def _one_shot_replicate(config, r):
             else draw_matrix(config.resample_kind, N, config.draws, seed.child(1).rng())
         )
         counts = [
-            counter.finish(counter.binned(draws[:, a:b], (b - a,))[0]) for a, b in zip(cum, cum[1:])
+            counter.finish(binned(counter, draws[:, a:b], (b - a,))[0]) for a, b in zip(cum, cum[1:])
         ]
-    pooled = stat(counter.finish(counter.binned(np.arange(N)[None, :], (N,))[0]), N)[0]
+    pooled = stat(counter.finish(binned(counter, np.arange(N)[None, :], (N,))[0]), N)[0]
     X = math.sqrt(N) * np.concatenate(
         [stat(c, b - a) - pooled[None, :] for c, a, b in zip(counts, cum, cum[1:])],
         axis=1,
@@ -842,10 +842,10 @@ def test_indicator_counts_match_dense_products(kind, sizes):
     grid = np.array([0.5, -1.0, pooled.max(), 0.2, 0.5, 0.7])
     ind = (pooled[:, None] <= grid[None, :]).astype(float)
     counts = _indicator_counter(pooled, grid)
-    pooled_counts = counts.finish(counts.binned(np.arange(N)[None, :], (N,))[0])[0]
+    pooled_counts = counts.finish(binned(counts, np.arange(N)[None, :], (N,))[0])[0]
     assert np.array_equal(pooled_counts, ind.sum(axis=0))
     for idx, dense in _dense_group_counts(_count_draws(kind, N), sizes):
-        assert np.array_equal(counts.finish(counts.binned(idx, idx.shape[1:])[0]), dense @ ind)
+        assert np.array_equal(counts.finish(binned(counts, idx, idx.shape[1:])[0]), dense @ ind)
 
 
 @pytest.mark.parametrize("kind, sizes", _COUNT_CASES)
@@ -864,11 +864,11 @@ def test_survival_counts_match_dense_products(kind, sizes, last):
     assert np.array_equal(events, np.unique(z[(delta == 1) & (z <= grid.max())]))
     death = ((z[:, None] == events[None, :]) & (delta[:, None] == 1)).astype(float)
     at_risk = (z[:, None] >= events[None, :]).astype(float)
-    d0, r0 = counts.finish(counts.binned(np.arange(N)[None, :], (N,))[0])
+    d0, r0 = counts.finish(binned(counts, np.arange(N)[None, :], (N,))[0])
     assert np.array_equal(d0[0], death.sum(axis=0))
     assert np.array_equal(r0[0], at_risk.sum(axis=0))
     for idx, dense in _dense_group_counts(_count_draws(kind, N), sizes):
-        dj, rj = counts.finish(counts.binned(idx, idx.shape[1:])[0])
+        dj, rj = counts.finish(binned(counts, idx, idx.shape[1:])[0])
         assert np.array_equal(dj, dense @ death)
         assert np.array_equal(rj, dense @ at_risk)
 
@@ -886,7 +886,7 @@ def test_survival_counts_deaths_within_risk_sets(data):
     flat = data.draw(st.lists(st.integers(0, N - 1), min_size=B * n, max_size=B * n))
     t_max = data.draw(st.integers(-1, 5))
     _events, counts = _survival_counter(z, delta, t_max)
-    dj, rj = counts.finish(counts.binned(np.array(flat).reshape(B, n), (n,))[0])
+    dj, rj = counts.finish(binned(counts, np.array(flat).reshape(B, n), (n,))[0])
     assert np.all(dj >= 0) and np.all(dj <= rj)
     assert np.all(np.diff(rj, axis=1) <= 0)
 
@@ -970,16 +970,67 @@ def test_risk_set_check_catches_a_death_left_out_of_its_risk_set(resample_kind, 
     assert any(blocks)
 
 
+# (K event times, grid positions among them); row 0 has a Kaplan-Meier
+# increment of exactly 1 at event 4, inside the segment 3..6 of
+# "below-K" and "terminal-inside"
+_READER_CASES = {
+    "unsorted-repeats": (12, [9, 2, 9, 5, 12, 2]),
+    "start": (12, [0, 0]),
+    "start-and-K": (12, [12, 0, 12]),
+    # reduceat's last segment runs to the end unless the increments past
+    # the last position are cut first
+    "below-K": (12, [7, 3]),
+    "terminal-inside": (12, [3, 7, 12]),
+    "no-events": (0, [0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("case", list(_READER_CASES))
+@pytest.mark.parametrize("dyadic", [False, True], ids=["counts", "dyadic"])
+@pytest.mark.parametrize("km", [False, True], ids=["na", "km"])
+def test_grid_reader_matches_the_full_curve(case, dyadic, km):
+    # the Monte Carlo's reader at the grid against the full running sum
+    # or product over every event time, read at the grid; the two only
+    # associate the same increments differently, so they agree exactly
+    # where the increments and their sums are dyadic
+    K, positions = _READER_CASES[case]
+    positions = np.array(positions)
+    rng = SeedSpec(31).rng()
+    B = 6
+    at_risk = rng.choice([0, 1, 2, 4, 8] if dyadic else np.arange(12), size=(B, K))
+    deaths = rng.integers(0, at_risk // 2 + 1)
+    if K:
+        deaths[0, 4] = at_risk[0, 4] = 4
+    full = verify_module._at_grid(verify_module._survival_curve(deaths, at_risk, km), positions)
+    full[:, positions == 0] = float(km)
+    fast = verify_module._survival_curve(deaths, at_risk, km, positions)
+    assert fast.shape == (B, positions.size)
+    if dyadic:
+        assert np.array_equal(fast, full)
+    else:
+        np.testing.assert_allclose(fast, full, rtol=1e-14, atol=0)
+    # one-row blocks read the same bits, so a report does not depend on
+    # how its draws are cut into blocks
+    rows = [verify_module._survival_curve(deaths[i:i + 1], at_risk[i:i + 1], km, positions)
+            for i in range(B)]
+    assert np.array_equal(np.concatenate(rows), fast)
+
+
 @pytest.mark.parametrize("scenario", ["survival-na", "survival-km"])
 @pytest.mark.parametrize("resample_kind", ["permutation", "bootstrap"])
-@pytest.mark.parametrize("m", [2, 3])
-def test_survival_statistic_matches_stepfn_functionals(scenario, resample_kind, m):
+@pytest.mark.parametrize("m, grid", [
+    pytest.param(m, grid, id=f"{m}{name}")
+    for name, grid in (("", [0.1, 0.2, 0.5]), ("-unsorted-repeat", [0.5, 0.2, 0.1, 0.5]))
+    for m in (2, 3)
+])
+def test_survival_statistic_matches_stepfn_functionals(scenario, resample_kind, m, grid):
     # failure and censoring times share three atoms, so deaths and
-    # censorings tie; grid points sit below the data and on atoms
+    # censorings tie; grid points sit below the data and on atoms, in
+    # order or not, repeated or not
     atoms = {"kind": "point-masses", "points": [[0.2, 0.3], [0.5, 0.4], [0.9, 0.3]]}
     cfg = ExperimentConfig.from_dict(_base_config(
         scenario=scenario, resample_kind=resample_kind, group_laws=[atoms] * m,
-        censoring_laws=[atoms] * m, sizes=[12, 10, 8][:m], tau=0.5, grid=[0.1, 0.2, 0.5],
+        censoring_laws=[atoms] * m, sizes=[12, 10, 8][:m], tau=0.5, grid=grid,
     ))
     seed = cfg.seed.child(0)
     sample = _sample(cfg, cfg.sizes, seed, True, cfg.tau)
@@ -995,7 +1046,7 @@ def test_survival_statistic_matches_stepfn_functionals(scenario, resample_kind, 
         groups = resampled_group_fns(data, ResampleDraw(kind, tuple(row)))
         for (at_risk, uncensored), a, b in zip(groups, cum, cum[1:]):
             oracle = functional(HazardBundle(at_risk, uncensored, cfg.tau))
-            fast = curve(counter.finish(counter.binned(row[None, a:b], (b - a,))[0]), b - a)[0]
+            fast = curve(counter.finish(binned(counter, row[None, a:b], (b - a,))[0]), b - a)[0]
             assert np.abs(fast - [oracle(t) for t in grid]).max() <= 1e-12
 
 
@@ -1176,7 +1227,7 @@ def test_ladder_oracle_covers_a_group_km_reaching_zero():
     data, z, delta, tau, _retries = _sample(cfg, cfg.ladder[0], cfg.seed.child(0), True)
     _events, counts = _survival_counter(z, delta, tau)
     draws = draw_matrix(cfg.resample_kind, data.N, cfg.draws, cfg.seed.child(0).child(1).rng())
-    deaths, at_risk = counts.finish(counts.binned(draws[:, :4], (4,))[0])
+    deaths, at_risk = counts.finish(binned(counts, draws[:, :4], (4,))[0])
     assert np.any((deaths == at_risk) & (at_risk > 0))
 
 

@@ -2,12 +2,17 @@
 
 Every config document is checked against the one packaged JSON schema
 (the verify config at its root, the simulate and kernel configs and the
-shared law and seed definitions under ``$defs``) by one validator built
-once per process, on the first config parsed; ``jsonschema`` is imported
-only then.  A schema violation is a ``DataError`` naming the
-offending field, and so is a list without one law or rate per group;
-the rest (proportions summing to 1, a survival grid within tau) is
-checked when the parsed objects are built.
+shared law and seed definitions under ``$defs``), read once per
+process, by a walker of the JSON Schema keywords that schema uses:
+``type``, ``enum``, ``const``, ``required``, ``properties``,
+``additionalProperties: false``, ``min``/``maxProperties``, ``items``,
+``min``/``maxItems``, ``minimum``, ``exclusiveMinimum``/``Maximum``,
+local ``$ref``, ``allOf``, ``oneOf``, ``if``/``then`` and boolean
+schemas.  Any other keyword is a ``ContractError``.  A schema violation
+is a ``DataError`` naming the first offending field found depth first
+in schema order, with jsonschema's message, and so is a list without
+one law or rate per group; the rest (proportions summing to 1, a
+survival grid within tau) is checked when the parsed objects are built.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import functools
 import importlib.resources
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,41 +61,153 @@ def load_config_schema() -> dict:
 
 
 @functools.cache
-def _validator():
-    """The packaged schema's ``jsonschema`` validator, built once per
-    process; jsonschema is imported here, so only parsing a config
-    loads it."""
-    import jsonschema
+def _schema() -> dict:
+    """The packaged schema, read and parsed once per process."""
+    return load_config_schema()
 
-    return jsonschema.Draft202012Validator(load_config_schema())
+
+_JSON_TYPES = {"null": type(None), "boolean": bool, "number": (int, float), "string": str,
+               "array": list, "object": dict}
+# size keyword: (the type it applies to, the comparison a violating
+# size makes, jsonschema's message, and its message at one bound)
+_SIZES = {
+    "minItems": (list, operator.lt, "is too short", {1: "should be non-empty"}),
+    "maxItems": (list, operator.gt, "is too long", {0: "is expected to be empty"}),
+    "minProperties": (dict, operator.lt, "does not have enough properties",
+                      {1: "should be non-empty"}),
+    "maxProperties": (dict, operator.gt, "has too many properties",
+                      {0: "is expected to be empty"}),
+}
+# bound keyword: (the comparison a violating number makes, the message)
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+# annotations, the definitions $ref reads, and the then that if reads
+_SKIPPED = ("$schema", "title", "description", "$defs", "then")
+
+
+def _is_type(doc, name: str) -> bool:
+    """JSON Schema's types: a bool is only a boolean, 2.0 is an integer."""
+    if isinstance(doc, bool):
+        return name == "boolean"
+    if name == "integer":
+        return isinstance(doc, int) or isinstance(doc, float) and doc.is_integer()
+    return isinstance(doc, _JSON_TYPES[name])
+
+
+def _equal(doc, value) -> bool:
+    """JSON equality with a scalar enum or const value: 1 equals 1.0, and
+    true equals neither."""
+    return isinstance(doc, bool) == isinstance(value, bool) and doc == value
+
+
+def _resolve(ref: str):
+    """The subschema of the packaged schema at a local $ref."""
+    if not ref.startswith("#/"):
+        raise ContractError(f"unsupported schema $ref {ref!r}")
+    node = _schema()
+    for part in ref[2:].split("/"):
+        node = node[part]
+    return node
+
+
+def _errors(doc, schema, path=()):
+    """Each violation of schema by doc as (path, message), in the order
+    jsonschema's iter_errors finds them: keyword by keyword in schema
+    order, depth first, with jsonschema's messages.  A keyword the
+    packaged schema does not use is a ContractError."""
+    if isinstance(schema, bool):
+        if not schema:
+            yield path, f"False schema does not allow {doc!r}"
+        return
+    for key, value in schema.items():
+        if key == "type":
+            types = value if isinstance(value, list) else [value]
+            if not any(_is_type(doc, name) for name in types):
+                yield path, f"{doc!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "enum":
+            if not any(_equal(doc, each) for each in value):
+                yield path, f"{doc!r} is not one of {value!r}"
+        elif key == "const":
+            if not _equal(doc, value):
+                yield path, f"{value!r} was expected"
+        elif key == "required":
+            for name in value if isinstance(doc, dict) else ():
+                if name not in doc:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            for name, sub in value.items() if isinstance(doc, dict) else ():
+                if name in doc:
+                    yield from _errors(doc[name], sub, (*path, name))
+        elif key == "additionalProperties" and value is False:
+            known = schema.get("properties", {})
+            extras = sorted(k for k in doc if k not in known) if isinstance(doc, dict) else []
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, (f"Additional properties are not allowed "
+                             f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        elif key == "items":
+            for index, item in enumerate(doc) if isinstance(doc, list) else ():
+                yield from _errors(item, value, (*path, index))
+        elif key in _SIZES:
+            kind, violates, message, at_bound = _SIZES[key]
+            if isinstance(doc, kind) and violates(len(doc), value):
+                yield path, f"{doc!r} {at_bound.get(value, message)}"
+        elif key in _BOUNDS:
+            violates, message = _BOUNDS[key]
+            if _is_type(doc, "number") and violates(doc, value):
+                yield path, f"{doc!r} {message} {value!r}"
+        elif key == "$ref":
+            yield from _errors(doc, _resolve(value), path)
+        elif key == "allOf":
+            for sub in value:
+                yield from _errors(doc, sub, path)
+        elif key == "oneOf":
+            valid = [sub for sub in value if _is_valid(doc, sub)]
+            if not valid:
+                yield path, f"{doc!r} is not valid under any of the given schemas"
+            elif len(valid) > 1:
+                each = ", ".join(map(repr, valid[1:] + valid[:1]))
+                yield path, f"{doc!r} is valid under each of {each}"
+        elif key == "if":
+            if _is_valid(doc, value):
+                yield from _errors(doc, schema.get("then", True), path)
+        elif key not in _SKIPPED:
+            raise ContractError(f"unsupported schema keyword {key!r}: {value!r}")
+
+
+def _is_valid(doc, schema) -> bool:
+    return next(_errors(doc, schema), None) is None
 
 
 def validate(doc, definition: str | None = None) -> None:
-    """Raise a DataError unless doc is valid against the packaged schema
-    (the verify config) or against its ``$defs`` entry ``definition``."""
-    import jsonschema
-
-    validator = _validator()
-    if definition is not None:
-        # evolve keeps the root's $ref resolution, so "#/$defs/law" resolves
-        validator = validator.evolve(schema=validator.schema["$defs"][definition])
-    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
-    if error is not None:
-        where = f" at {error.json_path}" if error.path else ""
-        raise DataError(f"invalid config{where}: {error.message}")
+    """Raise a DataError naming the first violation, unless doc is valid
+    against the packaged schema (the verify config) or against its
+    ``$defs`` entry ``definition``."""
+    schema = _schema() if definition is None else _schema()["$defs"][definition]
+    for path, message in _errors(doc, schema):
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        raise DataError(f"invalid config{f' at ${where}' if path else ''}: {message}")
 
 
 def read_config(path) -> dict:
     """The JSON object in the file at path.  ``NaN``, ``Infinity`` and
     ``-Infinity``, which Python's ``json`` reads but JSON does not have,
-    are a ``DataError``."""
+    are a ``DataError``, and so is a number that overflows to an
+    infinity, such as ``1e400``."""
 
     def reject(token):
         raise DataError(f"{path}: invalid JSON ({token} is not a JSON number)")
 
+    def finite(token):
+        x = float(token)
+        return x if math.isfinite(x) else reject(token)
+
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_constant=reject)
+            doc = json.load(fh, parse_constant=reject, parse_float=finite)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -430,7 +548,7 @@ class ExperimentConfig:
             scenario=Scenario(d["scenario"]),
             group_laws=tuple(Law.from_dict(law) for law in d["group_laws"]),
             sizes=tuple(int(n) for n in d["sizes"]),
-            draws=int(d["draws"]),
+            draws=int(d.get("draws", 0)),  # an exhaustive config may leave it out
             outer_reps=int(d["outer_reps"]),
             resample_kind=ResampleKind(d["resample_kind"]),
             seed=_seed(d["seed"]),

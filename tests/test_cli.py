@@ -503,6 +503,18 @@ def test_non_finite_config_constant_is_data_error(tmp_path, capsys, case, token)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+@pytest.mark.parametrize("token", ["1e400", "-1e400"])
+@pytest.mark.parametrize("case", _NON_FINITE_DOCS)
+def test_overflowing_config_number_is_data_error(tmp_path, capsys, case, token):
+    # Python's json reads a number beyond the largest double as +-inf
+    subcommand, make = _NON_FINITE_DOCS[case]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(make(1234.5)).replace("1234.5", token))
+    assert run([subcommand, "--config", cfg, *_OUTPUTS[subcommand](tmp_path)]) == EXIT_DATA
+    assert f"c.json: invalid JSON ({token} is not a JSON number)" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 _EXP3 = [{"kind": "exponential", "rate": 1.0}] * 3
 
 

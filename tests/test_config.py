@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import jsonschema
 import pytest
@@ -31,20 +33,16 @@ def test_law_error_names_the_missing_field():
         Law.from_dict({"kind": "cauchy"})
 
 
-def test_one_validator_per_process(monkeypatch):
-    built = []
-    real = jsonschema.Draft202012Validator
+def test_schema_read_once_per_process(monkeypatch):
+    reads = []
+    real = config.load_config_schema
 
-    def counting(schema, *args, **kwargs):
-        built.append(schema)
-        return real(schema, *args, **kwargs)
+    def counting():
+        reads.append(1)
+        return real()
 
-    def no_metaschema_check(*args, **kwargs):
-        raise AssertionError("jsonschema.validate checks the schema on every call")
-
-    monkeypatch.setattr(jsonschema, "Draft202012Validator", counting)
-    monkeypatch.setattr(jsonschema, "validate", no_metaschema_check)
-    config._validator.cache_clear()
+    monkeypatch.setattr(config, "load_config_schema", counting)
+    config._schema.cache_clear()
     try:
         exp = {"kind": "exponential", "rate": 1.0}
         for _ in range(2):
@@ -58,8 +56,153 @@ def test_one_validator_per_process(monkeypatch):
                                     "grid": [1.0], "population": {"plain": exp}})
             Law.from_dict(exp)
     finally:
-        config._validator.cache_clear()
-    assert len(built) == 1
+        config._schema.cache_clear()
+    assert len(reads) == 1
+
+
+# -- the schema walker against jsonschema --------------------------------
+
+_LAW_DOCS = [
+    {"kind": "exponential", "rate": 1.0},
+    {"kind": "uniform", "lo": 0, "hi": 2},
+    {"kind": "point-masses", "points": [[0.5, 0.25], [1.0, 0.75]]},
+    {"kind": "none"},
+]
+_VALID_DOCS = {
+    None: {
+        "scenario": "survival-na", "group_laws": _LAW_DOCS[:2], "censoring_laws": _LAW_DOCS[3:],
+        "sizes": [5, 5], "draws": 100, "outer_reps": 2, "resample_kind": "permutation",
+        "seed": {"master_seed": 1, "stream_id": 0}, "grid": {"pooled_quantiles": [0.2, 0.5]},
+        "tolerance": {"abs_tol": 0.05, "se_multiplier": 4}, "tau": None, "tau_quantile": 0.8,
+        "target": "plugin", "exhaustive": False,
+    },
+    "simulate_config": {"mode": "survival", "group_laws": _LAW_DOCS[:2], "censoring_laws": None,
+                        "sizes": [3, 4], "seed": {"master_seed": 0}},
+    "kernel_config": {
+        "kind": "perm-km", "lambdas": [0.5, 0.5], "grid": [0.5, 1.0], "tau": 2.0,
+        "population": {"survival_exponential": {"fail_rates": [1.0, 1.5], "cens_rates": [0.5, 0]}},
+    },
+    "law": _LAW_DOCS[2],
+}
+# an atom of every JSON type, and values some keyword accepts elsewhere
+_ATOMS = [None, True, False, 0, 1, 2, -1, 2.0, 0.5, 1.5, -0.5, 1e9, "", "x", "exponential",
+          "pooled-deciles", "perm-indicator", [], [1.0], [[0.5, 1]], _LAW_DOCS[:2], {},
+          _LAW_DOCS[3], {"plain": _LAW_DOCS[0]}, {"pooled_quantiles": [0.5]}]
+
+
+def _containers(doc, path=()):
+    if isinstance(doc, (dict, list)):
+        yield path, doc
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _containers(value, (*path, key))
+
+
+def _with(doc, path, new):
+    """doc with the container at path replaced by new; the rest is shared."""
+    if not path:
+        return new
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = _with(doc[path[0]], path[1:], new)
+    return copy
+
+
+def _mutate(doc, rng):
+    """doc with one value replaced by an atom, one key deleted, one
+    misspelt or extra key added, or one item appended."""
+    path, node = rng.choice(list(_containers(doc)))
+    keys = list(node) if isinstance(node, dict) else range(len(node))
+    op = rng.randrange(3)
+    if op == 0 and keys:
+        new = type(node)(node)
+        new[rng.choice(keys)] = rng.choice(_ATOMS)
+    elif op == 1 and keys and isinstance(node, dict):
+        new = dict(node)
+        del new[rng.choice(keys)]
+    elif isinstance(node, dict):
+        key = rng.choice([*keys, "extra"])
+        new = {**node, rng.choice([key + "s", key[:-1], "extra"]): rng.choice(_ATOMS)}
+    else:
+        new = [*node, rng.choice([*node, *_ATOMS])]
+    return _with(doc, path, new)
+
+
+def test_walker_agrees_with_jsonschema_on_a_mutation_corpus():
+    schema = load_config_schema()
+    root = jsonschema.Draft202012Validator(schema)
+    rng = random.Random(2026)
+    checked = accepted = single = 0
+    for definition, base in _VALID_DOCS.items():
+        sub = schema if definition is None else schema["$defs"][definition]
+        oracle = root if definition is None else root.evolve(schema=sub)
+        for _ in range(1250):
+            doc = base
+            for _ in range(rng.randint(1, 2)):
+                doc = _mutate(doc, rng)
+            errors = list(itertools.islice(oracle.iter_errors(doc), 2))
+            first = next(config._errors(doc, sub), None)
+            assert (first is None) == (not errors), (definition, doc, first)
+            if len(errors) == 1:
+                assert first == (tuple(errors[0].path), errors[0].message), (definition, doc)
+                single += 1
+            checked += 1
+            accepted += not errors
+    # 359 documents are valid, and 2784 have exactly one error
+    assert checked == 5000 and accepted > 250 and single > 2000
+
+
+def _subschemas(schema):
+    yield schema
+    for key, value in schema.items() if isinstance(schema, dict) else ():
+        if key in ("properties", "$defs"):
+            for sub in value.values():
+                yield from _subschemas(sub)
+        elif key in ("allOf", "oneOf"):
+            for sub in value:
+                yield from _subschemas(sub)
+        elif key in ("items", "if", "then"):
+            yield from _subschemas(value)
+
+
+def test_walker_supports_every_keyword_of_the_packaged_schema():
+    # the walker raises on a keyword it does not support, whatever the doc
+    subschemas = list(_subschemas(load_config_schema()))
+    assert len(subschemas) > 50
+    for sub in subschemas:
+        list(config._errors(None, sub))
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "pattern": "^x"},
+    {"properties": {"a": {"anyOf": [{"type": "string"}]}}},
+    {"additionalProperties": {"type": "string"}},
+    {"if": {"const": 1}, "then": True, "else": False},
+    {"$ref": "https://example.com/schema"},
+], ids=["pattern", "nested-anyOf", "additionalProperties-schema", "else", "remote-ref"])
+def test_walker_rejects_unsupported_keywords(schema):
+    with pytest.raises(ContractError, match="unsupported schema"):
+        list(config._errors({"a": "x"}, schema))
+
+
+@pytest.mark.parametrize("doc, schema, valid", [
+    (2.0, {"type": "integer"}, True),
+    (2.5, {"type": "integer"}, False),
+    (True, {"type": "integer"}, False),
+    (False, {"type": "number"}, False),
+    (True, {"enum": [1]}, False),
+    (1, {"const": True}, False),
+    (1.0, {"const": 1}, True),
+    (False, {"const": 0}, False),
+    ([1], {"enum": [1]}, False),
+    (None, {"type": ["number", "null"]}, True),
+    (float("nan"), {"minimum": 0}, True),  # as jsonschema: NaN compares false
+    (1, {"oneOf": [{"type": "integer"}, {"type": "number"}]}, False),  # valid under both
+    (1.5, {"oneOf": [{"type": "integer"}, {"type": "number"}]}, True),
+    ("x", {"if": {"const": "y"}, "then": False}, True),
+    ("y", {"if": {"const": "y"}, "then": False}, False),
+])
+def test_walker_keeps_json_schema_rules(doc, schema, valid):
+    assert config._is_valid(doc, schema) is valid
+    assert jsonschema.Draft202012Validator(schema).is_valid(doc) is valid
 
 
 def test_with_master_seed_keeps_stream_id():

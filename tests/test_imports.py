@@ -1,14 +1,15 @@
 """Every module-level import and private name in the package is used,
-every ``__all__`` names only what its module has, and the package never
-loads scipy and loads jsonschema only when needed.
+every ``__all__`` names only what its module has, and the package loads
+neither scipy nor jsonschema.
 
 A name counts as used only where the code refers to it (a mention in a
 docstring or comment does not count) or where the module re-exports it
 through ``__all__``.  A private module-level function, class or
 constant (``_name``) must be referred to somewhere in the package.
 
-The analytic survival quadratures are numpy, so scipy is a test
-dependency only; jsonschema is imported by the first config parsed.
+The analytic survival quadratures are numpy, and configs are checked
+by the package's own schema walker, so scipy and jsonschema are test
+dependencies only.
 Which modules an import loads depends on everything the process
 imported before, so those checks run in a fresh interpreter.
 """
@@ -166,7 +167,44 @@ def test_package_import_loads_neither_scipy_nor_jsonschema():
         _LOADED,
     ]))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "['jsonschema']", "['jsonschema']", "['jsonschema']"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]", "[]"]
+
+
+def test_cli_runs_where_jsonschema_cannot_be_imported(tmp_path):
+    exp = {"kind": "exponential", "rate": 1.0}
+    docs = {
+        "sim.json": {"mode": "plain", "group_laws": [exp, exp], "sizes": [3, 3]},
+        "kernel.json": {"kind": "perm-indicator", "lambdas": [0.5, 0.5], "grid": [0.5, 1.0],
+                        "population": {"plain": exp}},
+        # exhaustive N = 4 misses the asymptotic kernel: exit 4
+        "verify.json": {"scenario": "plain-indicator", "group_laws": [exp, exp], "sizes": [2, 2],
+                        "outer_reps": 1, "resample_kind": "permutation",
+                        "seed": {"master_seed": 1}, "exhaustive": True},
+        "bad.json": {"mode": "plain", "group_laws": [exp, exp], "sizes": [3, "x"]},
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    p = lambda name: str(tmp_path / name)
+    runs = [
+        ["simulate", "--config", p("sim.json"), "--output", p("sim.csv")],
+        ["kernel", "--config", p("kernel.json"), "--output-matrix", p("k.csv"),
+         "--output-meta", p("k.json")],
+        ["verify", "--config", p("verify.json"), "--output", p("r.json")],
+        ["simulate", "--config", p("bad.json"), "--output", p("bad.csv")],
+    ]
+    # a None entry in sys.modules makes every import of that name fail
+    proc = _fresh_python("-c", "; ".join([
+        "import sys",
+        "sys.modules['jsonschema'] = None",
+        "from permboot.cli import main",
+        f"print([main(args) for args in {runs!r}])",
+    ]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 4, 3]"]
+    assert "invalid config at $.sizes[1]: 'x' is not of type 'integer'" in proc.stderr
+    assert sorted(path.name for path in tmp_path.iterdir() if path.suffix == ".csv") == [
+        "k.csv", "sim.csv",
+    ]
 
 
 def test_analytic_survival_verify_thread_invariant_in_fresh_process(tmp_path):

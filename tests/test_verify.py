@@ -183,6 +183,24 @@ def test_exhaustive_conditional_mean_exactly_zero():
     assert report.aggregates["cond_mean_max_abs"] == 0.0
 
 
+def test_exhaustive_config_needs_no_draws():
+    # exhaustive mode enumerates the N! permutations, so draws may be left out
+    uniform = {"kind": "uniform", "lo": 0, "hi": 1}
+    doc = _base_config(sizes=[2, 2], draws=24, outer_reps=3, exhaustive=True,
+                       group_laws=[uniform, uniform])
+    without = {key: value for key, value in doc.items() if key != "draws"}
+    reports = [replace(conditional_cov_experiment(ExperimentConfig.from_dict(d)), config=None)
+               for d in (doc, without)]
+    assert reports[0].to_json() == reports[1].to_json()
+    assert reports[1].aggregates["cond_mean_max_abs"] == 0.0
+    assert reports[1].aggregates["draws"] == 24
+    # anywhere else draws stays required
+    del without["exhaustive"]
+    for over in ({}, {"exhaustive": False}):
+        with pytest.raises(DataError, match="'draws' is a required property"):
+            ExperimentConfig.from_dict({**without, **over})
+
+
 def test_constant_statistic_zero_covariance():
     # indicator at a point below every observation is constant 0 under
     # any redistribution, so the conditional covariance vanishes exactly

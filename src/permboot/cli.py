@@ -20,7 +20,7 @@ import sys
 from itertools import chain
 
 from .config import ExperimentConfig, KernelConfig, SimulateConfig, read_config, with_master_seed
-from .counterexample import increment_condition_probe, inverse_counterexample
+from .counterexample import counterexample_family, increment_condition_probe, inverse_counterexample
 from .empirical import Mode, read_csv, write_csv
 from .empirical import at_risk_process, ecdf, uncensored_subdist
 from .errors import ContractError, DataError, DomainError, SingularityError
@@ -151,7 +151,7 @@ def _cmd_counterexample(args) -> int:
     rows = inverse_counterexample(n_values)
     lines = ["n,t_n,ratio,derivative,gap,increment_probe_K1"]
     for row in rows:
-        probe = increment_condition_probe("counterexample", row["n"], 1)
+        probe = increment_condition_probe(counterexample_family, row["n"], 1)
         lines.append(
             "{n},{t},{r},{d},{g},{p}".format(
                 n=row["n"],

@@ -13,6 +13,8 @@ is a ``DataError`` naming the first offending field found depth first
 in schema order, with jsonschema's message, and so is a list without
 one law or rate per group; the rest (proportions summing to 1, a
 survival grid within tau) is checked when the parsed objects are built.
+Built directly, those objects reject with a ``ContractError`` what the
+schema rejects (one law per size, pooled quantiles in (0, 1), ...).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import importlib.resources
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,7 +199,8 @@ def read_config(path) -> dict:
     """The JSON object in the file at path.  ``NaN``, ``Infinity`` and
     ``-Infinity``, which Python's ``json`` reads but JSON does not have,
     are a ``DataError``, and so is a number that overflows to an
-    infinity, such as ``1e400``."""
+    infinity, such as ``1e400``, or an integer beyond the largest double
+    (``sys.float_info.max``; seeds too)."""
 
     def reject(token):
         raise DataError(f"{path}: invalid JSON ({token} is not a JSON number)")
@@ -205,9 +209,17 @@ def read_config(path) -> dict:
         x = float(token)
         return x if math.isfinite(x) else reject(token)
 
+    def bounded(token):
+        # past 309 digits (and int()'s limit of 4300) it is beyond a double
+        digits = len(token.lstrip("-"))
+        if digits > 309 or abs(int(token)) > sys.float_info.max:
+            raise DataError(f"{path}: invalid JSON (an integer of {digits} digits is too large "
+                            "for a double)")
+        return int(token)
+
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_constant=reject, parse_float=finite)
+            doc = json.load(fh, parse_constant=reject, parse_float=finite, parse_int=bounded)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -345,25 +357,31 @@ def simulate_survival_groups(group_laws, censoring_laws, sizes, rng) -> MultiSam
 
 @dataclass(frozen=True)
 class SimulateConfig:
-    """A ``permboot simulate`` config: one law and one size per group."""
+    """A ``permboot simulate`` config: one law and one size per group,
+    and one censoring law per group or none (no censoring)."""
 
     mode: Mode
     group_laws: tuple
     sizes: tuple
-    censoring_laws: tuple
+    censoring_laws: tuple | None
     seed: SeedSpec
+
+    def __post_init__(self):
+        if len(self.group_laws) != len(self.sizes):
+            raise ContractError("need one law per group")
+        object.__setattr__(
+            self, "censoring_laws", _censoring_or_none(self.censoring_laws, len(self.sizes))
+        )
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulateConfig":
         validate(d, "simulate_config")
         _check_one_law_per_group(d)
-        laws = tuple(Law.from_dict(law) for law in d["group_laws"])
-        cens = [Law.from_dict(law) for law in d.get("censoring_laws") or ()]
         return cls(
             mode=Mode(d["mode"]),
-            group_laws=laws,
+            group_laws=tuple(Law.from_dict(law) for law in d["group_laws"]),
             sizes=tuple(int(n) for n in d["sizes"]),
-            censoring_laws=_censoring_or_none(cens, len(laws)),
+            censoring_laws=tuple(Law.from_dict(law) for law in d.get("censoring_laws") or ()),
             seed=_seed(d.get("seed", {"master_seed": 0})),
         )
 
@@ -512,8 +530,8 @@ class ExperimentConfig:
             raise ContractError(f"outer_reps must be >= 1, got {self.outer_reps}")
         if isinstance(self.grid, dict) and set(self.grid) == {"pooled_quantiles"}:
             probs = self.grid["pooled_quantiles"]
-            if not probs or any(not 0 <= q <= 1 for q in probs):
-                raise ContractError(f"pooled_quantiles must be nonempty and in [0, 1]: {probs}")
+            if not probs or any(not 0 < q < 1 for q in probs):
+                raise ContractError(f"pooled_quantiles must be nonempty and in (0, 1): {probs}")
         elif isinstance(self.grid, tuple):
             _check_grid_points(self.grid)
         elif not (isinstance(self.grid, str) and self.grid == "pooled-deciles"):
@@ -580,14 +598,13 @@ class LinearizationConfig:
     resample_kind: ResampleKind
     seed: SeedSpec
     censoring_laws: tuple | None = None
-    grid_points: int = 9
     tau_quantile: float = 0.8
 
     def __post_init__(self):
         if self.scenario not in ("wilcoxon", "survival-na", "survival-km", "rmst"):
             raise ContractError(f"unknown linearization scenario {self.scenario!r}")
-        if self.draws < 1 or self.grid_points < 1:
-            raise ContractError("draws and grid_points must be >= 1")
+        if self.draws < 1:
+            raise ContractError(f"draws must be >= 1, got {self.draws}")
         if any(len(sizes) != len(self.group_laws) for sizes in self.ladder):
             raise ContractError("every ladder rung needs one size per group law")
         # a survival grid runs over the pooled 0.1 .. tau_quantile - 0.1 quantiles

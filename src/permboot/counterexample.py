@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .empirical import ecdf
 from .errors import ContractError, SingularityError
-from .functionals import prodint_derivative, product_integral, wilcoxon_curve, wilcoxon_derivative
+from .functionals import prodint_derivative, wilcoxon_derivative
 from .stepfn import StepFn, affine_combine
 
 
@@ -26,23 +26,13 @@ def _perturb(theta, t, h):
     return theta + t * h
 
 
-_RATIO_FUNCTIONALS = {
-    "wilcoxon": lambda th: wilcoxon_curve(*th),
-    "product-integral": lambda th: product_integral(th),
-}
-
-
-def hadamard_ratio_check(functional_id, theta_seq, h_seq, t_seq, derivative_ref):
-    """Deviations || t_n^-1 (phi(theta_n + t_n h_n) - phi(theta_n)) - ref ||.
+def hadamard_ratio_check(fn, theta_seq, h_seq, t_seq, derivative_ref):
+    """Deviations || t_n^-1 (fn(theta_n + t_n h_n) - fn(theta_n)) - ref ||
+    of the functional ``fn`` (a callable of one theta).
 
     No pass/fail judgement here: convergence (or its failure, for the
     counterexample sequences) is asserted by the caller.
     """
-    fn = functional_id if callable(functional_id) else _RATIO_FUNCTIONALS.get(functional_id)
-    if fn is None:
-        raise ContractError(
-            f"unknown functional {functional_id!r}; known: {sorted(_RATIO_FUNCTIONALS)}"
-        )
     if not len(theta_seq) == len(h_seq) == len(t_seq):
         raise ContractError(
             "theta_seq, h_seq and t_seq differ in length: "
@@ -219,21 +209,14 @@ def inverse_counterexample(n_values) -> list:
     return rows
 
 
-_PROBE_FAMILIES = {
-    "counterexample": counterexample_family,
-    "identity": lambda n: counterexample_limit(),
-}
-
-
-def increment_condition_probe(family_id: str, n: int, K) -> float:
+def increment_condition_probe(family, n: int, K) -> float:
     """sqrt(n) * sup over |x| <= K/sqrt(n) of the increment mismatch
-    |A_n(xi+x) - A_n(xi) - A(xi+x) + A(xi)|, evaluated exactly at the
+    |A_n(xi+x) - A_n(xi) - A(xi+x) + A(xi)| of A_n = family(n), a
+    ``PiecewiseLinear``, against the identity A, evaluated exactly at the
     piecewise-linear segment endpoints."""
-    if family_id not in _PROBE_FAMILIES:
-        raise ContractError(f"unknown probe family {family_id!r}")
     if n < 1 or K <= 0:
         raise ContractError("need n >= 1 and K > 0")
-    a_n = _PROBE_FAMILIES[family_id](n)
+    a_n = family(n)
     a = counterexample_limit()
     diff = a_n - a
     xi = 1

@@ -23,11 +23,11 @@ Survival bootstraps and permutations of three or more groups, the
 ladder and exhaustive enumeration count index draws.  A replicate's
 blocks are allocated as they are drawn, and its centred (draws, m * grid
 points) statistic is filled block by block; nothing outlives the call.
-A Monte Carlo survival statistic reads each draw's curve at the grid
-only: one division gives the hazard increments up to the last grid
-point, which are summed (multiplied) segment by segment between the
-grid points and run over those segments.  A linearization rung needs
-the whole curve, the running sum or product over every event time.
+Every running total over the event times or distinct values, a
+Monte Carlo survival curve and a linearization residual alike, is read
+at its grid only, by one reader (``_running``): the per-event
+increments up to the last grid point are summed (multiplied) segment by
+segment between the grid points and run over those segments.
 
 Everything is deterministic given (config, seed): datasets and draws
 use counter-based child seeds, and reductions are order-independent, so
@@ -82,6 +82,8 @@ _MAX_DATASET_RETRIES = 100
 # neither N nor B; bins drawn from their law come in blocks of this many
 # bins per group
 _BLOCK_CELLS = 1 << 17
+# a linearization rung compares its curves at this many pooled quantiles
+_LADDER_GRID_POINTS = 9
 
 
 # -- report ------------------------------------------------------------
@@ -227,44 +229,34 @@ def _hazard(deaths: np.ndarray, at_risk: np.ndarray) -> np.ndarray:
     return np.divide(deaths, h, out=h)
 
 
-def _survival_curve(deaths: np.ndarray, at_risk: np.ndarray, km: bool,
-                    positions: np.ndarray | None = None) -> np.ndarray:
-    """Nelson-Aalen (running sum of the hazard increments) or, with
-    ``km``, Kaplan-Meier (running product of 1 - increment) curves over
-    the K event times of deaths and at risk (..., K).  With
-    ``positions`` (G,), in any order and with repeats, only each curve
-    after the first ``positions[g]`` events, (B, G): 0 (1 for
-    Kaplan-Meier) at position 0.  That reader sums (multiplies) the
-    increments segment by segment between the distinct positions and
-    runs over those few segments alone, not over all K increments."""
-    if positions is None:
-        h = _hazard(deaths, at_risk)
-        if km:
-            return np.cumprod(np.subtract(1.0, h, out=h), axis=-1, out=h)
-        return np.cumsum(h, axis=-1, out=h)
-    # column s of curve is the curve after the first cuts[s] events, and
-    # the segment that ends there holds increments cuts[s - 1]..cuts[s] - 1;
+def _running(increments: np.ndarray, positions: np.ndarray, product: bool = False) -> np.ndarray:
+    """Running sums (with ``product``, products) of the per-event
+    increments (B, K) after the first ``positions[g]`` of them, (B, G),
+    for positions in any order and with repeats: 0 (1) at position 0.
+    The increments are summed (multiplied) segment by segment between
+    the distinct positions, then run over those few segments alone."""
+    # column s of curve is the total after the first cuts[s] increments,
+    # and the segment that ends there holds increments cuts[s - 1]..cuts[s] - 1;
     # increments past the last cut are left out, since reduceat's last
     # segment would run to the end
     cuts = sorted({0, *positions.tolist()})
-    h = _hazard(deaths[:, :cuts[-1]], at_risk[:, :cuts[-1]])
-    curve = np.empty((h.shape[0], len(cuts)))
-    curve[:, 0] = float(km)
-    if km:
-        np.subtract(1.0, h, out=h)
-    (np.multiply if km else np.add).reduceat(h, cuts[:-1], axis=1, out=curve[:, 1:])
-    (np.cumprod if km else np.cumsum)(curve, axis=1, out=curve)
+    curve = np.empty((increments.shape[0], len(cuts)))
+    curve[:, 0] = float(product)
+    (np.multiply if product else np.add).reduceat(
+        increments[:, :cuts[-1]], cuts[:-1], axis=1, out=curve[:, 1:]
+    )
+    (np.cumprod if product else np.cumsum)(curve, axis=1, out=curve)
     return curve[:, np.searchsorted(cuts, positions)]
 
 
-def _at_grid(curves: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Running curves (B, K) over K sorted points read after the first
-    ``positions`` points of each grid point; 0 before the first."""
-    if curves.shape[1] == 0:
-        return np.zeros((curves.shape[0], positions.size))
-    read = curves[:, np.maximum(positions - 1, 0)]
-    read[:, positions == 0] = 0.0
-    return read
+def _survival_curve(deaths: np.ndarray, at_risk: np.ndarray, km: bool,
+                    positions: np.ndarray) -> np.ndarray:
+    """Nelson-Aalen (running sum of the hazard increments) or, with
+    ``km``, Kaplan-Meier (running product of 1 - increment) curves of
+    deaths and at risk (B, K), ``_running`` at positions, (B, G)."""
+    last = positions.max(initial=0)
+    h = _hazard(deaths[:, :last], at_risk[:, :last])
+    return _running(np.subtract(1.0, h, out=h) if km else h, positions, km)
 
 
 def _resolve_grid(config: ExperimentConfig, z: np.ndarray, default_probs, tau=None):
@@ -504,10 +496,10 @@ def _wilcoxon_residuals(z, sizes, grid):
         f1 = np.cumsum(bins[0], axis=1) / n1
         df2 = bins[1] / (N - n1)
         alpha, dbeta = root * (f1 - h), root * (df2 - dh)
-        # derivative: int H_n d(beta) + int alpha dH_n
-        linear = np.cumsum(h * dbeta + alpha * dh, axis=1)
-        change = root * (np.cumsum(f1 * df2, axis=1) - np.cumsum(h * dh))
-        return np.abs(_at_grid(change - linear, positions)).max(axis=1)
+        # change minus the derivative int H_n d(beta) + int alpha dH_n,
+        # increment by increment
+        steps = root * (f1 * df2 - h * dh) - (h * dbeta + alpha * dh)
+        return np.abs(_running(steps, positions)).max(axis=1)
 
     return _Counter(labels, K), residuals
 
@@ -521,20 +513,22 @@ def _survival_residuals(scenario, z, delta, sizes, tau, grid):
     events, counter = _survival_counter(z, delta, tau)
     N = z.size
     root = math.sqrt(N)
-    deaths, at_risk = (c[0] for c in counter.finish(counter.pooled_bins()[None]))
+    deaths, at_risk = counter.finish(counter.pooled_bins()[None])
     km = scenario != "survival-na"
-    terminal = deaths == at_risk
+    terminal = deaths[0] == at_risk[0]
     if km and terminal.any():
         raise DomainError(
             f"derivative undefined: jump of exactly -1 at time {events[terminal][0]}"
         )
-    hn = _hazard(deaths, at_risk)
-    curve_n = _survival_curve(deaths, at_risk, km)
-    dbar, rbar = deaths / N, at_risk / N
-    # the RMST integrates levels at the events below tau up to the next event or tau
+    # the RMST integrates the levels after each event below tau up to the
+    # next event or tau; the other maps are read at the grid
     below = np.searchsorted(events, tau, side="left")
     widths = np.diff(np.append(events[:below], tau))
-    positions = np.searchsorted(events, grid, side="right")
+    rmst = scenario == "rmst"
+    positions = np.arange(1, below + 1) if rmst else np.searchsorted(events, grid, side="right")
+    hn = _hazard(deaths, at_risk)
+    curve_n = _survival_curve(deaths, at_risk, km, positions)
+    dbar, rbar = deaths / N, at_risk / N
 
     def residuals(bins):
         out = []
@@ -546,18 +540,15 @@ def _survival_residuals(scenario, z, delta, sizes, tau, grid):
             dbeta = root * (d / n - dbar)
             # chain rule: int (1/r) d(beta) - int alpha / r^2 d(uncensored)
             dlam = dbeta / rbar - alpha * dbar / rbar**2
-            change = root * (_survival_curve(d, r, km) - curve_n)
             if km:
-                # Duhamel form of the product-integral derivative
-                # (Gill & Johansen 1990)
-                linear = -curve_n * np.cumsum(dlam / (1.0 - hn), axis=1)
+                # change minus the Duhamel form of the product-integral
+                # derivative (Gill & Johansen 1990)
+                residual = (root * (_survival_curve(d, r, True, positions) - curve_n)
+                            + curve_n * _running(dlam / (1.0 - hn), positions))
             else:
-                linear = np.cumsum(dlam, axis=1)
-            residual = change - linear
-            if scenario == "rmst":
-                out.append(np.abs((residual[:, :below] * widths).sum(axis=1)))
-            else:
-                out.append(np.abs(_at_grid(residual, positions)).max(axis=1))
+                residual = _running(root * (_hazard(d, r) - hn) - dlam, positions)
+            out.append(np.abs((residual * widths).sum(axis=1)) if rmst
+                       else np.abs(residual).max(axis=1))
         return np.max(out, axis=0)
 
     return counter, residuals
@@ -581,7 +572,7 @@ def _ladder_residuals(config: LinearizationConfig, sizes, seed: SeedSpec) -> np.
         raise ContractError("the Wilcoxon scenario needs exactly two groups")
     _data, z, delta, tau, _retries = _sample(config, sizes, seed, not wilcoxon)
     top = 0.9 if wilcoxon else config.tau_quantile - 0.1
-    grid = np.quantile(z, np.linspace(0.1, top, config.grid_points))
+    grid = np.quantile(z, np.linspace(0.1, top, _LADDER_GRID_POINTS))
     if wilcoxon:
         counter, residuals = _wilcoxon_residuals(z, sizes, grid)
     else:

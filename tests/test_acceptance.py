@@ -14,6 +14,7 @@ from permboot.functionals import (
     kaplan_meier,
     product_integral,
     rmst,
+    wilcoxon_curve,
 )
 from permboot.empirical import at_risk_process, uncensored_subdist
 from permboot.resampling import (
@@ -26,6 +27,8 @@ from permboot.resampling import (
 )
 from permboot.stepfn import StepFn, affine_combine
 from permboot.counterexample import (
+    counterexample_family,
+    counterexample_limit,
     hadamard_ratio_check,
     increment_condition_probe,
     inverse_counterexample,
@@ -286,8 +289,9 @@ def test_criterion_8_counterexample():
         for r in rows
     )
     probe_ok = all(
-        increment_condition_probe("counterexample", n, 1) == 1.0 for n in ns
-    ) and all(increment_condition_probe("identity", n, 1) == 0.0 for n in ns)
+        increment_condition_probe(counterexample_family, n, 1) == 1.0 for n in ns
+    ) and all(increment_condition_probe(lambda n: counterexample_limit(), n, 1) == 0.0
+              for n in ns)
     _verdict(
         8,
         table_ok and probe_ok,
@@ -299,11 +303,11 @@ def test_criterion_8_counterexample():
 def test_criterion_9_hadamard_ratio_convergence():
     n_values = (4, 16, 64, 256, 1024)
     ratios = {}
-    for name, seqs in (
-        ("wilcoxon", wilcoxon_ratio_sequences(n_values)),
-        ("product-integral", prodint_ratio_sequences(n_values)),
+    for name, fn, seqs in (
+        ("wilcoxon", lambda th: wilcoxon_curve(*th), wilcoxon_ratio_sequences(n_values)),
+        ("product-integral", product_integral, prodint_ratio_sequences(n_values)),
     ):
-        devs = hadamard_ratio_check(name, *seqs)
+        devs = hadamard_ratio_check(fn, *seqs)
         ratios[name] = devs[0] / devs[-1]
     ok = all(r >= 4 for r in ratios.values())
     _verdict(

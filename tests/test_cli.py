@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import stat
+import sys
 import tempfile
 from pathlib import Path
 
@@ -512,6 +513,43 @@ def test_overflowing_config_number_is_data_error(tmp_path, capsys, case, token):
     cfg.write_text(json.dumps(make(1234.5)).replace("1234.5", token))
     assert run([subcommand, "--config", cfg, *_OUTPUTS[subcommand](tmp_path)]) == EXIT_DATA
     assert f"c.json: invalid JSON ({token} is not a JSON number)" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("token, digits", [
+    ("1" + "0" * 400, 401), ("-" + "9" * 400, 400), ("9" * 5000, 5000),
+], ids=["401-digits", "negative-400-digits", "5000-digits"])
+@pytest.mark.parametrize("case", ["simulate-rate", "kernel-grid", "verify-grid"])
+def test_oversized_config_integer_is_data_error(tmp_path, capsys, case, token, digits):
+    # JSON integers are unbounded, but one beyond the largest double
+    # cannot become a rate or a grid point (and int() refuses more than
+    # 4300 digits)
+    subcommand, make = _NON_FINITE_DOCS[case]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(make(1234.5)).replace("1234.5", token))
+    assert run([subcommand, "--config", cfg, *_OUTPUTS[subcommand](tmp_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"c.json: invalid JSON (an integer of {digits} digits is too large for a double)" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_seed_bound_is_the_largest_double(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    for seed, code in [(2**128, EXIT_OK), (int(sys.float_info.max), EXIT_OK),
+                       (int(sys.float_info.max) + 1, EXIT_DATA)]:
+        cfg.write_text(json.dumps(dict(_SIMULATE, seed={"master_seed": seed})))
+        assert run(["simulate", "--config", cfg, "--output", tmp_path / "d.csv"]) == code
+    assert "an integer of 309 digits is too large for a double" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("draws", [1, 50, 99])
+def test_too_few_draws_is_data_error(tmp_path, capsys, draws):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(_SURVIVAL_VERIFY, draws=draws)))
+    assert run(["verify", "--config", cfg, *_OUTPUTS["verify"](tmp_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"invalid config at $.draws: {draws} is less than the minimum of" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 

@@ -16,7 +16,7 @@ from permboot.config import (
     ToleranceSpec,
     load_config_schema,
 )
-from permboot.empirical import LambdaVector
+from permboot.empirical import LambdaVector, Mode
 from permboot.errors import ContractError, DataError
 from permboot.limits import KernelKind, PlainPopulation, exponential_survival_population
 from permboot.resampling import ResampleKind, SeedSpec
@@ -291,6 +291,10 @@ _SURVIVAL_KERNEL = dict(
     _KERNEL, kind=KernelKind.PERM_SURVIVAL_NA, tau=2.0,
     population=exponential_survival_population([1.0, 1.5], [0.5, 0.5], (0.5, 0.5), 2.0),
 )
+_SIMULATE = dict(
+    mode=Mode.SURVIVAL, group_laws=(Law.exponential(1.0),) * 2, sizes=(10, 10),
+    censoring_laws=None, seed=SeedSpec(1),
+)
 _LADDER = dict(
     scenario="survival-km", group_laws=(Law.exponential(1.0),) * 2, ladder=((20, 20),),
     draws=5, resample_kind=ResampleKind.PERMUTATION, seed=SeedSpec(1),
@@ -303,6 +307,9 @@ _LADDER = dict(
     (ExperimentConfig, dict(_PLAIN, grid={"pooled_quantiles": ()})),
     (ExperimentConfig, dict(_PLAIN, grid={"pooled_quantiles": (0.5, 1.5)})),
     (ExperimentConfig, dict(_PLAIN, grid={"pooled_quantiles": (-0.1,)})),
+    # the schema's open interval: pooled quantiles 0 and 1 are rejected
+    (ExperimentConfig, dict(_PLAIN, grid={"pooled_quantiles": (0.0, 0.5)})),
+    (ExperimentConfig, dict(_PLAIN, grid={"pooled_quantiles": (0.5, 1.0)})),
     (ExperimentConfig, dict(_PLAIN, grid=[0.5, 1.0])),  # a list, not a tuple
     (ExperimentConfig, dict(_PLAIN, grid="deciles")),
     (ExperimentConfig, dict(_PLAIN, grid={"quantiles": (0.5,)})),
@@ -310,7 +317,6 @@ _LADDER = dict(
     (ExperimentConfig, dict(_SURVIVAL, tau_quantile=-0.5)),
     (ExperimentConfig, dict(_SURVIVAL, tau_quantile=1.0)),
     (LinearizationConfig, dict(_LADDER, draws=0)),
-    (LinearizationConfig, dict(_LADDER, grid_points=0)),
     (LinearizationConfig, dict(_LADDER, tau_quantile=0.1)),
     (LinearizationConfig, dict(_LADDER, tau_quantile=0.05)),
     (LinearizationConfig, dict(_LADDER, tau_quantile=1.2)),
@@ -339,6 +345,8 @@ _LADDER = dict(
     (KernelConfig, dict(_SURVIVAL_KERNEL, kind=KernelKind.BOOT_KM, grid=(2.5, 0.5))),
     # built directly, a group-count mismatch stays a ContractError (from a file: DataError)
     (ExperimentConfig, dict(_PLAIN, sizes=(20, 20, 20))),
+    (SimulateConfig, dict(_SIMULATE, sizes=(10, 10, 10))),
+    (SimulateConfig, dict(_SIMULATE, censoring_laws=(Law.none(),) * 3)),
     (exponential_survival_population, dict(fail_rates=[1.0], cens_rates=[0.5, 0.5],
                                            lambdas=(0.5, 0.5), tau=2.0)),
 ])
@@ -347,6 +355,13 @@ def test_library_configs_reject_bad_values(make, fields):
     # reject what would otherwise fail later inside numpy
     with pytest.raises(ContractError):
         make(**fields)
+
+
+def test_simulate_config_built_directly_checks_itself():
+    # as from a file: no censoring laws means no censoring
+    cfg = SimulateConfig(**_SIMULATE)
+    assert cfg.censoring_laws == (Law.none(),) * 2
+    assert cfg.simulate().sizes == (10, 10)
 
 
 def test_kernel_grid_may_reach_tau():

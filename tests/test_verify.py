@@ -18,6 +18,7 @@ from permboot.functionals import (
     km_derivative,
     na_derivative,
     nelson_aalen,
+    product_integral,
     rmst,
     wilcoxon_curve,
     wilcoxon_derivative,
@@ -133,7 +134,7 @@ def test_config_schema_rejects_garbage():
 
 
 def test_config_invariants():
-    with pytest.raises(ContractError):
+    with pytest.raises(DataError, match="50 is less than the minimum of 100"):
         ExperimentConfig.from_dict(_base_config(draws=50))  # B >= 100
     with pytest.raises((ContractError, DataError)):
         ExperimentConfig.from_dict(_base_config(sizes=[1, 30]))
@@ -1007,8 +1008,8 @@ _READER_CASES = {
 @pytest.mark.parametrize("dyadic", [False, True], ids=["counts", "dyadic"])
 @pytest.mark.parametrize("km", [False, True], ids=["na", "km"])
 def test_grid_reader_matches_the_full_curve(case, dyadic, km):
-    # the Monte Carlo's reader at the grid against the full running sum
-    # or product over every event time, read at the grid; the two only
+    # the one reader at the grid against the full running sum or product
+    # over every event time, read at the grid; the two only
     # associate the same increments differently, so they agree exactly
     # where the increments and their sums are dyadic
     K, positions = _READER_CASES[case]
@@ -1019,8 +1020,9 @@ def test_grid_reader_matches_the_full_curve(case, dyadic, km):
     deaths = rng.integers(0, at_risk // 2 + 1)
     if K:
         deaths[0, 4] = at_risk[0, 4] = 4
-    full = verify_module._at_grid(verify_module._survival_curve(deaths, at_risk, km), positions)
-    full[:, positions == 0] = float(km)
+    h = verify_module._hazard(deaths, at_risk)
+    running = (np.cumprod if km else np.cumsum)(1.0 - h if km else h, axis=1)
+    full = np.hstack([np.full((B, 1), float(km)), running])[:, positions]
     fast = verify_module._survival_curve(deaths, at_risk, km, positions)
     assert fast.shape == (B, positions.size)
     if dyadic:
@@ -1156,7 +1158,7 @@ def _stepfn_ladder_residuals(config, sizes, seed):
         phi = lambda at_risk, uc: functional(HazardBundle(at_risk, uc, tau))
         dphi = lambda alpha, beta: derivative(pooled, alpha, beta)
         units = lambda fns: fns
-    grid = np.quantile(z, np.linspace(0.1, top, config.grid_points))
+    grid = np.quantile(z, np.linspace(0.1, top, verify_module._LADDER_GRID_POINTS))
     root = math.sqrt(data.N)
     base = phi(*theta_n)
 
@@ -1319,12 +1321,12 @@ def test_ladder_residual_medians_shrink_like_inverse_root_n(scenario, kind):
 # -- ratio checks and the counterexample -------------------------------
 
 def test_wilcoxon_ratio_deviations_shrink():
-    devs = hadamard_ratio_check("wilcoxon", *wilcoxon_ratio_sequences())
+    devs = hadamard_ratio_check(lambda th: wilcoxon_curve(*th), *wilcoxon_ratio_sequences())
     assert all(b < a for a, b in zip(devs, devs[1:]))
 
 
 def test_prodint_ratio_deviations_shrink():
-    devs = hadamard_ratio_check("product-integral", *prodint_ratio_sequences())
+    devs = hadamard_ratio_check(product_integral, *prodint_ratio_sequences())
     assert all(b < a for a, b in zip(devs, devs[1:]))
 
 
@@ -1345,13 +1347,7 @@ def test_ratio_check_rejects_sequences_of_other_lengths(lengths):
     theta_seq, h_seq, t_seq, ref = prodint_ratio_sequences()
     seqs = [seq[:n] for seq, n in zip((theta_seq, h_seq, t_seq), lengths)]
     with pytest.raises(ContractError, match="differ in length: %d, %d and %d" % lengths):
-        hadamard_ratio_check("product-integral", *seqs, ref)
-
-
-def test_ratio_check_rejects_an_unknown_functional():
-    known = r"'mystery'; known: \['product-integral', 'wilcoxon'\]"
-    with pytest.raises(ContractError, match=known):
-        hadamard_ratio_check("mystery", *prodint_ratio_sequences())
+        hadamard_ratio_check(product_integral, *seqs, ref)
 
 
 def test_piecewise_linear_ops():
@@ -1386,15 +1382,13 @@ def test_counterexample_quantile_is_one():
 
 def test_increment_probe_values():
     for n in (1, 4, 25, 100, 10000):
-        assert increment_condition_probe("counterexample", n, 1) == 1.0
-        assert increment_condition_probe("identity", n, 1) == 0.0
+        assert increment_condition_probe(counterexample_family, n, 1) == 1.0
+        assert increment_condition_probe(lambda n: counterexample_limit(), n, 1) == 0.0
     # sub-unit windows scale linearly; wide windows saturate at 1
-    assert increment_condition_probe("counterexample", 25, Fraction(1, 2)) == 0.5
-    assert increment_condition_probe("counterexample", 25, 3) == 1.0
+    assert increment_condition_probe(counterexample_family, 25, Fraction(1, 2)) == 0.5
+    assert increment_condition_probe(counterexample_family, 25, 3) == 1.0
     with pytest.raises(ContractError):
-        increment_condition_probe("mystery", 4, 1)
-    with pytest.raises(ContractError):
-        increment_condition_probe("identity", 4, 0)
+        increment_condition_probe(lambda n: counterexample_limit(), 4, 0)
 
 
 @pytest.mark.parametrize("n", [0, -4])

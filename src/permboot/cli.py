@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain
+from bisect import bisect_right
+
+import numpy as np
 
 from .config import ExperimentConfig, KernelConfig, SimulateConfig, read_config, with_master_seed
 from .counterexample import counterexample_family, increment_condition_probe, inverse_counterexample
@@ -65,21 +67,22 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     data = read_csv(args.input, Mode.SURVIVAL)
-    tau = args.tau if args.tau is not None else max(z for g in data.groups for z, _d in g)
+    tau = args.tau if args.tau is not None else _largest(data.values)
     curves = ["group,time,na,km\n"]
     summary_groups = []
     for j, g in enumerate(data.groups, start=1):
-        bundle = HazardBundle(at_risk_process(g), uncensored_subdist(g), tau)
-        lam = nelson_aalen(bundle)
+        at_risk = at_risk_process(g)
+        lam = nelson_aalen(HazardBundle(at_risk, uncensored_subdist(g), tau))
         surv = km_from_hazard(lam)
-        times = sorted({z for z, _d in g if z <= tau})
-        cells = chain.from_iterable(zip(times, lam.evaluate(times), surv.evaluate(times)))
-        curves.append(f"{j},%.17g,%.17g,%.17g\n" * len(times) % tuple(cells))
+        # the distinct times up to tau
+        times = at_risk.breakpoints[:bisect_right(at_risk.breakpoints, tau)]
+        cells = np.column_stack((times, lam.evaluate(times), surv.evaluate(times)))
+        curves.append(f"{j},%.17g,%.17g,%.17g\n" * len(times) % tuple(cells.ravel().tolist()))
         summary_groups.append(
             {
                 "group": j,
-                "n": len(g),
-                "events": sum(d for _z, d in g),
+                "n": g.times.size,
+                "events": int(g.status.sum()),
                 "na_at_tau": lam(min(tau, lam.hi)),
                 "km_at_tau": surv(min(tau, surv.hi)),
                 "rmst": rmst(surv, tau),
@@ -93,6 +96,11 @@ def _cmd_analyze(args) -> int:
         sys.stdout.write(text)
     _progress(f"analyzed {data.m} groups; curves -> {args.output_curves}")
     return EXIT_OK
+
+
+def _largest(times) -> float:
+    """The first of the largest times, as Python's ``max`` picks it."""
+    return times[times.argmax()].item()
 
 
 # -- kernel ------------------------------------------------------------
@@ -189,7 +197,7 @@ def _cmd_dump_fn(args) -> int:
     elif args.fn == "uncensored":
         fn = uncensored_subdist(obs)
     else:
-        tau = args.tau if args.tau is not None else max(z for z, _d in obs)
+        tau = args.tau if args.tau is not None else _largest(obs.times)
         bundle = HazardBundle(at_risk_process(obs), uncensored_subdist(obs), tau)
         fn = nelson_aalen(bundle) if args.fn == "na" else kaplan_meier(bundle)
     text = fn.to_text()

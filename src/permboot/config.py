@@ -252,6 +252,15 @@ def _check_one_law_per_group(doc: dict) -> None:
     _check_one_per_group("law", doc, keys, len(doc["sizes"]))
 
 
+def _check_sizes_fit(doc: dict) -> None:
+    """Raise a DataError unless the pooled sample of ``doc["sizes"]``
+    has at most as many observations as a numpy array can index."""
+    total, limit = sum(doc["sizes"]), np.iinfo(np.intp).max
+    if total > limit:
+        raise DataError(f"sizes total {total} observations, more than the {limit} "
+                        "a numpy array can hold")
+
+
 def _seed(d: dict) -> SeedSpec:
     return SeedSpec(int(d["master_seed"]), int(d.get("stream_id", 0)))
 
@@ -335,22 +344,20 @@ def _censoring_or_none(censoring_laws, m: int) -> tuple:
 
 def simulate_plain_groups(group_laws, sizes, rng) -> MultiSampleData:
     """Groups of values, each drawn from its law in turn from rng."""
-    return MultiSampleData(
-        tuple(tuple(law.sample(rng, n).tolist()) for law, n in zip(group_laws, sizes))
-    )
+    values = [law.sample(rng, n) for law, n in zip(group_laws, sizes)]
+    return MultiSampleData.from_columns(np.concatenate(values), sizes)
 
 
 def simulate_survival_groups(group_laws, censoring_laws, sizes, rng) -> MultiSampleData:
     """Right-censored groups of (min(X, C), 1{X <= C}) pairs; each group
     draws its failure times X, then its censoring times C, from rng."""
-    groups = []
+    times, status = [], []
     for law, cens, n in zip(group_laws, censoring_laws, sizes):
         x = law.sample(rng, n)
         c = cens.sample(rng, n)
-        groups.append(
-            tuple(zip(np.minimum(x, c).tolist(), (x <= c).astype(int).tolist()))
-        )
-    return MultiSampleData(tuple(groups))
+        times.append(np.minimum(x, c))
+        status.append(x <= c)
+    return MultiSampleData.from_columns(np.concatenate(times), sizes, np.concatenate(status))
 
 
 # -- simulate and kernel -----------------------------------------------
@@ -377,6 +384,7 @@ class SimulateConfig:
     def from_dict(cls, d: dict) -> "SimulateConfig":
         validate(d, "simulate_config")
         _check_one_law_per_group(d)
+        _check_sizes_fit(d)
         return cls(
             mode=Mode(d["mode"]),
             group_laws=tuple(Law.from_dict(law) for law in d["group_laws"]),
@@ -556,6 +564,7 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         validate(d)
         _check_one_law_per_group(d)
+        _check_sizes_fit(d)
         cens = d.get("censoring_laws")
         grid = d.get("grid", "pooled-deciles")
         if isinstance(grid, list):

@@ -143,24 +143,31 @@ def wilcoxon_derivative(A: StepFn, B: StepFn, alpha: StepFn, beta: StepFn) -> St
 
 # -- Nelson-Aalen ------------------------------------------------------
 
-def _safe_at_risk(at_risk: StepFn, points=()):
-    """u -> 1 / at_risk(u), SingularityError where nobody is at risk; the
-    at-risk levels at ``points`` come from one ``evaluate``."""
-    known = dict(zip(points, at_risk.evaluate(points)))
-
-    def g(u):
-        r = known[u] if u in known else at_risk(u)
-        if r <= 0:
-            raise SingularityError(f"empty risk set at time {u}", at=u)
-        return 1 / r
-
-    return g
+def _inverse_at_risk(r, u):
+    """1 / r, the inverse of the at-risk level r at time u;
+    SingularityError where nobody is at risk."""
+    if r <= 0:
+        raise SingularityError(f"empty risk set at time {u}", at=u)
+    return 1 / r
 
 
 def nelson_aalen(bundle: HazardBundle) -> StepFn:
     """Cumulative hazard with jump d(u)/r(u) at each event time u <= tau."""
     huc = restrict(bundle.uncensored, bundle.tau)
-    return integral_curve(_safe_at_risk(bundle.at_risk, huc.breakpoints), huc, jump_at_zero=True)
+    at_risk = bundle.at_risk
+    levels = at_risk.evaluate(huc.breakpoints)
+    # the [0, .] convention: deaths at 0 are huc's base
+    base = _inverse_at_risk(at_risk(0), 0) * huc.base if huc.base != 0 else 0
+    return StepFn(
+        base=base,
+        breakpoints=huc.breakpoints,
+        jumps=tuple(
+            _inverse_at_risk(r, u) * j for u, r, j in zip(huc.breakpoints, levels, huc.jumps)
+        ),
+        lo=huc.lo,
+        hi=huc.hi,
+        convention=RIGHT,
+    )
 
 
 def na_derivative(bundle: HazardBundle, alpha: StepFn, beta: StepFn) -> StepFn:
@@ -173,7 +180,9 @@ def na_derivative(bundle: HazardBundle, alpha: StepFn, beta: StepFn) -> StepFn:
     huc = restrict(bundle.uncensored, bundle.tau)
     beta_r = restrict(beta, bundle.tau) if beta.hi != bundle.tau else beta
     r = bundle.at_risk
-    inv = _safe_at_risk(r)
+
+    def inv(u):
+        return _inverse_at_risk(r(u), u)
 
     def neg_alpha_over_r2(u):
         return -alpha(u) * inv(u) ** 2

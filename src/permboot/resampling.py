@@ -43,7 +43,14 @@ from itertools import permutations as _iter_permutations
 
 import numpy as np
 
-from .empirical import Mode, MultiSampleData, at_risk_process, ecdf, uncensored_subdist
+from .empirical import (
+    Mode,
+    MultiSampleData,
+    SurvivalColumns,
+    at_risk_process,
+    ecdf,
+    uncensored_subdist,
+)
 from .errors import ContractError
 from .stepfn import StepFn
 
@@ -85,20 +92,23 @@ class SeedSpec:
         return np.random.default_rng(seq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResampleDraw:
+    """One draw: the pooled index each position takes, as a read-only
+    integer array."""
+
     kind: ResampleKind
-    assignment: tuple
+    assignment: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(int(i) for i in self.assignment))
+        a = np.array(self.assignment, dtype=np.intp)
+        a.flags.writeable = False
+        object.__setattr__(self, "assignment", a)
         if self.kind is ResampleKind.PERMUTATION:
-            if sorted(self.assignment) != list(range(len(self.assignment))):
+            if not np.array_equal(np.sort(a), np.arange(a.size)):
                 raise ContractError("permutation assignment must be a bijection")
-        else:
-            n = len(self.assignment)
-            if any(not 0 <= i < n for i in self.assignment):
-                raise ContractError("bootstrap assignment indices out of range")
+        elif ((a < 0) | (a >= a.size)).any():
+            raise ContractError("bootstrap assignment indices out of range")
 
 
 def all_permutations(N: int) -> np.ndarray:
@@ -192,10 +202,11 @@ def resampled_group_fns(data: MultiSampleData, draw: ResampleDraw):
         )
     out = []
     for j in range(data.m):
-        obs = [data.pooled[i] for i in draw.assignment[data.group_slice(j)]]
+        drawn = draw.assignment[data.group_slice(j)]
         if data.mode is Mode.PLAIN:
-            out.append(ecdf(obs))
+            out.append(ecdf(data.values[drawn]))
         else:
+            obs = SurvivalColumns(data.values[drawn], data.status[drawn])
             out.append((at_risk_process(obs), uncensored_subdist(obs)))
     return out
 

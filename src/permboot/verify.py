@@ -283,17 +283,17 @@ def _sample(config, sizes, seed: SeedSpec, survival: bool, tau=None):
     default the pooled ``config.tau_quantile`` quantile).
 
     Returns (the data, pooled values or times z, censoring indicators
-    delta as floats 0/1, tau, retries); delta and tau are None for plain
-    data.
+    delta as 0/1 integers, tau, retries); delta and tau are None for
+    plain data.
     """
     if not survival:
         data = simulate_plain_groups(config.group_laws, sizes, seed.child(0).rng())
-        return data, np.array(data.pooled), None, None, 0
+        return data, data.values, None, None, 0
     for retries in range(_MAX_DATASET_RETRIES + 1):
         data = simulate_survival_groups(
             config.group_laws, config.censoring_laws, sizes, seed.child(0, retries).rng()
         )
-        z, delta = np.array(data.pooled).T
+        z, delta = data.pooled
         t = tau if tau is not None else float(np.quantile(z, config.tau_quantile))
         if all(z[data.group_slice(j)].max() >= t for j in range(data.m)):
             return data, z, delta, t, retries

@@ -553,6 +553,20 @@ def test_too_few_draws_is_data_error(tmp_path, capsys, draws):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+@pytest.mark.parametrize("subcommand, doc", [("simulate", _SIMULATE), ("verify", _SURVIVAL_VERIFY)])
+@pytest.mark.parametrize("sizes", [[10**20, 3], [2**62, 2**62]], ids=["1e20", "2^63"])
+def test_sizes_beyond_an_array_index_are_data_error(tmp_path, capsys, subcommand, doc, sizes):
+    # a pooled sample of more than np.iinfo(np.intp).max observations
+    # cannot be a numpy array
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(doc, sizes=sizes)))
+    assert run([subcommand, "--config", cfg, *_OUTPUTS[subcommand](tmp_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: sizes total {sum(sizes)} observations, more than the {2**63 - 1}" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 _EXP3 = [{"kind": "exponential", "rate": 1.0}] * 3
 
 

@@ -1,12 +1,13 @@
 """The CLI's bulk data path against the per-row and per-point code it
 replaced.
 
-``read_csv`` parses in one ``csv.reader`` pass, ``write_csv`` and the
-curves file of ``analyze`` format a group at a time, and ``analyze``
-evaluates its curves with ``StepFn.evaluate``.  The oracles below are
-the ``csv.DictReader`` reader, the ``csv.writer`` writer and the
-per-point ``analyze`` loop they replaced.  The reader oracle also
-carries the input rules added with the bulk reader (short rows,
+``read_csv`` parses in one ``csv.reader`` pass into columns,
+``write_csv`` and the curves file of ``analyze`` format a group at a
+time, and ``analyze`` evaluates its curves with ``StepFn.evaluate``.
+The oracles below are the ``csv.DictReader`` reader, the ``csv.writer``
+writer and the per-point ``analyze`` loop they replaced, on tuples of
+observations and the tuple/Counter curve builders of ``oracles``.  The
+reader oracle also carries the input rules added with the bulk reader (short rows,
 non-finite numbers, physical line numbers), each marked where it is
 applied, so that its errors can be compared message for message.
 """
@@ -17,20 +18,16 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from permboot import empirical
 from permboot.cli import EXIT_OK, main
-from permboot.empirical import (
-    Mode,
-    MultiSampleData,
-    at_risk_process,
-    ecdf,
-    read_csv,
-    uncensored_subdist,
-)
+from permboot.empirical import Mode, MultiSampleData, read_csv
 from permboot.errors import ContractError, DataError
 from permboot.functionals import HazardBundle, kaplan_meier, nelson_aalen, rmst
 from permboot.jsonio import canonical_json
+import oracles
+from oracles import at_risk_process, ecdf, observations, uncensored_subdist
 
 
 # -- oracles -------------------------------------------------------------
@@ -91,23 +88,23 @@ def _oracle_write_csv(data):
     if data.mode is Mode.PLAIN:
         writer.writerow(["group", "value"])
         for j, g in enumerate(data.groups, start=1):
-            for x in g:
+            for x in observations(g):
                 writer.writerow([j, format(x, ".17g")])
     else:
         writer.writerow(["group", "time", "status"])
         for j, g in enumerate(data.groups, start=1):
-            for z, d in g:
+            for z, d in observations(g):
                 writer.writerow([j, format(z, ".17g"), d])
     return buf.getvalue()
 
 
 def _oracle_analyze(data, tau=None):
     """(curves text, summary text) from one scalar call per point."""
-    all_times = [z for z, _d in data.pooled]
+    all_times = [z for z, _d in observations(data.pooled)]
     tau = tau if tau is not None else max(all_times)
     rows = []
     summary_groups = []
-    for j, g in enumerate(data.groups, start=1):
+    for j, g in enumerate(map(observations, data.groups), start=1):
         bundle = HazardBundle(at_risk_process(g), uncensored_subdist(g), tau)
         lam = nelson_aalen(bundle)
         surv = kaplan_meier(bundle)
@@ -134,7 +131,7 @@ def _oracle_analyze(data, tau=None):
 
 
 def _oracle_dump(data, fn, group):
-    obs = data.pooled if group == 0 else data.groups[group - 1]
+    obs = observations(data.pooled if group == 0 else data.groups[group - 1])
     if fn == "ecdf":
         return ecdf(obs).to_text()
     if fn == "at-risk":
@@ -190,8 +187,33 @@ def _csv_texts(draw):
     return mode, text
 
 
+# fixed cases, each read in both modes
+_CORPUS = [
+    # quoted group labels that contain commas
+    'group,time,status,value\n"a,b",1.5,1,1.5\n"c,d",2,0,2\n"a,b",0,1,0\n',
+    # a quoted field spanning two lines before a bad row: the error names
+    # the physical line
+    'group,time,status,value,note\n1,1,1,1,"two\nlines"\n2,x,1,x,ok\n',
+    'group,time,status,value,note\r\n1,1,1,1,"two\r\nlines"\r\n2,1,1,1,ok\r\n1,2\r\n',
+    # reordered, extra and repeated columns (a repeated name reads its last copy)
+    'status,extra,value,time,group,time,value\n1,z,x,x,A,2.5,3\n0,,x,x,B,1,-4\n',
+    # blank lines
+    'group,time,status,value\n\n1,1,1,1\n\n\n2,2,0,2\n\n',
+    # a status written as " 1"
+    'group,time,status,value\n1,1, 1,1\n2,2, 1,2\n',
+]
+
+
+def _corpus_examples(test):
+    for text in _CORPUS:
+        for mode in Mode:
+            test = example((mode, text)).via("corpus")(test)
+    return test
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_csv_texts())
+@_corpus_examples
 def test_read_csv_matches_dictreader_oracle(tmp_path, case):
     mode, text = case
     path = tmp_path / "gen.csv"
@@ -204,6 +226,60 @@ def test_read_csv_matches_dictreader_oracle(tmp_path, case):
         assert str(got.value) == str(exc)
     else:
         assert read_csv(path, mode) == expected
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_texts())
+@_corpus_examples
+def test_read_csv_matches_row_loop_reader(tmp_path, case):
+    # the column reader against the reader it replaced, which checked,
+    # parsed and stored one row at a time: the same columns bit for bit,
+    # or the same error message
+    mode, text = case
+    path = tmp_path / "gen.csv"
+    path.write_bytes(text.encode())
+    try:
+        expected = oracles.read_csv(path, mode is Mode.SURVIVAL)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            read_csv(path, mode)
+        assert str(got.value) == str(exc)
+    else:
+        got = read_csv(path, mode)
+        assert got == expected
+        assert got.values.tobytes() == expected.values.tobytes()
+
+
+def _rows_past_a_chunk(bad):
+    """A survival CSV of two chunks of rows and a few more, with a blank
+    line and a two-line quoted field early on and the rows ``bad`` maps
+    from data-row index to text."""
+    n = 2 * empirical._CHUNK_ROWS + 5
+    rows = [bad.get(i, f"{1 + i % 2},{i % 7}.5,{i % 2},x") for i in range(n)]
+    rows[3] += ',"two\nlines"'
+    return "group,time,status,note\n\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("bad", [
+    {},
+    {empirical._CHUNK_ROWS + 3: "2,oops,1,x"},
+    # the last row of a chunk is bad and the next row, in the next
+    # chunk, is short: the bad row comes first
+    {empirical._CHUNK_ROWS - 1: "1,1,2,x", empirical._CHUNK_ROWS: "1,1"},
+    {empirical._CHUNK_ROWS: "1,1", 2 * empirical._CHUNK_ROWS + 1: "1,inf,1,x"},
+    {2 * empirical._CHUNK_ROWS + 4: "1,-1,1,x"},
+], ids=["valid", "bad-number", "bad-then-short", "short-then-bad", "negative-time"])
+def test_read_csv_past_the_first_chunk_matches_row_loop_reader(tmp_path, bad):
+    path = tmp_path / "long.csv"
+    path.write_text(_rows_past_a_chunk(bad))
+    try:
+        expected = oracles.read_csv(path, True)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            read_csv(path, Mode.SURVIVAL)
+        assert str(got.value) == str(exc)
+    else:
+        assert read_csv(path, Mode.SURVIVAL) == expected
 
 
 # -- CLI outputs on simulated datasets -----------------------------------
@@ -258,8 +334,8 @@ def test_simulate_and_dump_fn_match_oracles(tmp_path, seed, sizes):
 def test_analyze_matches_pointwise_oracle(tmp_path, seed, sizes):
     path = _simulate(tmp_path, "survival", seed, sizes)
     data = _oracle_read_csv(path, Mode.SURVIVAL)
-    times = sorted({z for g in data.groups for z, _d in g})
-    events = sorted({z for g in data.groups for z, d in g if d == 1})
+    times = sorted({z for z, _d in observations(data.pooled)})
+    events = sorted({z for z, d in observations(data.pooled) if d == 1})
     mid = len(times) // 2
     # default tau (the largest time), tau between two times, tau at an event
     _check_analyze(path, data, [None, (times[mid - 1] + times[mid]) / 2, events[len(events) // 2]])

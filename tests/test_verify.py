@@ -480,7 +480,7 @@ _ZERO_DEATHS = MultiSampleData((
 
 def _zero_death_counts(tau):
     """Event times <= tau, deaths and at-risk counts there, by counting."""
-    z, delta = np.array(_ZERO_DEATHS.pooled).T
+    z, delta = np.array(_ZERO_DEATHS.pooled)
     events = np.unique(z[(delta == 1) & (z <= tau)])
     deaths = np.array([np.sum((delta == 1) & (z == u)) for u in events])
     at_risk = np.array([np.sum(z >= u) for u in events])
@@ -499,7 +499,7 @@ def test_plugin_population_counts_deaths_at_time_zero():
     _z, _delta, events, deaths, at_risk = _zero_death_counts(tau)
     assert [u for u, _dl in jumps] == events.tolist()
     assert [dl for _u, dl in jumps] == pytest.approx(deaths / at_risk, rel=1e-15)
-    N = len(obs)
+    N = _ZERO_DEATHS.N
     for t in (0.0, 0.5, 1.0, 2.5, 3.0):
         seen = [(dl, at_risk[k] / N) for k, (u, dl) in enumerate(jumps) if u <= t]
         assert pop.C(t) == pytest.approx(sum((1 - dl) * dl / r for dl, r in seen), rel=1e-14)
@@ -519,7 +519,7 @@ def test_survival_counts_of_deaths_at_time_zero_match_stepfn_path():
     assert np.array_equal(d0[0], deaths) and np.array_equal(r0[0], at_risk)
     # the StepFn path: uncensored jumps (time-0 deaths in the base), the
     # at-risk curve, and Nelson-Aalen's hazard jumps
-    N = len(obs)
+    N = _ZERO_DEATHS.N
     huc = uncensored_subdist(obs)
     assert N * np.array([huc.base, *huc.jumps[:len(events) - 1]]) == pytest.approx(d0[0])
     assert N * np.array(at_risk_process(obs).evaluate(events)) == pytest.approx(r0[0])
@@ -1144,7 +1144,7 @@ def _stepfn_ladder_residuals(config, sizes, seed):
     else:
         data, z, _delta, tau, _retries = _sample(config, sizes, seed, True)
         top = config.tau_quantile - 0.1
-        obs = list(data.pooled)
+        obs = data.pooled
         pooled = HazardBundle(at_risk_process(obs), uncensored_subdist(obs), tau)
         theta_n = (pooled.at_risk, pooled.uncensored)
         functional, derivative = {

@@ -7,14 +7,15 @@ counterexample (inverse-map difference-quotient table), dump-fn (step
 functions in text form).
 
 Exit codes: 0 success, 2 usage error, 3 data error (including an
-output that cannot be written), 4 verification failure.  Outputs are
-written atomically; progress goes to stderr and stdout stays silent
-unless --stdout is given.
+output that cannot be written and sizes too large to allocate), 4
+verification failure.  Outputs are written atomically; progress goes
+to stderr and stdout stays silent unless --stdout is given.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from bisect import bisect_right
@@ -211,7 +212,9 @@ def _cmd_dump_fn(args) -> int:
 
 # -- parser ------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="permboot",
         description="Resampling empirical processes: simulation, survival "
@@ -277,7 +280,9 @@ def main(argv=None) -> int:
     except (ContractError, DomainError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:  # e.g. an output that cannot be written
+    # e.g. an output that cannot be written, or configured sizes that
+    # numpy cannot allocate
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

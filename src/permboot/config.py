@@ -345,7 +345,7 @@ def _censoring_or_none(censoring_laws, m: int) -> tuple:
 def simulate_plain_groups(group_laws, sizes, rng) -> MultiSampleData:
     """Groups of values, each drawn from its law in turn from rng."""
     values = [law.sample(rng, n) for law, n in zip(group_laws, sizes)]
-    return MultiSampleData.from_columns(np.concatenate(values), sizes)
+    return MultiSampleData(np.concatenate(values), sizes)
 
 
 def simulate_survival_groups(group_laws, censoring_laws, sizes, rng) -> MultiSampleData:
@@ -357,7 +357,7 @@ def simulate_survival_groups(group_laws, censoring_laws, sizes, rng) -> MultiSam
         c = cens.sample(rng, n)
         times.append(np.minimum(x, c))
         status.append(x <= c)
-    return MultiSampleData.from_columns(np.concatenate(times), sizes, np.concatenate(status))
+    return MultiSampleData(np.concatenate(times), sizes, np.concatenate(status))
 
 
 # -- simulate and kernel -----------------------------------------------

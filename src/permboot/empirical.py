@@ -2,14 +2,17 @@
 
 Multi-sample data are numpy columns in pooled group order: the float64
 observations (the times in survival mode), a 0/1 int8 censoring status
-column in survival mode, and the group sizes.  ``MultiSampleData``
-still accepts per-group sequences of values or (z, delta) tuples, and
-``from_columns`` takes the columns themselves.  Declared API change:
-its ``pooled`` and ``groups`` accessors return columns, not tuples of
-observations; a value array in plain mode, ``SurvivalColumns`` (times,
-status) in survival mode.  The ECDF, at-risk and uncensored
-subdistribution curves of a sample get their breakpoints and counts
-from one ``np.unique``; the survival curves also take (z, delta) rows.
+column in survival mode, and the group sizes.  Declared API change:
+``MultiSampleData(values, sizes, status=None)`` takes those columns and
+is its only constructor; per-group sequences of values or (z, delta)
+tuples are no longer accepted, and the per-group ECDF list is gone
+(take ``ecdf`` of each of ``groups``).  A bad observation is reported as its column
+holds it, so a time of -1 reads ``-1.0``.  The ``pooled`` and
+``groups`` accessors return columns: a value array in plain mode,
+``SurvivalColumns`` (times, status) in survival mode.  The ECDF,
+at-risk and uncensored subdistribution curves of a sample get their
+breakpoints and counts from one ``np.unique``; the survival curves also
+take (z, delta) rows.
 """
 
 from __future__ import annotations
@@ -53,84 +56,41 @@ class SurvivalColumns(NamedTuple):
     status: np.ndarray
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class MultiSampleData:
     """m >= 2 nonempty groups of observations, all finite reals or all
-    (z, delta) pairs with z >= 0 finite and delta in {0, 1}.
+    (z, delta) pairs with z >= 0 finite and delta in {0, 1}, as columns
+    in pooled group order.
 
     ``values`` holds every observation (every time z in survival mode)
-    in pooled group order as read-only float64, ``status`` the matching
-    read-only int8 delta in survival mode (None in plain mode), and
-    ``sizes`` the group sizes.  An invalid observation raises
-    ``ContractError`` naming the first one in group order.
+    as read-only float64, ``sizes`` the group sizes, and ``status`` the
+    matching read-only int8 delta in survival mode (None in plain mode).
+    An invalid observation raises ``ContractError`` naming the first one
+    in pooled order as its column holds it.
     """
 
     values: np.ndarray
-    status: np.ndarray | None
     sizes: tuple
+    status: np.ndarray | None = None
 
-    def __init__(self, groups):
-        """From per-group sequences of values, or of (z, delta) tuples."""
-        groups = tuple(groups)
-        _check_sizes([len(g) for g in groups])
-        censored = isinstance(groups[0][0], tuple)
-        parts, mixed = [], False
-        for j, g in enumerate(groups):
-            part = _as_rows(g, censored)
-            if part is None:
-                # the first observation of the other kind ends the data;
-                # a bad observation before it is reported first
-                k = next((i for i, x in enumerate(g) if isinstance(x, tuple) != censored), None)
-                if k is None:
-                    raise ContractError(
-                        f"group {j + 1} holds an observation that is neither a number "
-                        "nor a (time, status) pair"
-                    )
-                part, mixed = _as_rows(g[:k], censored), True
-            parts.append(part)
-            if mixed:
-                break
-        rows = np.concatenate(parts)
-        values, status = (rows[:, 0], rows[:, 1]) if censored else (rows, None)
-        ends = np.cumsum([len(p) for p in parts])
-
-        def entry(pos, column):
-            # the observation as given, so that 2 is not reported as 2.0
-            j = int(np.searchsorted(ends, pos, side="right"))
-            obs = groups[j][pos - (ends[j - 1] if j else 0)]
-            return obs[column] if censored else obs
-
-        _check_observations(values, status, entry)
-        if mixed:
-            raise ContractError("groups mix plain and censored observations")
-        self._set(values, status, tuple(len(g) for g in groups))
-
-    @classmethod
-    def from_columns(cls, values, sizes, status=None) -> "MultiSampleData":
-        """From the pooled columns: values (times), the group sizes, and
-        the 0/1 statuses in survival mode."""
-        sizes = tuple(int(n) for n in sizes)
-        _check_sizes(sizes)
-        values = np.array(values, dtype=float)
-        if status is not None:
-            status = np.array(status)
+    def __post_init__(self):
+        sizes = tuple(int(n) for n in self.sizes)
+        if len(sizes) < 2:
+            raise ContractError("need at least two groups")
+        if any(n < 1 for n in sizes):
+            raise ContractError("every group must be nonempty")
+        values = np.array(self.values, dtype=float)
+        status = None if self.status is None else np.array(self.status)
         if values.shape != (sum(sizes),) or (status is not None and status.shape != values.shape):
             raise ContractError(f"need one column of {sum(sizes)} observations for sizes {sizes}")
-        columns = (values, status)
-        _check_observations(values, status, lambda pos, column: columns[column][pos].item())
-        data = cls.__new__(cls)
-        data._set(values, status, sizes)
-        return data
-
-    def _set(self, values, status, sizes):
-        values = np.ascontiguousarray(values, dtype=float)
+        _check_observations(values, status)
         values.flags.writeable = False
         if status is not None:
             status = status.astype(np.int8)
             status.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "status", status)
         object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "status", status)
 
     def __eq__(self, other):
         if not isinstance(other, MultiSampleData):
@@ -178,46 +138,22 @@ class MultiSampleData:
         return slice(start, start + self.sizes[j])
 
 
-def _as_rows(g, censored: bool):
-    """One group's observations as floats: values (n,), or (z, delta)
-    rows (n, 2) when ``censored``; None unless every observation is a
-    number of that kind."""
-    try:
-        rows = np.asarray(g, dtype=float)
-    except (TypeError, ValueError):
-        return None
-    if censored:
-        if rows.size == 0:
-            return rows.reshape(0, 2)
-        return rows if rows.ndim == 2 and rows.shape[1] == 2 else None
-    return rows if rows.ndim == 1 else None
-
-
-def _check_sizes(sizes):
-    if len(sizes) < 2:
-        raise ContractError("need at least two groups")
-    if any(n < 1 for n in sizes):
-        raise ContractError("every group must be nonempty")
-
-
-def _check_observations(values, status, entry):
+def _check_observations(values, status):
     """Raise the ContractError of the first observation in pooled order
-    that fails a check, taking each observation's checks in order;
-    ``entry(position, 0 or 1)`` gives its value or status for the
-    message."""
+    that fails a check, taking each observation's checks in order."""
     if status is None:
-        checks = [(~np.isfinite(values), "non-finite observation {}", 0)]
+        checks = [(~np.isfinite(values), "non-finite observation {}", values)]
     else:
         checks = [
-            (values < 0, "negative observation time {}", 0),
-            (~np.isfinite(values), "non-finite observation time {}", 0),
-            ((status != 0) & (status != 1), "censoring status must be 0/1, got {}", 1),
+            (values < 0, "negative observation time {}", values),
+            (~np.isfinite(values), "non-finite observation time {}", values),
+            ((status != 0) & (status != 1), "censoring status must be 0/1, got {}", status),
         ]
     found = [(int(bad.argmax()), k) for k, (bad, _m, _c) in enumerate(checks) if bad.any()]
     if found:
         pos, k = min(found)
         _bad, message, column = checks[k]
-        raise ContractError(message.format(entry(pos, column)))
+        raise ContractError(message.format(column[pos].item()))
 
 
 @dataclass(frozen=True)
@@ -305,10 +241,6 @@ def pooled_ecdf(data: MultiSampleData) -> StepFn:
     return ecdf(data.values)
 
 
-def group_ecdfs(data: MultiSampleData) -> list:
-    return [ecdf(g) for g in data.groups]
-
-
 def at_risk_process(sample) -> StepFn:
     """Left-continuous at-risk curve t -> (1/n) sum 1{z_i >= t} on [0, inf]
     of a survival sample: ``SurvivalColumns`` or (z, delta) rows."""
@@ -378,9 +310,7 @@ def read_csv(path, mode: Mode) -> MultiSampleData:
     order = np.argsort(codes, kind="stable")
     sizes = np.bincount(codes, minlength=len(labels))
     try:
-        return MultiSampleData.from_columns(
-            values[order], sizes, None if status is None else status[order]
-        )
+        return MultiSampleData(values[order], sizes, None if status is None else status[order])
     except ContractError as exc:
         raise DataError(f"{path}: {exc}") from exc
 

@@ -1,7 +1,8 @@
 """Per-cell reference kernels for ``permboot.limits``, the per-draw
-bin counts of pooled indices for ``permboot.verify``'s counters, and
-the per-observation code that ``permboot.empirical`` replaced with
-numpy columns.
+bin counts of pooled indices for ``permboot.verify``'s counters, the
+per-observation code that ``permboot.empirical`` replaced with numpy
+columns, and ``multisample``, which builds a ``MultiSampleData`` from
+per-group tuples for tests that write their data that way.
 
 One covariance entry per call, written straight from the limit
 formulas: the group coefficient (1/lambda_i * 1{i=j} - 1 for the
@@ -172,30 +173,38 @@ def uncensored_subdist(sample) -> StepFn:
     )
 
 
-def validation_message(groups):
+def multisample(groups) -> MultiSampleData:
+    """``MultiSampleData`` of per-group sequences of values or of
+    (z, delta) tuples, concatenated into its columns; the constructor
+    does all the checking."""
+    pooled = [x for g in groups for x in g]
+    sizes = [len(g) for g in groups]
+    if pooled and isinstance(pooled[0], tuple):
+        times, status = zip(*pooled)
+        return MultiSampleData(times, sizes, status)
+    return MultiSampleData(pooled, sizes)
+
+
+def validation_message(values, sizes, status=None):
     """The ContractError message of the per-observation validation of
-    per-group sequences, the first failing check of the first bad
-    observation in group order, or None when they are valid."""
-    gs = tuple(tuple(g) for g in groups)
-    if len(gs) < 2:
+    pooled columns (numpy arrays), the first failing check of the first
+    bad observation in pooled order, or None when they are valid."""
+    if len(sizes) < 2:
         return "need at least two groups"
-    if any(len(g) == 0 for g in gs):
+    if any(n < 1 for n in sizes):
         return "every group must be nonempty"
-    censored = isinstance(gs[0][0], tuple)
-    for g in gs:
-        for x in g:
-            if isinstance(x, tuple) != censored:
-                return "groups mix plain and censored observations"
-            if censored:
-                z, d = x
-                if z < 0:
-                    return f"negative observation time {z}"
-                if not math.isfinite(z):
-                    return f"non-finite observation time {z}"
-                if d not in (0, 1):
-                    return f"censoring status must be 0/1, got {d}"
-            elif not math.isfinite(x):
-                return f"non-finite observation {x}"
+    if status is None:
+        for x in values.tolist():
+            if not math.isfinite(x):
+                return f"non-finite observation {float(x)}"
+        return None
+    for z, d in zip(values.tolist(), status.tolist()):
+        if z < 0:
+            return f"negative observation time {float(z)}"
+        if not math.isfinite(z):
+            return f"non-finite observation time {float(z)}"
+        if d not in (0, 1):
+            return f"censoring status must be 0/1, got {d}"
     return None
 
 
@@ -212,7 +221,7 @@ def read_csv(path, survival: bool) -> MultiSampleData:
     if len(groups) < 2:
         raise DataError(f"{path}: need at least two groups, found {len(groups)}")
     try:
-        return MultiSampleData(tuple(groups.values()))
+        return multisample(groups.values())
     except ContractError as exc:
         raise DataError(f"{path}: {exc}") from exc
 

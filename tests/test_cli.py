@@ -567,6 +567,20 @@ def test_sizes_beyond_an_array_index_are_data_error(tmp_path, capsys, subcommand
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+@pytest.mark.parametrize("subcommand, doc", [("simulate", _SIMULATE), ("verify", _SURVIVAL_VERIFY)])
+@pytest.mark.parametrize("sizes", [[2**55, 3], [3, 2**48]], ids=["2^55", "2^48"])
+def test_sizes_too_large_to_allocate_are_data_error(tmp_path, capsys, subcommand, doc, sizes):
+    # an array can index these, but 2^48 float64s (2 PiB) or more is
+    # beyond any address space, so the first allocation fails at once
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(doc, sizes=sizes)))
+    assert run([subcommand, "--config", cfg, *_OUTPUTS[subcommand](tmp_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error: Unable to allocate" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 _EXP3 = [{"kind": "exponential", "rate": 1.0}] * 3
 
 

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from permboot import empirical
 from permboot.cli import EXIT_OK, main
-from permboot.empirical import Mode, MultiSampleData, read_csv
+from permboot.empirical import Mode, read_csv
 from permboot.errors import ContractError, DataError
 from permboot.functionals import HazardBundle, kaplan_meier, nelson_aalen, rmst
 from permboot.jsonio import canonical_json
@@ -77,7 +77,7 @@ def _oracle_read_csv(path, mode):
     if len(order) < 2:
         raise DataError(f"{path}: need at least two groups, found {len(order)}")
     try:
-        return MultiSampleData(tuple(tuple(groups[g]) for g in order))
+        return oracles.multisample([groups[g] for g in order])
     except ContractError as exc:
         raise DataError(f"{path}: {exc}") from exc
 

@@ -13,7 +13,6 @@ from permboot.empirical import (
     SurvivalColumns,
     at_risk_process,
     ecdf,
-    group_ecdfs,
     pooled_ecdf,
     read_csv,
     uncensored_subdist,
@@ -47,7 +46,7 @@ def test_ecdf_empty_rejected():
 
 
 def test_pooled_ecdf_merge():
-    data = MultiSampleData(((1,), (3,)))
+    data = MultiSampleData([1, 3], (1, 1))
     h = pooled_ecdf(data)
     assert h(1) == 0.5 and h(3) == 1.0
 
@@ -57,8 +56,9 @@ def test_pooled_ecdf_merge():
     st.lists(st.integers(0, 9), min_size=1, max_size=8),
 )
 def test_pooled_ecdf_two_constructions_agree(g1, g2):
-    data = MultiSampleData((tuple(g1), tuple(g2)))
-    mixture = affine_combine(LambdaVector.from_sizes(data.sizes).values, group_ecdfs(data))
+    data = MultiSampleData(g1 + g2, (len(g1), len(g2)))
+    group_fns = [ecdf(g) for g in data.groups]
+    mixture = affine_combine(LambdaVector.from_sizes(data.sizes).values, group_fns)
     direct = pooled_ecdf(data)
     for t in set(g1) | set(g2) | {-1, 100}:
         assert mixture(t) == pytest.approx(direct(t), abs=1e-12)
@@ -129,26 +129,60 @@ def test_uncensored_below_ecdf(sample):
 
 def test_multisample_validation():
     with pytest.raises(ContractError):
-        MultiSampleData(((1, 2),))  # one group
+        MultiSampleData([1, 2], (2,))  # one group
     with pytest.raises(ContractError):
-        MultiSampleData(((1,), ()))  # empty group
+        MultiSampleData([1], (1, 0))  # empty group
     with pytest.raises(ContractError):
-        MultiSampleData(((1,), ((2, 1),)))  # mixed modes
+        MultiSampleData([-1, 2], (1, 1), [1, 1])  # negative time
     with pytest.raises(ContractError):
-        MultiSampleData((((-1, 1),), ((2, 1),)))  # negative time
-    with pytest.raises(ContractError):
-        MultiSampleData((((1, 2),), ((2, 1),)))  # bad status
+        MultiSampleData([1, 2], (1, 1), [2, 1])  # bad status
     nan = float("nan")
     for bad in (nan, math.inf, -math.inf):
         with pytest.raises(ContractError):
-            MultiSampleData(((bad, 1.0), (2.0,)))  # non-finite value
+            MultiSampleData([bad, 1.0, 2.0], (2, 1))  # non-finite value
     for bad in (nan, math.inf):
         with pytest.raises(ContractError):
-            MultiSampleData((((bad, 1), (1.0, 1)), ((2.0, 0),)))  # non-finite time
+            MultiSampleData([bad, 1.0, 2.0], (2, 1), [1, 1, 0])  # non-finite time
+
+
+@pytest.mark.parametrize("values, sizes, status, message", [
+    (np.ones((2, 2)), (2, 2), None, "need one column of 4 observations for sizes (2, 2)"),
+    ([1.0, 2.0, 3.0], (1, 1), None, "need one column of 2 observations for sizes (1, 1)"),
+    ([1.0], (1, 1), None, "need one column of 2 observations for sizes (1, 1)"),
+    ([1.0, 2.0], (1, 1), [1], "need one column of 2 observations for sizes (1, 1)"),
+    ([1.0, 2.0], (1, 1), [[1], [0]], "need one column of 2 observations for sizes (1, 1)"),
+    ([1.0, 2.0], (2,), None, "need at least two groups"),
+    ([1.0, 2.0], (2, 0), None, "every group must be nonempty"),
+    ([1.0, 2.0], (0, 2), [1, 0], "every group must be nonempty"),
+])
+def test_multisample_shape_checks(values, sizes, status, message):
+    with pytest.raises(ContractError) as exc:
+        MultiSampleData(values, sizes, status)
+    assert str(exc.value) == message
+
+
+def test_survival_columns_need_one_status_per_time():
+    short = SurvivalColumns(np.array([1.0, 2.0]), np.array([1]))
+    for build in (at_risk_process, uncensored_subdist):
+        with pytest.raises(ContractError) as exc:
+            build(short)
+        assert str(exc.value) == "need one status per time, got (1,) for (2,)"
+
+
+def test_multisample_columns_are_read_only_copies():
+    values, status = np.array([2.0, 1.0, 3.0]), np.array([1, 0, 1])
+    data = MultiSampleData(values, np.array([2, 1]), status)
+    values[0], status[0] = 9.0, 0
+    assert data.values.tolist() == [2.0, 1.0, 3.0] and data.status.tolist() == [1, 0, 1]
+    assert data.sizes == (2, 1) and data.status.dtype == np.int8
+    with pytest.raises(ValueError):
+        data.values[0] = 0.0
+    with pytest.raises(ValueError):
+        data.status[0] = 0
 
 
 def test_pooled_order_and_slices():
-    data = MultiSampleData(((1, 2), (3,), (4, 5, 6)))
+    data = MultiSampleData([1, 2, 3, 4, 5, 6], (2, 1, 3))
     assert data.pooled.tolist() == [1, 2, 3, 4, 5, 6]
     assert data.pooled[data.group_slice(2)].tolist() == [4, 5, 6]
 
@@ -163,7 +197,7 @@ def test_lambda_vector():
 
 
 def test_csv_roundtrip_plain(tmp_path):
-    data = MultiSampleData(((1.5, 2.25), (3.0,)))
+    data = MultiSampleData([1.5, 2.25, 3.0], (2, 1))
     p = tmp_path / "plain.csv"
     write_csv(p, data)
     back = read_csv(p, Mode.PLAIN)
@@ -171,7 +205,7 @@ def test_csv_roundtrip_plain(tmp_path):
 
 
 def test_csv_roundtrip_survival(tmp_path):
-    data = MultiSampleData((((1.0, 1), (2.0, 0)), ((3.0, 1),)))
+    data = MultiSampleData([1.0, 2.0, 3.0], (2, 1), [1, 0, 1])
     p = tmp_path / "surv.csv"
     write_csv(p, data)
     back = read_csv(p, Mode.SURVIVAL)
@@ -253,7 +287,7 @@ def test_survival_builders_match_counter_references(pairs, statuses):
 def test_group_builders_match_counter_references(groups):
     # one-observation groups included; each group's curves from its
     # column views against the curves of its tuples
-    data = MultiSampleData(tuple(tuple(g) for g in groups))
+    data = oracles.multisample(groups)
     for g, pairs in zip(data.groups, groups):
         assert oracles.observations(g) == tuple(pairs)
         assert _bits(at_risk_process(g)) == _bits(oracles.at_risk_process(pairs))
@@ -270,50 +304,47 @@ _BAD_SURVIVAL = [(1.0, 1), (0.0, 0), (2, 1), (-1, 1), (-0.5, 0), (float("nan"), 
                  (1.0, float("nan"))]
 
 
-@pytest.mark.parametrize("groups, message", [
-    (((1, 2),), "need at least two groups"),
-    (((1,), ()), "every group must be nonempty"),
-    (((1,), ((2, 1),)), "groups mix plain and censored observations"),
-    ((((2, 1),), (1,)), "groups mix plain and censored observations"),
-    ((((-1, 1),), ((2, 1),)), "negative observation time -1"),
-    ((((-math.inf, 1),), ((2, 1),)), "negative observation time -inf"),
-    ((((math.nan, 1),), ((2, 1),)), "non-finite observation time nan"),
-    ((((1, 1), (math.inf, 0)), ((2, 1),)), "non-finite observation time inf"),
-    ((((1, 2),), ((2, 1),)), "censoring status must be 0/1, got 2"),
-    ((((1, 0.5),), ((2, 1),)), "censoring status must be 0/1, got 0.5"),
-    (((1.0, math.nan), (2.0,)), "non-finite observation nan"),
-    (((1.0,), (2.0, -math.inf)), "non-finite observation -inf"),
-    # the first bad observation in group order, whatever its check
-    ((((1, 2), (-1, 1)), ((math.nan, 1),)), "censoring status must be 0/1, got 2"),
-    (((1.0, math.inf), (2.0, (1, 1))), "non-finite observation inf"),
-    (((1.0, (1, 1), math.inf), (2.0,)), "groups mix plain and censored observations"),
+@pytest.mark.parametrize("values, sizes, status, message", [
+    ([1, 2], (2,), None, "need at least two groups"),
+    ([1], (1, 0), None, "every group must be nonempty"),
+    # an observation is reported as its float64 column holds it
+    ([-1, 2], (1, 1), [1, 1], "negative observation time -1.0"),
+    ([-math.inf, 2], (1, 1), [1, 1], "negative observation time -inf"),
+    ([math.nan, 2], (1, 1), [1, 1], "non-finite observation time nan"),
+    ([1, math.inf, 2], (2, 1), [1, 0, 1], "non-finite observation time inf"),
+    ([1, 2], (1, 1), [2, 1], "censoring status must be 0/1, got 2"),
+    ([1, 2], (1, 1), [0.5, 1], "censoring status must be 0/1, got 0.5"),
+    ([1.0, math.nan, 2.0], (2, 1), None, "non-finite observation nan"),
+    ([1.0, 2.0, -math.inf], (1, 2), None, "non-finite observation -inf"),
+    # the first bad observation in pooled order, whatever its check
+    ([1, -1, math.nan], (2, 1), [2, 1, 1], "censoring status must be 0/1, got 2"),
 ])
-def test_validation_messages(groups, message):
-    assert oracles.validation_message(groups) == message
+def test_validation_messages(values, sizes, status, message):
+    values = np.array(values)
+    status = None if status is None else np.array(status)
+    assert oracles.validation_message(values, sizes, status) == message
     with pytest.raises(ContractError) as exc:
-        MultiSampleData(groups)
+        MultiSampleData(values, sizes, status)
     assert str(exc.value) == message
 
 
-@given(st.booleans(), st.lists(st.lists(st.integers(0, 13), max_size=4), min_size=1, max_size=3),
-       st.lists(st.integers(0, 13), max_size=2))
-def test_validation_names_the_first_bad_observation(survival, picks, strays):
-    # groups of valid and invalid observations of one kind, with a few
-    # of the other kind spliced in
-    own, other = (_BAD_SURVIVAL, _BAD_PLAIN) if survival else (_BAD_PLAIN, _BAD_SURVIVAL)
-    groups = [[own[k % len(own)] for k in g] for g in picks]
-    for k in strays:
-        g = groups[k % len(groups)]
-        g.insert(k % (len(g) + 1), other[k % len(other)])
-    if groups[0]:
-        # the first observation fixes the kind
-        groups[0][0] = own[0]
-    expected = oracles.validation_message(groups)
+@given(st.booleans(), st.lists(st.lists(st.integers(0, 13), max_size=4), min_size=1, max_size=3))
+def test_validation_names_the_first_bad_observation(survival, picks):
+    # groups of valid and invalid observations, concatenated into columns
+    bad = _BAD_SURVIVAL if survival else _BAD_PLAIN
+    pooled = [bad[k % len(bad)] for g in picks for k in g]
+    sizes = tuple(len(g) for g in picks)
+    if survival:
+        values = np.array([z for z, _d in pooled], dtype=float)
+        status = np.array([d for _z, d in pooled])
+    else:
+        values, status = np.array(pooled, dtype=float), None
+    expected = oracles.validation_message(values, sizes, status)
     if expected is None:
-        data = MultiSampleData(groups)
-        assert data.sizes == tuple(len(g) for g in groups)
+        data = MultiSampleData(values, sizes, status)
+        assert data.sizes == sizes
         assert data.mode is (Mode.SURVIVAL if survival else Mode.PLAIN)
     else:
         with pytest.raises(ContractError) as exc:
-            MultiSampleData(groups)
+            MultiSampleData(values, sizes, status)
         assert str(exc.value) == expected

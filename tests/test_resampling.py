@@ -24,11 +24,11 @@ from permboot.resampling import (
 )
 from permboot.stepfn import affine_combine
 from permboot.verify import _indicator_counter
-from oracles import binned
+from oracles import binned, multisample
 
 
 def _plain(groups):
-    return MultiSampleData(tuple(tuple(g) for g in groups))
+    return multisample(groups)
 
 
 def test_seedspec_determinism():
@@ -94,7 +94,7 @@ def test_draw_length_mismatch():
 
 
 def test_survival_pairs_travel_atomically():
-    data = MultiSampleData((((1.0, 1), (2.0, 0)), ((3.0, 1),)))
+    data = MultiSampleData([1.0, 2.0, 3.0], (2, 1), [1, 0, 1])
     swapish = ResampleDraw(ResampleKind.PERMUTATION, (2, 1, 0))
     pairs = resampled_group_fns(data, swapish)
     hbar, huc = pairs[1]

@@ -71,7 +71,7 @@ from permboot.verify import (
     _survival_scenario,
 )
 import permboot.verify as verify_module
-from oracles import binned, perm_coeff
+from oracles import binned, multisample, perm_coeff
 from test_imports import _fresh_python
 from test_resampling import _RngRecorder
 
@@ -283,7 +283,7 @@ def test_exhaustive_matches_manual_enumeration():
     vals = np.concatenate([
         Law.uniform(0, 1).sample(rng, 2), Law.uniform(0, 1).sample(rng, 2)
     ])
-    data = MultiSampleData(((vals[0], vals[1]), (vals[2], vals[3])))
+    data = MultiSampleData(vals, (2, 2))
     hn = pooled_ecdf(data)
     grid = np.quantile(vals, np.linspace(0.1, 0.9, 9))
     rows = []
@@ -472,7 +472,7 @@ def test_survival_analytic_kernel_is_the_exponential_kernel(scenario, resample_k
 
 # deaths at time 0 are tied, two of them in group 1, and a time-0
 # censoring is still at risk there
-_ZERO_DEATHS = MultiSampleData((
+_ZERO_DEATHS = multisample((
     ((0.0, 1), (0.0, 1), (0.0, 0), (1.0, 1), (2.0, 0), (3.0, 1)),
     ((0.0, 1), (1.0, 1), (1.0, 0), (2.0, 1), (4.0, 1)),
 ))
@@ -1074,7 +1074,7 @@ def test_survival_statistic_matches_stepfn_functionals(scenario, resample_kind, 
 
 def test_linearization_evaluation_functional_residual_zero():
     # evaluation at a point is linear, so its linearization is exact
-    data = MultiSampleData(((0.2, 0.9), (0.4, 0.7)))
+    data = MultiSampleData([0.2, 0.9, 0.4, 0.7], (2, 2))
     hn = pooled_ecdf(data)
     root = math.sqrt(data.N)
     for row in draw_matrix(ResampleKind.PERMUTATION, data.N, 4, SeedSpec(0).rng()):
